@@ -22,7 +22,8 @@
 //
 // The counting state serializes to an opaque blob carried inside the
 // epoch snapshot, making the engine crash-tolerant: restore() re-primes
-// it from the checkpointed database + clustering result, and the blob
+// it from the resumed database (rebuilt by replaying the cut's WAL
+// prefix) + the cut's clustering result, and the blob
 // contributes the counts plus the cumulative reclassification total
 // (the deterministic `epm.instances_reclassified` counter). A cut
 // written by the full-recompute path has no blob; restore() then

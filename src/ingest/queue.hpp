@@ -47,10 +47,11 @@ class BoundedQueue {
   }
 
   /// Non-blocking admit. Returns false when the queue is closed, or —
-  /// under kBlock — full (counted as a stall; the item is untouched and
-  /// the caller must drain or shed before retrying). Under kShedOldest
-  /// a full queue drops its oldest item and always admits.
-  [[nodiscard]] bool offer(T item) {
+  /// under kBlock — full (counted as a stall). The item is moved from
+  /// only when admitted: on a false return it stays with the caller,
+  /// who can drain or shed and offer the same object again. Under
+  /// kShedOldest a full queue drops its oldest item and always admits.
+  [[nodiscard]] bool offer(T&& item) {
     std::optional<T> discarded;
     return offer(std::move(item), discarded);
   }
@@ -59,7 +60,7 @@ class BoundedQueue {
   /// (engaged only when a kShedOldest queue actually shed) so the
   /// caller can dispose of it — the serve daemon answers BUSY on the
   /// evicted connection before closing it instead of leaking the fd.
-  [[nodiscard]] bool offer(T item, std::optional<T>& evicted) {
+  [[nodiscard]] bool offer(T&& item, std::optional<T>& evicted) {
     evicted.reset();
     std::lock_guard lock{mutex_};
     if (closed_) return false;

@@ -7,7 +7,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <utility>
 
 #include "snapshot/checkpoint.hpp"
@@ -57,12 +57,10 @@ void fsync_dir(const std::string& directory) {
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) throw IoError("wal: cannot read " + path);
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>{in},
-                                  std::istreambuf_iterator<char>{}};
-  if (in.bad()) throw IoError("wal: cannot read " + path);
-  return bytes;
+  std::optional<std::vector<std::uint8_t>> bytes =
+      snapshot::read_whole_file(path);
+  if (!bytes.has_value()) throw IoError("wal: cannot read " + path);
+  return std::move(*bytes);
 }
 
 // Raw little-endian field reads; bounds are checked by the callers
@@ -301,8 +299,7 @@ RecoveredWal recover_wal(const WalOptions& options, std::uint64_t fingerprint,
     if (entry.open) seen_open = true;
 
     const std::vector<std::uint8_t> bytes = read_file(entry.path);
-    const SegmentScan scan =
-        scan_segment(bytes, fingerprint, entry.index, expected);
+    SegmentScan scan = scan_segment(bytes, fingerprint, entry.index, expected);
     report.duplicate_frames += scan.duplicates;
     if (scan.stale) {
       ++report.stale_segments;
@@ -325,8 +322,8 @@ RecoveredWal recover_wal(const WalOptions& options, std::uint64_t fingerprint,
 
     expected += scan.records.size();
     report.records_recovered += scan.records.size();
-    for (const std::vector<std::uint8_t>& record : scan.records) {
-      result.records.push_back(record);
+    for (std::vector<std::uint8_t>& record : scan.records) {
+      result.records.push_back(std::move(record));
     }
     if (scan.torn || scan.corrupt) {
       report.bytes_dropped += bytes.size() - scan.valid_prefix;

@@ -228,8 +228,45 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     restored.reset();
   }
 
+  // The writer must size itself from the recovery result *before* the
+  // records are moved out below — a moved-from list would reset its
+  // next-record index to zero and every resume would re-append the
+  // whole stream as duplicate frames.
+  ingest::WalWriter writer{wal_options, fingerprint, recovered,
+                           /*report=*/nullptr};
+
+  // Unified record source: the recovered prefix as salvaged, encoded
+  // fresh from the regenerated stream past it. Recovered payloads are
+  // CRC-framed and fingerprint-checked, so both sources yield the same
+  // bytes for the same index — which is also why a lost WAL never
+  // strands a cut.
+  std::vector<std::vector<std::uint8_t>> records = std::move(recovered.records);
+  auto record_bytes =
+      [&](std::uint64_t index) -> const std::vector<std::uint8_t>& {
+    while (records.size() <= index) {
+      records.push_back(
+          encode_record(gen_db.events()[records.size()], gen_db));
+    }
+    return records[static_cast<std::size_t>(index)];
+  };
+
   std::uint64_t done = 0;  // records already replayed into `db`
   honeypot::EventDatabase db;
+  if (restored) {
+    // A cut holds no database: rebuild it by replaying the prefix the
+    // cut covers. The cut's fault slice and stream totals already
+    // account for these records, so there is no delivery simulation
+    // and nothing is appended here. The cut is trusted only once the
+    // replay reproduced exactly its samples.
+    for (std::uint64_t i = 0; i < restored->wal_records; ++i) {
+      replay_record(record_bytes(i), db);
+    }
+    if (!store.apply_epoch(*restored, db)) {
+      restored.reset();
+      db = honeypot::EventDatabase{};
+    }
+  }
+
   honeypot::EnrichmentStats enrich_totals;
   fault::FaultReport restored_slice;
   snapshot::EpmStage epm_stage;
@@ -246,9 +283,8 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   bool have_results = false;
   if (restored) {
     done = restored->wal_records;
-    db = std::move(restored->database.db);
-    enrich_totals = restored->database.enrichment;
-    restored_slice = restored->database.fault_report;
+    enrich_totals = restored->enrichment;
+    restored_slice = restored->fault_report;
     epm_stage = std::move(restored->epm);
     bview = std::move(restored->behavioral);
     ingest::decode_stream_totals(restored->ingest_blob, report);
@@ -266,26 +302,6 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     report.epochs_restored = 1;
   }
 
-  // The writer must size itself from the recovery result *before* the
-  // records are moved out below — a moved-from list would reset its
-  // next-record index to zero and every resume would re-append the
-  // whole stream as duplicate frames.
-  ingest::WalWriter writer{wal_options, fingerprint, recovered,
-                           /*report=*/nullptr};
-
-  // Unified record source: the recovered prefix as salvaged, encoded
-  // fresh from the regenerated stream past it. Recovered payloads are
-  // CRC-framed and fingerprint-checked, so both sources yield the same
-  // bytes for the same index.
-  std::vector<std::vector<std::uint8_t>> records = std::move(recovered.records);
-  auto record_bytes =
-      [&](std::uint64_t index) -> const std::vector<std::uint8_t>& {
-    while (records.size() <= index) {
-      records.push_back(
-          encode_record(gen_db.events()[records.size()], gen_db));
-    }
-    return records[static_cast<std::size_t>(index)];
-  };
   std::uint64_t appended_this_run = 0;
   ingest::BoundedRecordQueue queue{stream.queue_capacity,
                                    ingest::OverflowPolicy::kBlock};
@@ -299,9 +315,10 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
 
   // Heal a WAL that fell behind its checkpoint (crash after the cut was
   // durable but before the damaged tail segment was, or a quarantined
-  // segment). The checkpoint already covers these records' state and
-  // fault counters, so they are re-appended verbatim — no delivery
-  // simulation, no replay.
+  // segment, or a WAL directory lost outright). The checkpoint already
+  // covers these records' fault counters and the restore above already
+  // replayed them, so they are re-appended verbatim — no delivery
+  // simulation, no second replay.
   while (writer.next_record_index() < done) {
     writer.append(record_bytes(writer.next_record_index()));
     ++appended_this_run;
@@ -344,9 +361,12 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
           // queue is drained only when full, so backpressure genuinely
           // engages (and is counted) instead of the queue idling at
           // depth one.
-          if (!queue.offer(std::vector<std::uint8_t>{rec})) {
+          // A rejected offer leaves `item` with us, so the record is
+          // copied once however the queue answers.
+          std::vector<std::uint8_t> item = rec;
+          if (!queue.offer(std::move(item))) {
             drain_queue();
-            if (!queue.offer(std::vector<std::uint8_t>{rec})) {
+            if (!queue.offer(std::move(item))) {
               throw IoError("ingest queue rejected a record after drain");
             }
           }
@@ -514,29 +534,37 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     bytes_delta = 0;
     report.segments_sealed = writer.segment_index() - 1;
 
-    snapshot::EpochStage cut;
-    cut.epoch = k;
-    cut.wal_records = target;
-    cut.b_backend = options.b_backend;
-    cut.database.db = db;
-    cut.database.enrichment = enrich_totals;
-    cut.database.fault_report = final_slice;
-    cut.epm = epm_stage;
-    cut.behavioral = bview;
-    cut.ingest_blob = ingest::encode_stream_totals(report);
+    // The engines' durable state travels with the cut so resume is
+    // delta-only; the full-recompute path leaves these empty and a
+    // later incremental resume recounts from the restored rows.
+    const std::vector<std::uint8_t> ingest_blob =
+        ingest::encode_stream_totals(report);
+    std::vector<std::uint8_t> e_counts;
+    std::vector<std::uint8_t> p_counts;
+    std::vector<std::uint8_t> m_counts;
+    std::vector<std::uint8_t> signature_blob;
     if (incremental) {
-      // The engines' durable state travels with the cut so resume is
-      // delta-only; the full-recompute path leaves these empty and a
-      // later incremental resume recounts from the restored rows.
-      cut.e_counts = inc_e.encode_counts();
-      cut.p_counts = inc_p.encode_counts();
-      cut.m_counts = inc_m.encode_counts();
-      cut.signature_blob = cluster::encode_signature_store(signatures);
+      e_counts = inc_e.encode_counts();
+      p_counts = inc_p.encode_counts();
+      m_counts = inc_m.encode_counts();
+      signature_blob = cluster::encode_signature_store(signatures);
     }
     {
       const obs::TraceRecorder::Scoped span{options.trace, "epoch.checkpoint",
                                             epoch_span.id()};
-      store.save_epoch(cut);
+      store.save_epoch(snapshot::EpochCut{.epoch = k,
+                                          .wal_records = target,
+                                          .b_backend = options.b_backend,
+                                          .db = db,
+                                          .enrichment = enrich_totals,
+                                          .fault_report = final_slice,
+                                          .epm = epm_stage,
+                                          .behavioral = bview,
+                                          .ingest_blob = ingest_blob,
+                                          .e_counts = e_counts,
+                                          .p_counts = p_counts,
+                                          .m_counts = m_counts,
+                                          .signature_blob = signature_blob});
     }
     // The hook sees the 1-based count of durable epochs so a view built
     // here for the final epoch carries the same epoch number as one built

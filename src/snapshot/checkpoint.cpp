@@ -1,13 +1,14 @@
 #include "snapshot/checkpoint.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "cluster/backend.hpp"
@@ -74,12 +75,9 @@ bool atomic_write(const std::string& path, std::span<const std::uint8_t> bytes,
 }
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) throw ParseError("checkpoint: cannot read " + path);
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>{in},
-                                  std::istreambuf_iterator<char>{}};
-  if (in.bad()) throw ParseError("checkpoint: cannot read " + path);
-  return bytes;
+  std::optional<std::vector<std::uint8_t>> bytes = read_whole_file(path);
+  if (!bytes.has_value()) throw ParseError("checkpoint: cannot read " + path);
+  return std::move(*bytes);
 }
 
 const Section& find_section(const std::vector<Section>& sections,
@@ -283,6 +281,36 @@ std::optional<std::vector<Section>> CheckpointStore::load_stage(Stage stage) {
   }
 }
 
+std::optional<std::vector<std::uint8_t>> read_whole_file(
+    const std::string& path) {
+  struct Descriptor {
+    int fd;
+    ~Descriptor() {
+      if (fd >= 0) ::close(fd);
+    }
+  } file{::open(path.c_str(), O_RDONLY)};
+  if (file.fd < 0) return std::nullopt;
+  std::vector<std::uint8_t> bytes;
+  struct stat info {};
+  if (::fstat(file.fd, &info) == 0 && info.st_size > 0) {
+    bytes.reserve(static_cast<std::size_t>(info.st_size));
+  }
+  // Appending through a fixed chunk grows the buffer only by what each
+  // read delivered: a file that shrank after the fstat yields its real
+  // bytes, never zero padding up to the stale size.
+  std::array<std::uint8_t, std::size_t{1} << 16> chunk{};
+  while (true) {
+    const ::ssize_t n = ::read(file.fd, chunk.data(), chunk.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return std::nullopt;
+    }
+    if (n == 0) break;
+    bytes.insert(bytes.end(), chunk.begin(), chunk.begin() + n);
+  }
+  return bytes;
+}
+
 std::string unique_quarantine_path(const std::string& path) {
   std::string candidate = path + ".quarantined";
   std::error_code ec;
@@ -414,46 +442,50 @@ void CheckpointStore::save_behavioral(const analysis::BehavioralView& view,
               make_section("behavioral", std::move(writer))});
 }
 
-void CheckpointStore::save_epoch(const EpochStage& stage) {
+void CheckpointStore::save_epoch(const EpochCut& cut) {
   if (!enabled()) return;
   ByteWriter meta_writer;
-  meta_writer.u64(stage.epoch);
-  meta_writer.u64(stage.wal_records);
-  meta_writer.u8(static_cast<std::uint8_t>(stage.b_backend));
-  ByteWriter db_writer;
-  write_database(db_writer, stage.database.db);
+  meta_writer.u64(cut.epoch);
+  meta_writer.u64(cut.wal_records);
+  meta_writer.u8(static_cast<std::uint8_t>(cut.b_backend));
+  meta_writer.u64(cut.db.samples().size());
+  ByteWriter samples_writer;
+  write_enrichment_column(samples_writer, cut.db.samples());
   ByteWriter stats_writer;
-  write_enrichment_stats(stats_writer, stage.database.enrichment);
+  write_enrichment_stats(stats_writer, cut.enrichment);
   ByteWriter fault_writer;
-  write_fault_report(fault_writer, stage.database.fault_report);
+  write_fault_report(fault_writer, cut.fault_report);
   ByteWriter e_writer;
-  write_epm_result(e_writer, stage.epm.e);
+  write_epm_result(e_writer, cut.epm.e);
   ByteWriter p_writer;
-  write_epm_result(p_writer, stage.epm.p);
+  write_epm_result(p_writer, cut.epm.p);
   ByteWriter m_writer;
-  write_epm_result(m_writer, stage.epm.m);
+  write_epm_result(m_writer, cut.epm.m);
   ByteWriter b_writer;
-  write_behavioral_view(b_writer, stage.behavioral);
-  const int ordinal = static_cast<int>(stage.epoch) + 1;
-  save_file(epoch_filename(stage.epoch), Stage::kEpoch,
+  write_behavioral_view(b_writer, cut.behavioral);
+  const auto blob = [](std::string name, std::span<const std::uint8_t> bytes) {
+    return Section{std::move(name), {bytes.begin(), bytes.end()}};
+  };
+  const int ordinal = static_cast<int>(cut.epoch) + 1;
+  save_file(epoch_filename(cut.epoch), Stage::kEpoch,
             {make_section("epoch-meta", std::move(meta_writer)),
-             make_section("database", std::move(db_writer)),
+             make_section("samples", std::move(samples_writer)),
              make_section("enrichment", std::move(stats_writer)),
              make_section("fault-report", std::move(fault_writer)),
              make_section("epsilon", std::move(e_writer)),
              make_section("pi", std::move(p_writer)),
              make_section("mu", std::move(m_writer)),
              make_section("behavioral", std::move(b_writer)),
-             Section{"ingest", stage.ingest_blob},
-             Section{"epsilon-counts", stage.e_counts},
-             Section{"pi-counts", stage.p_counts},
-             Section{"mu-counts", stage.m_counts},
-             Section{"signatures", stage.signature_blob}},
+             blob("ingest", cut.ingest_blob),
+             blob("epsilon-counts", cut.e_counts),
+             blob("pi-counts", cut.p_counts),
+             blob("mu-counts", cut.m_counts),
+             blob("signatures", cut.signature_blob)},
             options_.short_write_epoch == ordinal,
-            "epoch " + std::to_string(stage.epoch));
+            "epoch " + std::to_string(cut.epoch));
   if (options_.stop_after_epoch == ordinal) {
     throw CheckpointInterrupted("simulated crash after epoch " +
-                                std::to_string(stage.epoch));
+                                std::to_string(cut.epoch));
   }
 }
 
@@ -501,18 +533,19 @@ std::optional<EpochStage> CheckpointStore::load_latest_epoch() {
         stage.epoch = reader.u64();
         stage.wal_records = reader.u64();
         stage.b_backend = cluster::backend_kind_from_tag(reader.u8());
+        stage.sample_count = reader.u64();
         return 0;
       });
       if (stage.epoch != index) {
         throw ParseError("snapshot: epoch file " + path +
                          " holds epoch " + std::to_string(stage.epoch));
       }
-      stage.database.db =
-          decode_section(decoded.sections, "database", read_database);
-      stage.database.enrichment = decode_section(decoded.sections, "enrichment",
-                                                 read_enrichment_stats);
-      stage.database.fault_report = decode_section(
-          decoded.sections, "fault-report", read_fault_report);
+      stage.samples =
+          decode_section(decoded.sections, "samples", read_enrichment_column);
+      stage.enrichment = decode_section(decoded.sections, "enrichment",
+                                        read_enrichment_stats);
+      stage.fault_report = decode_section(decoded.sections, "fault-report",
+                                          read_fault_report);
       stage.epm.e = decode_section(decoded.sections, "epsilon", read_epm_result);
       stage.epm.p = decode_section(decoded.sections, "pi", read_epm_result);
       stage.epm.m = decode_section(decoded.sections, "mu", read_epm_result);
@@ -524,7 +557,6 @@ std::optional<EpochStage> CheckpointStore::load_latest_epoch() {
       stage.m_counts = find_section(decoded.sections, "mu-counts").payload;
       stage.signature_blob =
           find_section(decoded.sections, "signatures").payload;
-      stage.database.db.check_consistency();
       ++activity_.restored;
       return stage;
     } catch (const ParseError&) {
@@ -533,6 +565,34 @@ std::optional<EpochStage> CheckpointStore::load_latest_epoch() {
     quarantine(path, /*stale=*/false);
   }
   return std::nullopt;
+}
+
+bool CheckpointStore::apply_epoch(const EpochStage& stage,
+                                  honeypot::EventDatabase& db) {
+  std::vector<honeypot::MalwareSample>& samples = db.samples_mutable();
+  bool matches = stage.sample_count == samples.size() &&
+                 stage.samples.size() == samples.size();
+  for (std::size_t i = 0; matches && i < samples.size(); ++i) {
+    matches = stage.samples[i].md5 == samples[i].md5;
+  }
+  if (matches) {
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      const SampleEnrichment& entry = stage.samples[i];
+      samples[i].profile = entry.profile;
+      samples[i].av_label = entry.av_label;
+      samples[i].label_missing = entry.label_missing;
+    }
+    try {
+      db.check_consistency();
+      return true;
+    } catch (const ConfigError&) {
+    }
+  }
+  quarantine(
+      (fs::path{options_.directory} / epoch_filename(stage.epoch)).string(),
+      /*stale=*/false);
+  --activity_.restored;
+  return false;
 }
 
 std::optional<analysis::BehavioralView> CheckpointStore::load_behavioral(

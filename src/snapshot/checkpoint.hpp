@@ -10,7 +10,9 @@
 // load never fails the caller: corrupt, truncated or stale files are
 // quarantined (renamed aside) and the stage is simply recomputed, so a
 // run killed at any point — including mid-write — resumes to output
-// byte-identical to an uninterrupted run.
+// byte-identical to an uninterrupted run. Streaming epoch cuts use the
+// same container but hold derived state only: the event database is
+// rebuilt on resume by replaying the WAL prefix a cut covers.
 //
 // File layout (all little-endian, via util/byteio):
 //   [magic u32][format version u32][stage u8][fingerprint u64]
@@ -36,6 +38,7 @@
 #include "honeypot/database.hpp"
 #include "honeypot/enrichment.hpp"
 #include "malware/landscape.hpp"
+#include "snapshot/codec.hpp"
 
 namespace repro::snapshot {
 
@@ -50,9 +53,12 @@ inline constexpr std::uint32_t kSnapshotEndMagic = 0x44'4e'45'53;  // "SEND"
 // Version 5: the behavioral stage and the epoch meta stamp the
 // producing cluster backend, so a partition computed by one backend
 // can never silently seed another.
+// Version 6: epoch cuts no longer carry the event database; they keep
+// a per-sample enrichment column and resume rebuilds the database by
+// replaying the WAL prefix the cut covers.
 // Older files are quarantined as unreadable and their stages
 // recomputed — the normal graceful-degradation path, not an error.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// The pipeline's checkpointable stage boundaries, in execution order.
 enum class Stage : std::uint8_t {
@@ -60,7 +66,7 @@ enum class Stage : std::uint8_t {
   kDatabase = 2,    // deployment run + enrichment done
   kEpm = 3,         // E/P/M clustering done
   kBehavioral = 4,  // behavioral clustering done
-  kEpoch = 5,       // streaming ingest epoch cut (full pipeline state)
+  kEpoch = 5,       // streaming ingest epoch cut (derived state only)
 };
 
 [[nodiscard]] std::string_view stage_name(Stage stage);
@@ -92,6 +98,14 @@ struct DecodedSnapshot {
 /// single flipped bit never decodes.
 [[nodiscard]] DecodedSnapshot decode_snapshot(
     std::span<const std::uint8_t> bytes);
+
+/// Reads a whole file with sized reads into a buffer reserved from its
+/// size, keeping exactly the bytes delivered. std::nullopt when the
+/// file cannot be opened or read; each caller throws its own error
+/// type.
+/// Shared with the ingest WAL.
+[[nodiscard]] std::optional<std::vector<std::uint8_t>> read_whole_file(
+    const std::string& path);
 
 /// First unused quarantine name for `path`: "<path>.quarantined", then
 /// "<path>.quarantined-2", "-3", ... — so repeated corruptions of the
@@ -141,8 +155,12 @@ struct EpmStage {
   cluster::EpmResult m;
 };
 
-/// One streaming epoch cut: the complete pipeline state after the
-/// first `wal_records` WAL records were replayed and re-clustered.
+/// One streaming epoch cut as loaded: the derived pipeline state after
+/// the first `wal_records` WAL records were replayed and re-clustered.
+/// The event database is not part of it — those records are already
+/// durable in the WAL (or regenerated from the deterministic stream),
+/// so resume replays them into an empty database and then applies the
+/// per-sample enrichment column (CheckpointStore::apply_epoch).
 /// `wal_records` — not the epoch index — is what resume keys on, so a
 /// cut stays usable even if the run is restarted with a different
 /// `--epochs` split.
@@ -154,7 +172,12 @@ struct EpochStage {
   /// backend-independent), so this tag is what stops an incremental
   /// resume from seeding one backend with another's partition.
   cluster::BackendKind b_backend = cluster::BackendKind::kLsh;
-  DatabaseStage database;
+  /// Samples the replayed prefix must produce, and their enrichment
+  /// outputs in sample-id order.
+  std::uint64_t sample_count = 0;
+  std::vector<SampleEnrichment> samples;
+  honeypot::EnrichmentStats enrichment;
+  fault::FaultReport fault_report;
   EpmStage epm;
   analysis::BehavioralView behavioral;
   /// Opaque ingest stream totals (ingest::encode_stream_totals).
@@ -168,6 +191,26 @@ struct EpochStage {
   std::vector<std::uint8_t> p_counts;
   std::vector<std::uint8_t> m_counts;
   std::vector<std::uint8_t> signature_blob;
+};
+
+/// The write side of one epoch cut: borrowed views of the live epoch
+/// loop state, serialised in place so writing a cut copies neither the
+/// database nor the clustering results. Only the enrichment column of
+/// `db` is written; see EpochStage for the loaded form.
+struct EpochCut {
+  std::uint64_t epoch = 0;
+  std::uint64_t wal_records = 0;
+  cluster::BackendKind b_backend = cluster::BackendKind::kLsh;
+  const honeypot::EventDatabase& db;
+  const honeypot::EnrichmentStats& enrichment;
+  const fault::FaultReport& fault_report;
+  const EpmStage& epm;
+  const analysis::BehavioralView& behavioral;
+  std::span<const std::uint8_t> ingest_blob;
+  std::span<const std::uint8_t> e_counts;
+  std::span<const std::uint8_t> p_counts;
+  std::span<const std::uint8_t> m_counts;
+  std::span<const std::uint8_t> signature_blob;
 };
 
 class CheckpointStore {
@@ -200,11 +243,20 @@ class CheckpointStore {
       cluster::BackendKind expected);
 
   /// Durably writes one epoch cut to its own "epoch-NNNN.snap" file.
-  void save_epoch(const EpochStage& stage);
+  void save_epoch(const EpochCut& cut);
   /// Newest valid epoch cut, scanning epoch files in descending index
   /// order; corrupt/stale files are quarantined and skipped, exactly
   /// like the stage loads above.
   [[nodiscard]] std::optional<EpochStage> load_latest_epoch();
+  /// Completes a loaded cut against `db`, the database rebuilt by
+  /// replaying the cut's WAL prefix: the replay must have produced
+  /// exactly the cut's samples (their count and every md5), then the
+  /// enrichment column is applied and the database's cross-references
+  /// are checked. On any mismatch the cut file is quarantined, its
+  /// restore is counted back out, and false is returned: the cut
+  /// describes some other record sequence and is never trusted.
+  [[nodiscard]] bool apply_epoch(const EpochStage& stage,
+                                 honeypot::EventDatabase& db);
 
   /// What the store did this run — lets callers (and tests) see whether
   /// a stage was restored or recomputed, and whether files were thrown

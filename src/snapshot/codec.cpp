@@ -453,6 +453,24 @@ honeypot::AttackEvent get_event(ByteReader& reader) {
   return event;
 }
 
+void put_profile(ByteWriter& writer,
+                 const std::optional<sandbox::BehavioralProfile>& profile) {
+  writer.u8(profile.has_value() ? 1 : 0);
+  if (!profile.has_value()) return;
+  // std::set iterates in sorted order, so the serialization is
+  // deterministic.
+  const std::set<std::string>& features = profile->features();
+  writer.u64(features.size());
+  for (const std::string& feature : features) put_string(writer, feature);
+}
+
+std::optional<sandbox::BehavioralProfile> get_profile(ByteReader& reader) {
+  if (!get_flag(reader)) return std::nullopt;
+  const std::vector<std::string> features = get_string_vector(reader);
+  return sandbox::BehavioralProfile{
+      std::set<std::string>(features.begin(), features.end())};
+}
+
 void put_sample(ByteWriter& writer, const honeypot::MalwareSample& sample) {
   writer.u32(sample.id);
   put_string(writer, sample.md5);
@@ -461,15 +479,7 @@ void put_sample(ByteWriter& writer, const honeypot::MalwareSample& sample) {
   writer.u8(sample.truncated ? 1 : 0);
   writer.u8(sample.corrupted ? 1 : 0);
   writer.u64(sample.event_count);
-  writer.u8(sample.profile.has_value() ? 1 : 0);
-  if (sample.profile.has_value()) {
-    // std::set iterates in sorted order, so the serialization is
-    // deterministic.
-    const std::set<std::string>& features = sample.profile->features();
-    put_string_vector(writer,
-                      std::vector<std::string>(features.begin(),
-                                               features.end()));
-  }
+  put_profile(writer, sample.profile);
   put_string(writer, sample.av_label);
   writer.u8(sample.label_missing ? 1 : 0);
   writer.u32(sample.truth_variant);
@@ -484,11 +494,7 @@ honeypot::MalwareSample get_sample(ByteReader& reader) {
   sample.truncated = get_flag(reader);
   sample.corrupted = get_flag(reader);
   sample.event_count = static_cast<std::size_t>(reader.u64());
-  if (get_flag(reader)) {
-    const std::vector<std::string> features = get_string_vector(reader);
-    sample.profile = sandbox::BehavioralProfile{
-        std::set<std::string>(features.begin(), features.end())};
-  }
+  sample.profile = get_profile(reader);
   sample.av_label = get_string(reader);
   sample.label_missing = get_flag(reader);
   sample.truth_variant = reader.u32();
@@ -796,6 +802,37 @@ fault::FaultReport read_fault_report(ByteReader& reader) {
   report.delivery_retry_exhausted = reader.u64();
   report.delivery_backoff_seconds = get_i64(reader);
   return report;
+}
+
+void write_enrichment_column(
+    ByteWriter& writer, std::span<const honeypot::MalwareSample> samples) {
+  writer.u64(samples.size());
+  for (const honeypot::MalwareSample& sample : samples) {
+    put_string(writer, sample.md5);
+    put_profile(writer, sample.profile);
+    put_string(writer, sample.av_label);
+    writer.u8(sample.label_missing ? 1 : 0);
+  }
+}
+
+std::vector<SampleEnrichment> read_enrichment_column(ByteReader& reader) {
+  // Smallest entry: two empty strings (u32 lengths) and two flags.
+  const std::size_t count = get_count(reader, 10);
+  std::vector<SampleEnrichment> column;
+  column.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    SampleEnrichment entry;
+    entry.md5 = get_string(reader);
+    entry.profile = get_profile(reader);
+    entry.av_label = get_string(reader);
+    entry.label_missing = get_flag(reader);
+    if (entry.label_missing && !entry.av_label.empty()) {
+      throw ParseError("snapshot codec: sample " + std::to_string(i) +
+                       " has a label but is marked label-missing");
+    }
+    column.push_back(std::move(entry));
+  }
+  return column;
 }
 
 void write_attack_event(ByteWriter& writer,

@@ -13,6 +13,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "analysis/bview.hpp"
 #include "cluster/epm.hpp"
@@ -20,6 +24,7 @@
 #include "honeypot/database.hpp"
 #include "honeypot/enrichment.hpp"
 #include "malware/landscape.hpp"
+#include "sandbox/profile.hpp"
 #include "util/byteio.hpp"
 
 namespace repro::snapshot {
@@ -41,6 +46,25 @@ void write_enrichment_stats(ByteWriter& writer,
 
 void write_fault_report(ByteWriter& writer, const fault::FaultReport& report);
 [[nodiscard]] fault::FaultReport read_fault_report(ByteReader& reader);
+
+/// One sample's enrichment outputs: all that an epoch cut keeps of the
+/// sample store. Everything else about a sample (content, flags,
+/// first_seen, event count) is rebuilt by replaying the WAL prefix the
+/// cut covers; `md5` ties each entry to its replayed row.
+struct SampleEnrichment {
+  std::string md5;
+  std::optional<sandbox::BehavioralProfile> profile;
+  std::string av_label;
+  bool label_missing = false;
+};
+
+/// Per-sample enrichment column, one entry per sample in id order.
+void write_enrichment_column(ByteWriter& writer,
+                             std::span<const honeypot::MalwareSample> samples);
+/// Throws ParseError on malformed bytes. The entry count is bounded by
+/// the remaining bytes before anything is allocated.
+[[nodiscard]] std::vector<SampleEnrichment> read_enrichment_column(
+    ByteReader& reader);
 
 /// Single-event codec, used by the ingest WAL's record format (the
 /// database codec above serializes whole databases).

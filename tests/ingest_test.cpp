@@ -347,6 +347,26 @@ TEST(Queue, BlockPolicyStallsAtCapacityAndPreservesOrder) {
   EXPECT_EQ(stats.high_water, 2u);
 }
 
+TEST(Queue, RejectedOfferLeavesTheItemWithTheCaller) {
+  // A stalled or closed offer must not consume its argument: the epoch
+  // loop copies each record into the queue once and re-offers the same
+  // object after draining.
+  BoundedRecordQueue queue{1, OverflowPolicy::kBlock};
+  EXPECT_TRUE(queue.offer(rec(1)));
+  std::vector<std::uint8_t> item = rec(2);
+  EXPECT_FALSE(queue.offer(std::move(item)));
+  EXPECT_EQ(item, rec(2));
+  EXPECT_EQ(*queue.try_pop(), rec(1));
+  EXPECT_TRUE(queue.offer(std::move(item)));
+  EXPECT_EQ(*queue.try_pop(), rec(2));
+
+  std::vector<std::uint8_t> late = rec(3);
+  queue.close();
+  EXPECT_FALSE(queue.offer(std::move(late)));
+  EXPECT_EQ(late, rec(3));
+  EXPECT_EQ(queue.stats().stalls, 1u);
+}
+
 TEST(Queue, ShedOldestDropsTheHeadAtCapacity) {
   BoundedRecordQueue queue{3, OverflowPolicy::kShedOldest};
   for (std::uint8_t i = 1; i <= 5; ++i) {

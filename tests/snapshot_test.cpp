@@ -86,6 +86,33 @@ TEST(Crc32, DetectsSingleBitFlip) {
   EXPECT_NE(crc32(bytes), clean);
 }
 
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // The word-at-a-time fast path must agree with the textbook bitwise
+  // definition for every length (including the sub-word tails) and for
+  // unaligned starts.
+  const auto reference = [](std::span<const std::uint8_t> data) {
+    std::uint32_t c = 0xffff'ffffu;
+    for (const std::uint8_t byte : data) {
+      c ^= byte;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1) ? 0xedb8'8320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xffff'ffffu;
+  };
+  std::vector<std::uint8_t> bytes(80);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 131 + 17);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; offset + length <= bytes.size(); ++length) {
+      const auto data = std::span{bytes}.subspan(offset, length);
+      EXPECT_EQ(crc32(data), reference(data))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
 // --- Codec round-trips ------------------------------------------------------
 
 template <typename T, typename WriteFn, typename ReadFn>
@@ -231,6 +258,89 @@ TEST(Codec, CorruptedPayloadFailsSafely) {
       // Acceptable: the corruption was detected.
     }
   }
+}
+
+// --- Epoch-cut enrichment column -------------------------------------------
+
+/// A three-sample store covering every entry shape of the column: a
+/// profiled and labeled sample, an unprofiled one, and a labeler gap.
+std::vector<honeypot::MalwareSample> column_samples() {
+  std::vector<honeypot::MalwareSample> samples(3);
+  samples[0].md5 = "00112233445566778899aabbccddeeff";
+  samples[0].profile = sandbox::BehavioralProfile{
+      {"file|create|C:\\x.exe", "net|connect|tcp/445"}};
+  samples[0].av_label = "W32.Allaple.A";
+  samples[1].md5 = "ffeeddccbbaa99887766554433221100";
+  samples[1].av_label = "Trojan.Gen";
+  samples[2].md5 = "0123456789abcdef0123456789abcdef";
+  samples[2].label_missing = true;
+  return samples;
+}
+
+std::vector<std::uint8_t> column_bytes(
+    std::span<const honeypot::MalwareSample> samples) {
+  ByteWriter writer;
+  write_enrichment_column(writer, samples);
+  return writer.take();
+}
+
+TEST(Codec, EnrichmentColumnRoundTrips) {
+  for (const std::vector<honeypot::MalwareSample>& samples :
+       {column_samples(), dataset().db.samples()}) {
+    const std::vector<std::uint8_t> bytes = column_bytes(samples);
+    ByteReader reader{bytes};
+    const std::vector<SampleEnrichment> column = read_enrichment_column(reader);
+    EXPECT_EQ(reader.remaining(), 0u);
+    ASSERT_EQ(column.size(), samples.size());
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      EXPECT_EQ(column[i].md5, samples[i].md5);
+      EXPECT_EQ(column[i].profile, samples[i].profile);
+      EXPECT_EQ(column[i].av_label, samples[i].av_label);
+      EXPECT_EQ(column[i].label_missing, samples[i].label_missing);
+    }
+  }
+}
+
+TEST(Codec, EnrichmentColumnEveryTruncationIsRejected) {
+  const std::vector<std::uint8_t> bytes = column_bytes(column_samples());
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    ByteReader reader{std::span{bytes}.first(cut)};
+    EXPECT_THROW((void)read_enrichment_column(reader), ParseError)
+        << "prefix length " << cut << " decoded";
+  }
+}
+
+TEST(Codec, EnrichmentColumnSurvivesEverySingleBitFlip) {
+  // Below the container CRCs a flipped bit may still decode (a different
+  // md5 or label), but only ever to a well-formed column or a typed
+  // ParseError — never a crash, an over-read or a runaway allocation.
+  const std::vector<std::uint8_t> bytes = column_bytes(column_samples());
+  std::size_t rejected = 0;
+  for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::uint8_t> mutated = bytes;
+      mutated[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      ByteReader reader{mutated};
+      try {
+        const std::vector<SampleEnrichment> column =
+            read_enrichment_column(reader);
+        EXPECT_LE(column.size(), mutated.size() / 10);
+        for (const SampleEnrichment& entry : column) {
+          EXPECT_FALSE(entry.label_missing && !entry.av_label.empty());
+        }
+      } catch (const ParseError&) {
+        ++rejected;
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(Codec, EnrichmentColumnHugeCountIsRejectedNotAllocated) {
+  std::vector<std::uint8_t> bytes = column_bytes(column_samples());
+  bytes[7] = 0x7f;  // count becomes ~2^62
+  ByteReader reader{bytes};
+  EXPECT_THROW((void)read_enrichment_column(reader), ParseError);
 }
 
 // --- Container format -------------------------------------------------------
@@ -607,28 +717,70 @@ TEST(Store, BehavioralBackendMismatchIsQuarantinedAsStale) {
   EXPECT_FALSE(fs::exists(dir / stage_filename(Stage::kBehavioral)));
 }
 
+/// Writes one epoch cut of the shared dataset into `dir`.
+void save_dataset_cut(const fs::path& dir, cluster::BackendKind backend) {
+  const scenario::Dataset& ds = dataset();
+  const EpmStage epm{ds.e, ds.p, ds.m};
+  CheckpointStore writer{CheckpointOptions{dir.string()}, 42};
+  writer.save_epoch(EpochCut{.epoch = 2,
+                             .wal_records = ds.db.events().size(),
+                             .b_backend = backend,
+                             .db = ds.db,
+                             .enrichment = ds.enrichment,
+                             .fault_report = ds.fault_report,
+                             .epm = epm,
+                             .behavioral = ds.b,
+                             .ingest_blob = {},
+                             .e_counts = {},
+                             .p_counts = {},
+                             .m_counts = {},
+                             .signature_blob = {}});
+}
+
+/// The shared dataset's database as a WAL replay rebuilds it: every
+/// event and sample, but no enrichment outputs.
+honeypot::EventDatabase replayed_database() {
+  honeypot::EventDatabase db = dataset().db;
+  for (honeypot::MalwareSample& sample : db.samples_mutable()) {
+    sample.profile.reset();
+    sample.av_label.clear();
+    sample.label_missing = false;
+  }
+  return db;
+}
+
+std::vector<std::uint8_t> database_bytes(const honeypot::EventDatabase& db) {
+  ByteWriter writer;
+  write_database(writer, db);
+  return writer.take();
+}
+
 TEST(Store, EpochBackendTagRoundTrips) {
   const fs::path dir = fresh_dir("epoch-backend-tag");
-  CheckpointStore writer{CheckpointOptions{dir.string()}, 42};
-  EpochStage stage;
-  stage.epoch = 2;
-  stage.wal_records = 123;
-  stage.b_backend = cluster::BackendKind::kKmeans;
-  stage.database.db = dataset().db;
-  stage.database.enrichment = dataset().enrichment;
-  stage.database.fault_report = dataset().fault_report;
-  stage.epm.e = dataset().e;
-  stage.epm.p = dataset().p;
-  stage.epm.m = dataset().m;
-  stage.behavioral = dataset().b;
-  writer.save_epoch(stage);
+  save_dataset_cut(dir, cluster::BackendKind::kKmeans);
 
   CheckpointStore reader{CheckpointOptions{dir.string()}, 42};
   const auto loaded = reader.load_latest_epoch();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->epoch, 2u);
-  EXPECT_EQ(loaded->wal_records, 123u);
+  EXPECT_EQ(loaded->wal_records, dataset().db.events().size());
   EXPECT_EQ(loaded->b_backend, cluster::BackendKind::kKmeans);
+  EXPECT_EQ(loaded->sample_count, dataset().db.samples().size());
+  EXPECT_EQ(loaded->samples.size(), dataset().db.samples().size());
+}
+
+TEST(Store, EpochCutCompletesTheReplayedDatabase) {
+  const fs::path dir = fresh_dir("epoch-apply");
+  save_dataset_cut(dir, cluster::BackendKind::kLsh);
+
+  CheckpointStore reader{CheckpointOptions{dir.string()}, 42};
+  const auto loaded = reader.load_latest_epoch();
+  ASSERT_TRUE(loaded.has_value());
+  honeypot::EventDatabase db = replayed_database();
+  ASSERT_TRUE(reader.apply_epoch(*loaded, db));
+  EXPECT_EQ(database_bytes(db), database_bytes(dataset().db));
+  EXPECT_EQ(reader.activity().restored, 1u);
+  EXPECT_EQ(reader.activity().quarantined, 0u);
 }
 
 }  // namespace

@@ -5,12 +5,15 @@
 // one-shot batch build at every thread width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/plan.hpp"
@@ -602,6 +605,137 @@ TEST(Stream, OlderSnapshotVersionIsQuarantinedOnWarmResume) {
     }
   }
   EXPECT_TRUE(any_quarantined) << "old cuts must be set aside as evidence";
+}
+
+// --- Epoch cut contents -----------------------------------------------------
+
+/// Every epoch cut in `dir`, decoded, newest last.
+std::vector<std::pair<fs::path, snapshot::DecodedSnapshot>> epoch_cuts(
+    const fs::path& dir) {
+  std::vector<std::pair<fs::path, snapshot::DecodedSnapshot>> cuts;
+  for (std::uint64_t epoch = 0;; ++epoch) {
+    const fs::path path = dir / snapshot::epoch_filename(epoch);
+    if (!fs::exists(path)) break;
+    const auto bytes = snapshot::read_whole_file(path.string());
+    EXPECT_TRUE(bytes.has_value()) << path;
+    if (!bytes.has_value()) break;
+    cuts.emplace_back(path, snapshot::decode_snapshot(*bytes));
+  }
+  return cuts;
+}
+
+TEST(Stream, EpochCutsCarryNoSampleContent) {
+  // The WAL is the only durable copy of the raw samples; a cut holds
+  // derived state only, so it stays a small fraction of the stream.
+  ScenarioOptions options = small_options(true);
+  const fs::path root = fresh_dir("cut-contents");
+  const StreamOptions stream = stream_under(root, options);
+  const Dataset ds = build_streaming_dataset(options, stream);
+  const auto cuts = epoch_cuts(options.checkpoint.directory);
+  ASSERT_EQ(cuts.size(), 3u);
+  EXPECT_LT(fs::file_size(cuts.back().first) * 10, ds.ingest.bytes_appended);
+
+  // No section holds any sample's bytes: look for a high-entropy window
+  // of every sample (PE padding would match any run of zeros) inside
+  // every section of every cut.
+  std::size_t probed = 0;
+  for (const honeypot::MalwareSample& sample : ds.db.samples()) {
+    constexpr std::size_t kWindow = 48;
+    auto window = sample.content.end();
+    for (std::size_t at = 0; at + kWindow <= sample.content.size();
+         at += kWindow) {
+      const auto begin =
+          sample.content.begin() + static_cast<std::ptrdiff_t>(at);
+      const std::set<std::uint8_t> distinct{begin, begin + kWindow};
+      if (distinct.size() >= kWindow / 2) {
+        window = begin;
+        break;
+      }
+    }
+    if (window == sample.content.end()) continue;
+    ++probed;
+    for (const auto& [path, cut] : cuts) {
+      for (const snapshot::Section& section : cut.sections) {
+        EXPECT_NE(section.name, "database") << path;
+        EXPECT_EQ(std::search(section.payload.begin(), section.payload.end(),
+                              window, window + kWindow),
+                  section.payload.end())
+            << "sample " << sample.md5 << " found in section '"
+            << section.name << "' of " << path;
+      }
+    }
+  }
+  EXPECT_GT(probed * 2, ds.db.samples().size());
+}
+
+TEST(Stream, CutThatDisagreesWithTheReplayIsNeverTrusted) {
+  // Rewrite the only cut so that it no longer describes the WAL prefix
+  // it claims — its sample count, or one md5 of its enrichment column —
+  // and re-seal it with valid CRCs. Resume must replay the prefix, see
+  // the mismatch, set the cut aside and rebuild cold from record 0.
+  for (const bool rewrite_count : {true, false}) {
+    ScenarioOptions options = small_options(true);
+    const fs::path root =
+        fresh_dir(rewrite_count ? "forged-count" : "forged-md5");
+    const StreamOptions stream = stream_under(root, options);
+    options.checkpoint.stop_after_epoch = 1;
+    EXPECT_THROW((void)build_streaming_dataset(options, stream),
+                 snapshot::CheckpointInterrupted);
+    options.checkpoint.stop_after_epoch = 0;
+
+    auto cuts = epoch_cuts(options.checkpoint.directory);
+    ASSERT_EQ(cuts.size(), 1u);
+    auto& [path, cut] = cuts.front();
+    for (snapshot::Section& section : cut.sections) {
+      if (rewrite_count && section.name == "epoch-meta") {
+        // [epoch u64][wal_records u64][backend u8][sample count u64]
+        ASSERT_EQ(section.payload.size(), 25u);
+        ++section.payload[17];
+      }
+      if (!rewrite_count && section.name == "samples") {
+        // [count u64][md5 length u32][md5 ...] — flip the first md5.
+        ASSERT_GT(section.payload.size(), 12u);
+        section.payload[12] = section.payload[12] == '0' ? '1' : '0';
+      }
+    }
+    const std::vector<std::uint8_t> forged = snapshot::encode_snapshot(
+        snapshot::Stage::kEpoch, cut.fingerprint, cut.sections);
+    {
+      std::ofstream out{path, std::ios::binary | std::ios::trunc};
+      out.write(reinterpret_cast<const char*>(forged.data()),
+                static_cast<std::streamsize>(forged.size()));
+      ASSERT_TRUE(out.flush()) << path;
+    }
+
+    const Dataset resumed = build_streaming_dataset(options, stream);
+    EXPECT_EQ(all_csv(resumed), batch_csv(true))
+        << "rewrite_count=" << rewrite_count;
+    EXPECT_EQ(resumed.ingest.epochs_restored, 0u);
+    EXPECT_EQ(resumed.ingest.epochs_run, 3u);
+    EXPECT_EQ(resumed.checkpoint_activity.restored, 1u);  // the landscape
+    EXPECT_EQ(resumed.checkpoint_activity.quarantined, 1u);
+    EXPECT_TRUE(fs::exists(path.string() + ".quarantined"));
+  }
+}
+
+TEST(Stream, LostWalDirectoryHealsFromTheRegeneratedStream) {
+  ScenarioOptions options = small_options(true);
+  const fs::path root = fresh_dir("lost-wal");
+  const StreamOptions stream = stream_under(root, options);
+  (void)build_streaming_dataset(options, stream);
+  fs::remove_all(root / "wal");
+
+  // The cut still restores: its prefix is replayed from the
+  // deterministic regenerated stream and re-appended to a fresh WAL.
+  const Dataset healed = build_streaming_dataset(options, stream);
+  EXPECT_EQ(all_csv(healed), batch_csv(true));
+  EXPECT_EQ(healed.ingest.epochs_restored, 1u);
+  EXPECT_EQ(healed.ingest.epochs_run, 0u);
+
+  const Dataset third = build_streaming_dataset(options, stream);
+  EXPECT_EQ(all_csv(third), batch_csv(true));
+  EXPECT_EQ(third.ingest.records_recovered, third.db.events().size());
+  EXPECT_EQ(third.ingest.epochs_restored, 1u);
 }
 
 // --- Metrics ----------------------------------------------------------------

@@ -8,7 +8,10 @@
 # byte-identical to a one-shot batch build of the same configuration —
 # the headline guarantee of src/ingest + build_streaming_dataset,
 # exercised here with real SIGKILL (exit 137) rather than the in-test
-# exception seams.
+# exception seams. After the clean completion, one warm rerun over the
+# same directories and one rerun with the WAL directory deleted must
+# export the same bytes: both resume from the newest epoch cut by
+# replaying its WAL prefix (recovered, or regenerated when lost).
 #
 # Every round runs under a hard per-round timeout: a child that hangs
 # (instead of dying or completing) is SIGKILLed by timeout(1) and the
@@ -110,11 +113,40 @@ while :; do
   kill_at=$((kill_at + STEP))
 done
 
-if diff -r "$work/batch" "$work/stream" >/dev/null; then
-  echo "== exports byte-identical to the batch build after $round runs" \
-       "($((round - 1)) kills)"
-else
-  echo "crash_loop_stress: exports differ from the batch build:" >&2
-  diff -r "$work/batch" "$work/stream" >&2 | head -20
-  exit 1
-fi
+# Diffs one export directory against the batch baseline; exits on a
+# mismatch.
+expect_batch_identical() {
+  if ! diff -r "$work/batch" "$work/$1" >/dev/null; then
+    echo "crash_loop_stress: $1 exports differ from the batch build:" >&2
+    diff -r "$work/batch" "$work/$1" >&2 | head -20
+    exit 1
+  fi
+}
+
+# One more streaming run over the same directories (no kill point).
+rerun_stream() {
+  "$BIN" --seed "$SEED" --scale "$SCALE" --faults "$FAULTS" \
+         --epochs "$EPOCHS" \
+         --wal-dir "$work/wal" --checkpoint-dir "$work/ckpt" \
+         --export-dir "$work/$1" >/dev/null || {
+    echo "crash_loop_stress: $1 rerun failed" >&2
+    exit 1
+  }
+}
+
+expect_batch_identical stream
+echo "== exports byte-identical to the batch build after $round runs" \
+     "($((round - 1)) kills)"
+
+# Warm rerun: epoch cuts hold derived state only, so resume rebuilds
+# the database by replaying the WAL prefix the newest cut covers.
+rerun_stream warm
+expect_batch_identical warm
+echo "== warm rerun over the same directories: byte-identical"
+
+# Lost WAL: the cut's prefix is replayed from the deterministic
+# regenerated stream instead, and re-appended to a fresh WAL.
+rm -rf "$work/wal"
+rerun_stream nowal
+expect_batch_identical nowal
+echo "== rerun with the WAL directory removed: byte-identical"
