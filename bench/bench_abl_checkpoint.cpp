@@ -1,9 +1,11 @@
-// ABL-7 — cost of crash-safe checkpointing. Builds the dataset three
-// ways: without checkpoints, with cold checkpoint writes (every stage
-// serialized, fsynced and renamed into place), and resuming from a warm
-// checkpoint directory (every stage restored, nothing recomputed).
-// Reports wall time per mode plus the on-disk size of each stage
-// snapshot, and verifies the restored run is byte-identical on export.
+// ABL-7 — cost of the durable one-shot build. Builds the dataset three
+// ways: the plain batch build (no durability), the durable one-shot
+// build cold (`--epochs 1 --wal-dir`: every record appended to the WAL,
+// one epoch cut written, fsynced and renamed into place), and the same
+// command rerun warm (WAL recovered, the cut restored, nothing
+// re-clustered). Reports wall time per mode plus the on-disk size of
+// the WAL and the cut, and exits 1 unless every export is
+// byte-identical to the plain build.
 #include <chrono>
 #include <filesystem>
 #include <iostream>
@@ -12,7 +14,7 @@
 
 #include "bench_common.hpp"
 #include "io/csv_export.hpp"
-#include "snapshot/checkpoint.hpp"
+#include "scenario/stream.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -35,6 +37,14 @@ std::string megabytes(std::uintmax_t bytes) {
   return out.str();
 }
 
+std::uintmax_t directory_bytes(const std::filesystem::path& dir) {
+  std::uintmax_t bytes = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_regular_file()) bytes += entry.file_size();
+  }
+  return bytes;
+}
+
 }  // namespace
 
 int main() {
@@ -43,9 +53,10 @@ int main() {
   using clock = std::chrono::steady_clock;
 
   const scenario::ScenarioOptions base = bench::options_from_env();
-  std::cout << "### ABL-7: checkpoint overhead and restore speedup\n"
+  std::cout << "### ABL-7: cost of the durable one-shot build\n"
             << "(seed " << base.seed << ", scale " << base.scale
-            << "; building the pipeline with and without snapshots...)\n\n";
+            << "; building the pipeline plain and with --epochs 1 "
+               "--wal-dir...)\n\n";
 
   const fs::path dir = fs::temp_directory_path() / "repro-abl-checkpoint";
   fs::remove_all(dir);
@@ -54,54 +65,56 @@ int main() {
     double seconds = 0.0;
     scenario::Dataset dataset;
   };
-  const auto timed_build = [](const scenario::ScenarioOptions& options) {
+  const auto timed = [](auto&& build) {
     const clock::time_point start = clock::now();
-    Timed timed{0.0, scenario::build_paper_dataset(options)};
-    timed.seconds = std::chrono::duration<double>(clock::now() - start).count();
-    return timed;
+    Timed result{0.0, build()};
+    result.seconds =
+        std::chrono::duration<double>(clock::now() - start).count();
+    return result;
   };
 
-  const Timed plain = timed_build(base);
+  const Timed plain = timed([&] { return scenario::build_paper_dataset(base); });
 
-  scenario::ScenarioOptions checkpointed = base;
-  checkpointed.checkpoint.directory = dir.string();
-  const Timed cold = timed_build(checkpointed);
-  const Timed warm = timed_build(checkpointed);
+  scenario::ScenarioOptions durable = base;
+  durable.checkpoint.directory = (dir / "ckpt").string();
+  scenario::StreamOptions one_shot;
+  one_shot.epochs = 1;
+  one_shot.wal_dir = (dir / "wal").string();
+  const auto stream = [&] {
+    return scenario::build_streaming_dataset(durable, one_shot);
+  };
+  const Timed cold = timed(stream);
+  const Timed warm = timed(stream);
 
   TextTable table{{"mode", "wall time", "vs plain", "saved", "restored"}};
-  const auto add = [&](const char* name, const Timed& timed) {
+  const auto add = [&](const char* name, const Timed& run) {
     std::ostringstream secs, ratio;
     secs.precision(2);
-    secs << std::fixed << timed.seconds << " s";
+    secs << std::fixed << run.seconds << " s";
     ratio.precision(2);
-    ratio << std::fixed << timed.seconds / plain.seconds << "x";
+    ratio << std::fixed << run.seconds / plain.seconds << "x";
     table.add_row({name, secs.str(), ratio.str(),
-                   std::to_string(timed.dataset.checkpoint_activity.saved),
-                   std::to_string(timed.dataset.checkpoint_activity.restored)});
+                   std::to_string(run.dataset.checkpoint_activity.saved),
+                   std::to_string(run.dataset.checkpoint_activity.restored)});
   };
-  add("no checkpoints", plain);
-  add("checkpoint writes (cold)", cold);
-  add("restore from snapshots (warm)", warm);
+  add("plain batch", plain);
+  add("--epochs 1 --wal-dir (cold)", cold);
+  add("--epochs 1 --wal-dir (warm resume)", warm);
   std::cout << table.render() << "\n";
 
-  TextTable sizes{{"stage snapshot", "size"}};
-  std::uintmax_t total = 0;
-  for (const snapshot::Stage stage :
-       {snapshot::Stage::kLandscape, snapshot::Stage::kDatabase,
-        snapshot::Stage::kEpm, snapshot::Stage::kBehavioral}) {
-    const fs::path path = dir / snapshot::stage_filename(stage);
-    const std::uintmax_t bytes = fs::exists(path) ? fs::file_size(path) : 0;
-    total += bytes;
-    sizes.add_row({std::string{snapshot::stage_name(stage)}, megabytes(bytes)});
-  }
-  sizes.add_row({"total", megabytes(total)});
+  TextTable sizes{{"durable state", "size"}};
+  const std::uintmax_t wal = directory_bytes(dir / "wal");
+  const std::uintmax_t cut = directory_bytes(dir / "ckpt");
+  sizes.add_row({"WAL", megabytes(wal)});
+  sizes.add_row({"epoch cut", megabytes(cut)});
+  sizes.add_row({"total", megabytes(wal + cut)});
   std::cout << sizes.render() << "\n";
 
   const bool identical = all_csv(plain.dataset) == all_csv(warm.dataset) &&
                          all_csv(plain.dataset) == all_csv(cold.dataset);
   std::cout << (identical
-                    ? "restored exports byte-identical to plain build: yes\n"
-                    : "restored exports byte-identical to plain build: NO "
+                    ? "durable exports byte-identical to plain build: yes\n"
+                    : "durable exports byte-identical to plain build: NO "
                       "(BUG)\n");
   fs::remove_all(dir);
   return identical ? 0 : 1;

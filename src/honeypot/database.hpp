@@ -9,10 +9,6 @@
 
 #include "honeypot/event.hpp"
 
-namespace repro::snapshot {
-struct EventDatabaseAccess;
-}  // namespace repro::snapshot
-
 namespace repro::honeypot {
 
 class EventDatabase {
@@ -71,9 +67,6 @@ class EventDatabase {
   void check_consistency() const;
 
  private:
-  /// Snapshot codec: restores the tables and rebuilds the MD5 index.
-  friend struct repro::snapshot::EventDatabaseAccess;
-
   std::vector<AttackEvent> events_;
   std::vector<MalwareSample> samples_;
   std::unordered_map<std::string, SampleId> md5_index_;

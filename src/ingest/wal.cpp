@@ -4,14 +4,13 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <utility>
 
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/crc32.hpp"
+#include "snapshot/durable_file.hpp"
 #include "util/byteio.hpp"
 #include "util/error.hpp"
 
@@ -21,44 +20,18 @@ namespace {
 
 namespace fs = std::filesystem;
 
-[[noreturn]] void throw_io(const std::string& action, const std::string& path) {
-  throw IoError("wal: cannot " + action + " " + path + ": " +
-                std::strerror(errno));
-}
+using snapshot::fsync_dir;
+using snapshot::fsync_file;
+using snapshot::read_whole_file;
+using snapshot::throw_io;
+using snapshot::unique_quarantine_path;
+using snapshot::write_fully;
 
-void write_fully(int fd, std::span<const std::uint8_t> bytes,
-                 const std::string& path) {
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ::ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_io("write", path);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-}
-
-void fsync_or_throw(int fd, const std::string& path) {
-  if (::fsync(fd) != 0) throw_io("fsync", path);
-}
-
-/// fsyncs the directory so a just-created or just-renamed entry in it
-/// survives a crash — same discipline as the snapshot atomic_write.
-void fsync_dir(const std::string& directory) {
-  const int fd = ::open(directory.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) throw_io("open directory", directory);
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    throw_io("fsync directory", directory);
-  }
-  ::close(fd);
-}
+/// Error-message prefix of every durable-file failure in this layer.
+constexpr std::string_view kOwner = "wal";
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::optional<std::vector<std::uint8_t>> bytes =
-      snapshot::read_whole_file(path);
+  std::optional<std::vector<std::uint8_t>> bytes = read_whole_file(path);
   if (!bytes.has_value()) throw IoError("wal: cannot read " + path);
   return std::move(*bytes);
 }
@@ -277,7 +250,7 @@ RecoveredWal recover_wal(const WalOptions& options, std::uint64_t fingerprint,
     // crash — losing it just loses debug evidence, and the fallback is
     // deletion anyway.
     // repro-lint: allow(RL010) quarantine rename is not a durability publish
-    fs::rename(path, snapshot::unique_quarantine_path(path), ec);
+    fs::rename(path, unique_quarantine_path(path), ec);
     if (ec) fs::remove(path, ec);  // last resort: never rescan it
     ++report.quarantined_files;
     report.bytes_dropped += size;
@@ -334,7 +307,7 @@ RecoveredWal recover_wal(const WalOptions& options, std::uint64_t fingerprint,
         // back to its clean prefix so the stream continues from it.
         std::error_code ec;
         fs::copy_file(entry.path,
-                      snapshot::unique_quarantine_path(entry.path), ec);
+                      unique_quarantine_path(entry.path), ec);
         if (!ec) ++report.quarantined_files;
       }
       std::error_code ec;
@@ -364,7 +337,7 @@ WalWriter::WalWriter(WalOptions options, std::uint64_t fingerprint,
          segment_filename(segment_index_, /*open=*/true))
             .string();
     fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
-    if (fd_ < 0) throw_io("open", path);
+    if (fd_ < 0) throw_io(kOwner, "open", path);
     std::error_code ec;
     const std::uintmax_t size = fs::file_size(path, ec);
     if (ec) throw IoError("wal: cannot stat " + path);
@@ -386,14 +359,14 @@ void WalWriter::open_segment() {
                             segment_filename(segment_index_, /*open=*/true))
                                .string();
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd_ < 0) throw_io("open", path);
+  if (fd_ < 0) throw_io(kOwner, "open", path);
   const std::vector<std::uint8_t> header =
       encode_segment_header(fingerprint_, segment_index_, next_record_);
-  write_fully(fd_, header, path);
-  if (options_.sync_every_append) fsync_or_throw(fd_, path);
+  write_fully(fd_, header, path, kOwner);
+  if (options_.sync_every_append) fsync_file(fd_, path, kOwner);
   // The new file's directory entry must be durable before any frame in
   // it is acknowledged.
-  fsync_dir(options_.directory);
+  fsync_dir(options_.directory, kOwner);
   segment_bytes_written_ = header.size();
 }
 
@@ -403,8 +376,8 @@ void WalWriter::append(std::span<const std::uint8_t> payload) {
                             segment_filename(segment_index_, /*open=*/true))
                                .string();
   const std::vector<std::uint8_t> frame = encode_frame(next_record_, payload);
-  write_fully(fd_, frame, path);
-  if (options_.sync_every_append) fsync_or_throw(fd_, path);
+  write_fully(fd_, frame, path, kOwner);
+  if (options_.sync_every_append) fsync_file(fd_, path, kOwner);
   segment_bytes_written_ += frame.size();
   ++next_record_;
   if (report_ != nullptr) {
@@ -416,9 +389,11 @@ void WalWriter::append(std::span<const std::uint8_t> payload) {
 
 void WalWriter::sync() {
   if (fd_ < 0) return;
-  fsync_or_throw(fd_, (fs::path{options_.directory} /
-                       segment_filename(segment_index_, /*open=*/true))
-                          .string());
+  fsync_file(fd_,
+             (fs::path{options_.directory} /
+              segment_filename(segment_index_, /*open=*/true))
+                 .string(),
+             kOwner);
 }
 
 void WalWriter::seal() {
@@ -431,12 +406,12 @@ void WalWriter::seal() {
       (fs::path{options_.directory} /
        segment_filename(segment_index_, /*open=*/false))
           .string();
-  fsync_or_throw(fd_, open_path);
+  fsync_file(fd_, open_path, kOwner);
   close_fd();
   if (std::rename(open_path.c_str(), sealed_path.c_str()) != 0) {
-    throw_io("rename", open_path);
+    throw_io(kOwner, "rename", open_path);
   }
-  fsync_dir(options_.directory);
+  fsync_dir(options_.directory, kOwner);
   segment_bytes_written_ = 0;
   ++segment_index_;
   ++seals_done_;

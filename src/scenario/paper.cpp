@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "cluster/feature.hpp"
+#include "cluster/incremental.hpp"
 #include "malware/binary.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -801,8 +802,8 @@ std::uint64_t scenario_fingerprint(const ScenarioOptions& options) {
 }
 
 /// Publishes the pipeline's outcome counts from the *final* Dataset,
-/// so fresh and resumed runs export the same values (restored stages
-/// contribute through their snapshots, not by re-running).
+/// so fresh and resumed runs export the same values (restored epochs
+/// contribute through their cuts, not by re-running).
 void publish_dataset_metrics(obs::MetricsRegistry& metrics,
                              const Dataset& dataset) {
   const auto set = [&](std::string_view name, std::size_t value) {
@@ -890,10 +891,65 @@ honeypot::DeploymentConfig make_paper_deployment_config(
   return config;
 }
 
+EpochClusters cluster_epoch(const honeypot::EventDatabase& db,
+                            const ScenarioOptions& options, ThreadPool& pool,
+                            obs::TraceRecorder::SpanId parent,
+                            const IncrementalClustering* incremental,
+                            obs::MetricsRegistry* b_metrics) {
+  EpochClusters out;
+  const auto epm = [&](cluster::IncrementalEpm* engine,
+                       cluster::DimensionData (*build)(
+                           const honeypot::EventDatabase&)) {
+    return engine != nullptr ? engine->update(db)
+                             : cluster::epm_cluster(build(db));
+  };
+  // Task spans attach to `parent` by id: the Scoped handles below are
+  // created on whichever pool thread runs the task, while the parent
+  // was opened on the caller's.
+  std::vector<std::function<void()>> tasks;
+  tasks.emplace_back([&] {
+    const obs::TraceRecorder::Scoped span{options.trace, "cluster.e", parent};
+    out.epm.e = epm(incremental != nullptr ? &incremental->e : nullptr,
+                    cluster::build_epsilon_data);
+  });
+  tasks.emplace_back([&] {
+    const obs::TraceRecorder::Scoped span{options.trace, "cluster.p", parent};
+    out.epm.p = epm(incremental != nullptr ? &incremental->p : nullptr,
+                    cluster::build_pi_data);
+  });
+  tasks.emplace_back([&] {
+    const obs::TraceRecorder::Scoped span{options.trace, "cluster.m", parent};
+    out.epm.m = epm(incremental != nullptr ? &incremental->m : nullptr,
+                    cluster::build_mu_data);
+  });
+  tasks.emplace_back([&] {
+    const obs::TraceRecorder::Scoped span{options.trace, "cluster.b", parent};
+    cluster::BehavioralOptions behavioral;
+    behavioral.threshold = options.b_threshold;
+    behavioral.backend = options.b_backend;
+    // The behavioral task additionally parallelizes internally (nested
+    // submission): idle workers from the cheaper EPM tasks drain its
+    // signature and bucket chunks.
+    behavioral.pool = &pool;
+    behavioral.metrics = b_metrics;
+    if (incremental != nullptr) {
+      behavioral.signature_cache = &incremental->signatures;
+      behavioral.prior_assignment = &incremental->prior_b;
+    }
+    out.b = analysis::BehavioralView::build(db, behavioral);
+  });
+  pool.run_tasks(tasks);
+  return out;
+}
+
 Dataset build_paper_dataset(const ScenarioOptions& options) {
   options.faults.validate();
-  snapshot::CheckpointStore store{options.checkpoint,
-                                  scenario_fingerprint(options)};
+  if (!options.checkpoint.directory.empty()) {
+    throw ConfigError(
+        "build_paper_dataset does not checkpoint; the durable one-shot "
+        "build is build_streaming_dataset with epochs = 1 and a WAL "
+        "directory");
+  }
   Dataset dataset;
   // One pool for the whole build; every consumer produces output
   // byte-identical to the serial path, so the width is a pure
@@ -904,17 +960,11 @@ Dataset build_paper_dataset(const ScenarioOptions& options) {
 
   const obs::TraceRecorder::Scoped pipeline_span{options.trace, "pipeline"};
 
-  // Stage 1 — ground truth. The environment is a pure function of the
-  // landscape, so it is rebuilt rather than snapshotted.
+  // Ground truth. The environment is a pure function of the landscape.
   {
     const obs::TraceRecorder::Scoped span{options.trace, "stage.landscape",
                                           pipeline_span.id()};
-    if (auto loaded = store.load_landscape()) {
-      dataset.landscape = std::move(*loaded);
-    } else {
-      dataset.landscape = make_paper_landscape(options);
-      store.save_landscape(dataset.landscape);
-    }
+    dataset.landscape = make_paper_landscape(options);
   }
   {
     const obs::TraceRecorder::Scoped span{options.trace, "stage.environment",
@@ -922,119 +972,41 @@ Dataset build_paper_dataset(const ScenarioOptions& options) {
     dataset.environment = make_paper_environment(dataset.landscape);
   }
 
-  // Stage 2 — deployment + enrichment. The fault report travels with
-  // the snapshot: the injector is not re-exercised on resume, so its
-  // counters can only come from the stage that produced them.
-  if (auto loaded = store.load_database()) {
-    dataset.db = std::move(loaded->db);
-    dataset.enrichment = loaded->enrichment;
-    dataset.fault_report = loaded->fault_report;
-  } else {
-    // Only hand the deployment an injector when a *pipeline* site can
-    // actually fire; an empty plan is equivalent either way (the
-    // injector draws no shared randomness), the nullptr path just makes
-    // that obvious. Serve-only plans gate on pipeline_empty() so a live
-    // daemon's client-fault knobs never perturb fault.*.checked.
-    fault::FaultInjector injector{options.faults};
-    fault::FaultInjector* faults =
-        options.faults.pipeline_empty() ? nullptr : &injector;
-
-    const honeypot::DeploymentConfig config =
-        make_paper_deployment_config(options, faults);
-    honeypot::Deployment deployment{dataset.landscape, config};
-    snapshot::DatabaseStage stage;
-    {
-      const obs::TraceRecorder::Scoped span{
-          options.trace, "stage.deployment", pipeline_span.id()};
-      stage.db = deployment.run();
-    }
-    {
-      const obs::TraceRecorder::Scoped span{
-          options.trace, "stage.enrichment", pipeline_span.id()};
-      stage.enrichment = honeypot::enrich_database(
-          stage.db, dataset.landscape, dataset.environment, faults, &pool);
-    }
-    stage.fault_report = injector.report();
-    store.save_database(stage);
-    dataset.db = std::move(stage.db);
-    dataset.enrichment = stage.enrichment;
-    dataset.fault_report = stage.fault_report;
-  }
-
-  // Stages 3 and 4 — the four clusterings (E, P, M, B) are mutually
-  // independent views of the same immutable database, so whichever are
-  // not restored from checkpoints run as concurrent pool tasks. The
-  // snapshots are still written afterwards in stage order (EPM before
-  // behavioral) so a crash can never leave a later checkpoint without
-  // its predecessor.
-  auto loaded_epm = store.load_epm();
-  // A behavioral stage written by a different backend is quarantined as
-  // stale inside load_behavioral — exact/kmeans never silently resume
-  // an LSH checkpoint (or vice versa); the stage is just recomputed.
-  auto loaded_behavioral = store.load_behavioral(options.b_backend);
-
-  snapshot::EpmStage epm_stage;
+  // Deployment + enrichment. Only hand the deployment an injector when
+  // a *pipeline* site can actually fire; an empty plan is equivalent
+  // either way (the injector draws no shared randomness), the nullptr
+  // path just makes that obvious. Serve-only plans gate on
+  // pipeline_empty() so a live daemon's client-fault knobs never
+  // perturb fault.*.checked.
+  fault::FaultInjector injector{options.faults};
+  fault::FaultInjector* faults =
+      options.faults.pipeline_empty() ? nullptr : &injector;
+  honeypot::Deployment deployment{dataset.landscape,
+                                  make_paper_deployment_config(options, faults)};
   {
-    const obs::TraceRecorder::Scoped clustering_span{
-        options.trace, "stage.clustering", pipeline_span.id()};
-    // Task spans attach to the clustering span by id: the Scoped
-    // handles below are created on whichever pool thread runs the
-    // task, while the parent was opened on this one.
-    const auto parent = clustering_span.id();
-    std::vector<std::function<void()>> cluster_tasks;
-    if (!loaded_epm) {
-      cluster_tasks.emplace_back([&, parent] {
-        const obs::TraceRecorder::Scoped span{options.trace, "cluster.e",
-                                              parent};
-        epm_stage.e =
-            cluster::epm_cluster(cluster::build_epsilon_data(dataset.db));
-      });
-      cluster_tasks.emplace_back([&, parent] {
-        const obs::TraceRecorder::Scoped span{options.trace, "cluster.p",
-                                              parent};
-        epm_stage.p = cluster::epm_cluster(cluster::build_pi_data(dataset.db));
-      });
-      cluster_tasks.emplace_back([&, parent] {
-        const obs::TraceRecorder::Scoped span{options.trace, "cluster.m",
-                                              parent};
-        epm_stage.m = cluster::epm_cluster(cluster::build_mu_data(dataset.db));
-      });
-    }
-    if (!loaded_behavioral) {
-      cluster_tasks.emplace_back([&, parent] {
-        const obs::TraceRecorder::Scoped span{options.trace, "cluster.b",
-                                              parent};
-        cluster::BehavioralOptions behavioral;
-        behavioral.threshold = options.b_threshold;
-        behavioral.backend = options.b_backend;
-        // The behavioral task additionally parallelizes internally
-        // (nested submission): idle workers from the cheaper EPM tasks
-        // drain its signature and bucket chunks.
-        behavioral.pool = &pool;
-        behavioral.metrics = options.metrics;
-        dataset.b = analysis::BehavioralView::build(dataset.db, behavioral);
-      });
-    }
-    pool.run_tasks(cluster_tasks);
+    const obs::TraceRecorder::Scoped span{options.trace, "stage.deployment",
+                                          pipeline_span.id()};
+    dataset.db = deployment.run();
+  }
+  {
+    const obs::TraceRecorder::Scoped span{options.trace, "stage.enrichment",
+                                          pipeline_span.id()};
+    dataset.enrichment = honeypot::enrich_database(
+        dataset.db, dataset.landscape, dataset.environment, faults, &pool);
+  }
+  dataset.fault_report = injector.report();
+
+  {
+    const obs::TraceRecorder::Scoped span{options.trace, "stage.clustering",
+                                          pipeline_span.id()};
+    EpochClusters clusters = cluster_epoch(dataset.db, options, pool,
+                                           span.id(), nullptr, options.metrics);
+    dataset.e = std::move(clusters.epm.e);
+    dataset.p = std::move(clusters.epm.p);
+    dataset.m = std::move(clusters.epm.m);
+    dataset.b = std::move(clusters.b);
   }
 
-  if (loaded_epm) {
-    dataset.e = std::move(loaded_epm->e);
-    dataset.p = std::move(loaded_epm->p);
-    dataset.m = std::move(loaded_epm->m);
-  } else {
-    store.save_epm(epm_stage);
-    dataset.e = std::move(epm_stage.e);
-    dataset.p = std::move(epm_stage.p);
-    dataset.m = std::move(epm_stage.m);
-  }
-  if (loaded_behavioral) {
-    dataset.b = std::move(*loaded_behavioral);
-  } else {
-    store.save_behavioral(dataset.b, options.b_backend);
-  }
-
-  dataset.checkpoint_activity = store.activity();
   if (options.metrics != nullptr) {
     publish_dataset_metrics(*options.metrics, dataset);
     publish_pool_metrics(*options.metrics, pool, pool_metrics);

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "analysis/bview.hpp"
 #include "cluster/behavioral.hpp"
@@ -19,6 +20,7 @@
 #include "honeypot/enrichment.hpp"
 #include "ingest/report.hpp"
 #include "malware/landscape.hpp"
+#include "obs/trace.hpp"
 #include "sandbox/environment.hpp"
 #include "snapshot/checkpoint.hpp"
 
@@ -27,9 +29,12 @@ class ThreadPool;
 struct ThreadPoolMetrics;
 }  // namespace repro
 
+namespace repro::cluster {
+class IncrementalEpm;
+}  // namespace repro::cluster
+
 namespace repro::obs {
 class MetricsRegistry;
-class TraceRecorder;
 }  // namespace repro::obs
 
 namespace repro::scenario {
@@ -42,13 +47,12 @@ struct ScenarioOptions {
   /// Jaccard threshold of the behavioral clustering.
   double b_threshold = 0.70;
   /// B-clustering backend (cluster/backend.hpp registry). Deliberately
-  /// NOT part of the scenario fingerprint: the landscape, database and
-  /// EPM results are backend-independent, so their snapshots and WAL
-  /// segments are sound to share across backends. Backend-dependent
-  /// artifacts (the behavioral stage, epoch cuts) carry their own
-  /// backend tag instead — a mismatch quarantines the batch stage as
-  /// stale, and the incremental streaming path refuses the switch with
-  /// a typed ConfigError (see DESIGN.md §15).
+  /// NOT part of the scenario fingerprint: the database and EPM results
+  /// are backend-independent, so WAL segments are sound to share across
+  /// backends. Epoch cuts carry their own backend tag instead — the
+  /// full-recompute streaming path declines a foreign cut, and the
+  /// incremental path refuses the switch with a typed ConfigError (see
+  /// DESIGN.md §15).
   cluster::BackendKind b_backend = cluster::BackendKind::kLsh;
   /// Worker-pool width for the processing pipeline (enrichment and the
   /// four clusterings). 0 = hardware_concurrency, 1 = the bit-exact
@@ -59,12 +63,14 @@ struct ScenarioOptions {
   /// Fault-injection plan. The default (empty) plan is guaranteed to
   /// produce a dataset bit-identical to a run without any injector.
   fault::FaultPlan faults;
-  /// Crash-safe checkpointing (opt-in). When `checkpoint.directory` is
-  /// set, build_paper_dataset saves a snapshot after every stage and
-  /// resumes from the last valid one on the next run. Resumed output is
-  /// byte-identical to an uninterrupted run; snapshots written under
+  /// Crash-safe epoch checkpoints of build_streaming_dataset (opt-in).
+  /// When `checkpoint.directory` is set, every epoch is cut there and
+  /// the next run resumes from the newest valid cut. Resumed output is
+  /// byte-identical to an uninterrupted run; cuts written under
   /// different options (seed, scale, threshold, fault plan) are
-  /// rejected by fingerprint and recomputed.
+  /// rejected by fingerprint and recomputed. build_paper_dataset does
+  /// not checkpoint and rejects a directory here with ConfigError; the
+  /// durable one-shot build is build_streaming_dataset with epochs = 1.
   snapshot::CheckpointOptions checkpoint;
   /// Optional observability sinks (non-owning). Purely observational:
   /// attaching them never changes a single dataset byte, and — like
@@ -78,11 +84,11 @@ struct ScenarioOptions {
 
 /// Stable 64-bit digest of every dataset-shaping option (seed, scale,
 /// threshold and the full fault plan — not the checkpoint knobs, and
-/// not `threads`, which never changes the dataset). Embedded in
-/// snapshots so stale checkpoints never leak across configurations.
-/// `b_backend` is also excluded: backend-independent stages share
-/// snapshots and WAL segments across backends, while backend-dependent
-/// ones are guarded by their own backend tag (see ScenarioOptions).
+/// not `threads`, which never changes the dataset). Embedded in epoch
+/// cuts and WAL segments so stale state never leaks across
+/// configurations. `b_backend` is also excluded: WAL segments are
+/// shared across backends, while epoch cuts are guarded by their own
+/// backend tag (see ScenarioOptions).
 [[nodiscard]] std::uint64_t scenario_fingerprint(
     const ScenarioOptions& options);
 
@@ -109,17 +115,20 @@ struct Dataset {
   cluster::EpmResult m;
   analysis::BehavioralView b;
   /// Per-stage fault counters accumulated while building the dataset;
-  /// all-zero when `ScenarioOptions::faults` is empty. Restored from
-  /// the stage-2 snapshot on resume (the injector is not re-exercised
-  /// for restored stages).
+  /// all-zero when `ScenarioOptions::faults` is empty. A streaming
+  /// resume restores the post-generation share from the epoch cut (the
+  /// injector is not re-exercised for restored epochs).
   fault::FaultReport fault_report;
-  /// What checkpointing did during this build (all-zero when disabled).
+  /// What epoch checkpointing did during this build (all-zero for the
+  /// batch build and when disabled).
   snapshot::CheckpointStore::Activity checkpoint_activity;
   /// Streaming-ingest accounting; all-zero for a one-shot batch build
   /// (only build_streaming_dataset drives the WAL/queue/epoch path).
   ingest::IngestReport ingest;
 };
 
+/// The one-shot batch build. Throws ConfigError when
+/// `options.checkpoint.directory` is set: batch never checkpoints.
 [[nodiscard]] Dataset build_paper_dataset(const ScenarioOptions& options = {});
 
 /// The deployment configuration the paper scenario runs under; shared
@@ -127,6 +136,40 @@ struct Dataset {
 /// generate the exact same event sequence.
 [[nodiscard]] honeypot::DeploymentConfig make_paper_deployment_config(
     const ScenarioOptions& options, fault::FaultInjector* faults);
+
+/// Incremental state that one epoch's clustering advances instead of
+/// recomputing from scratch (cluster/incremental.hpp, BehavioralOptions).
+struct IncrementalClustering {
+  cluster::IncrementalEpm& e;
+  cluster::IncrementalEpm& p;
+  cluster::IncrementalEpm& m;
+  cluster::SignatureStore& signatures;
+  /// The previous epoch's B partition; its rows are a prefix of this
+  /// epoch's, so it seeds B's union-find.
+  const std::vector<int>& prior_b;
+};
+
+/// The four clusterings of one database.
+struct EpochClusters {
+  snapshot::EpmStage epm;
+  analysis::BehavioralView b;
+};
+
+/// The E/P/M/B fan-out, shared by the batch build and every epoch of the
+/// streaming loop. The four clusterings are independent views of the
+/// same immutable database, so they run as concurrent pool tasks, each
+/// under a "cluster.e|p|m|b" span whose parent is `parent`. B uses
+/// `options.b_threshold` and `options.b_backend`. With `incremental`,
+/// E/P/M advance their engines and B reuses cached signatures and the
+/// prior partition; without it everything is recomputed. Both give
+/// byte-identical results. `b_metrics` receives B's work counters (the
+/// batch build's ABL-9 counters); the streaming loop passes none, since
+/// per-process counts would differ across a kill and resume.
+[[nodiscard]] EpochClusters cluster_epoch(
+    const honeypot::EventDatabase& db, const ScenarioOptions& options,
+    ThreadPool& pool, obs::TraceRecorder::SpanId parent,
+    const IncrementalClustering* incremental = nullptr,
+    obs::MetricsRegistry* b_metrics = nullptr);
 
 /// Publishes the dataset's outcome counters ("pipeline.*", "enrich.*",
 /// "cluster.*", "fault.*", "snapshot.*") on the deterministic channel.

@@ -2,14 +2,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "cluster/backend.hpp"
-#include "cluster/behavioral.hpp"
 #include "cluster/incremental.hpp"
 #include "cluster/minhash.hpp"
 #include "ingest/queue.hpp"
@@ -154,16 +152,11 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
 
   const obs::TraceRecorder::Scoped pipeline_span{options.trace, "stream"};
 
-  // Ground truth, shared with the batch path (same stage-1 snapshot).
+  // Ground truth, rebuilt on every run: it costs less than decoding it.
   {
     const obs::TraceRecorder::Scoped span{options.trace, "stage.landscape",
                                           pipeline_span.id()};
-    if (auto loaded = store.load_landscape()) {
-      dataset.landscape = std::move(*loaded);
-    } else {
-      dataset.landscape = make_paper_landscape(options);
-      store.save_landscape(dataset.landscape);
-    }
+    dataset.landscape = make_paper_landscape(options);
   }
   dataset.environment = make_paper_environment(dataset.landscape);
 
@@ -400,111 +393,29 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     {
       const obs::TraceRecorder::Scoped cluster_span{
           options.trace, "epoch.cluster", epoch_span.id()};
-      const auto parent = cluster_span.id();
-      // Previous epoch's B partition (restored from the cut on warm
-      // resume). Its rows are a prefix of this epoch's — profiles are
-      // immutable and appended in sample order — so it seeds the
-      // union-find and confines Jaccard work to pairs touching the
-      // appended suffix. Copied out because the B task overwrites
-      // `bview` in place.
-      const std::vector<int> prior_b = bview.clusters().assignment;
-      std::vector<std::function<void()>> tasks;
-      if (incremental) {
-        tasks.emplace_back([&, parent] {
-          const obs::TraceRecorder::Scoped span{options.trace, "cluster.e",
-                                                parent};
-          epm_stage.e = inc_e.update(db);
-        });
-        tasks.emplace_back([&, parent] {
-          const obs::TraceRecorder::Scoped span{options.trace, "cluster.p",
-                                                parent};
-          epm_stage.p = inc_p.update(db);
-        });
-        tasks.emplace_back([&, parent] {
-          const obs::TraceRecorder::Scoped span{options.trace, "cluster.m",
-                                                parent};
-          epm_stage.m = inc_m.update(db);
-        });
-        tasks.emplace_back([&, parent] {
-          const obs::TraceRecorder::Scoped span{options.trace, "cluster.b",
-                                                parent};
-          cluster::BehavioralOptions behavioral;
-          behavioral.threshold = options.b_threshold;
-          behavioral.backend = options.b_backend;
-          behavioral.pool = &pool;
-          behavioral.signature_cache = &signatures;
-          behavioral.prior_assignment = &prior_b;
-          // Deliberately no metrics sink: B's work counters would
-          // accumulate once per epoch run by *this process*, which a
-          // kill-resume run does fewer of — the deterministic channel
-          // only carries final-state values (published below).
-          bview = analysis::BehavioralView::build(db, behavioral);
-        });
-      } else {
-        tasks.emplace_back([&, parent] {
-          const obs::TraceRecorder::Scoped span{options.trace, "cluster.e",
-                                                parent};
-          epm_stage.e = cluster::epm_cluster(cluster::build_epsilon_data(db));
-        });
-        tasks.emplace_back([&, parent] {
-          const obs::TraceRecorder::Scoped span{options.trace, "cluster.p",
-                                                parent};
-          epm_stage.p = cluster::epm_cluster(cluster::build_pi_data(db));
-        });
-        tasks.emplace_back([&, parent] {
-          const obs::TraceRecorder::Scoped span{options.trace, "cluster.m",
-                                                parent};
-          epm_stage.m = cluster::epm_cluster(cluster::build_mu_data(db));
-        });
-        tasks.emplace_back([&, parent] {
-          const obs::TraceRecorder::Scoped span{options.trace, "cluster.b",
-                                                parent};
-          cluster::BehavioralOptions behavioral;
-          behavioral.threshold = options.b_threshold;
-          behavioral.backend = options.b_backend;
-          behavioral.pool = &pool;
-          bview = analysis::BehavioralView::build(db, behavioral);
-        });
-      }
-      pool.run_tasks(tasks);
+      // The previous epoch's B partition (restored from the cut on warm
+      // resume) stays in `bview` until the new one replaces it. Its E/P/M
+      // results are dropped first: the engines keep their own state, and
+      // holding both generations would only raise the peak.
+      epm_stage = {};
+      const IncrementalClustering engines{inc_e, inc_p, inc_m, signatures,
+                                          bview.clusters().assignment};
+      EpochClusters clusters = cluster_epoch(
+          db, options, pool, cluster_span.id(),
+          incremental ? &engines : nullptr);
+      epm_stage = std::move(clusters.epm);
+      bview = std::move(clusters.b);
     }
 
     if (stream.verify_incremental) {
       // Cross-check: run the full recompute as a second batch (so the
       // two B passes never nest parallel_for concurrently) and diff the
       // serialized bytes of every result.
-      snapshot::EpmStage full_epm;
-      analysis::BehavioralView full_b;
+      EpochClusters full;
       {
         const obs::TraceRecorder::Scoped verify_span{
             options.trace, "epoch.verify", epoch_span.id()};
-        const auto parent = verify_span.id();
-        std::vector<std::function<void()>> tasks;
-        tasks.emplace_back([&, parent] {
-          const obs::TraceRecorder::Scoped span{options.trace, "verify.e",
-                                                parent};
-          full_epm.e = cluster::epm_cluster(cluster::build_epsilon_data(db));
-        });
-        tasks.emplace_back([&, parent] {
-          const obs::TraceRecorder::Scoped span{options.trace, "verify.p",
-                                                parent};
-          full_epm.p = cluster::epm_cluster(cluster::build_pi_data(db));
-        });
-        tasks.emplace_back([&, parent] {
-          const obs::TraceRecorder::Scoped span{options.trace, "verify.m",
-                                                parent};
-          full_epm.m = cluster::epm_cluster(cluster::build_mu_data(db));
-        });
-        tasks.emplace_back([&, parent] {
-          const obs::TraceRecorder::Scoped span{options.trace, "verify.b",
-                                                parent};
-          cluster::BehavioralOptions behavioral;
-          behavioral.threshold = options.b_threshold;
-          behavioral.backend = options.b_backend;
-          behavioral.pool = &pool;
-          full_b = analysis::BehavioralView::build(db, behavioral);
-        });
-        pool.run_tasks(tasks);
+        full = cluster_epoch(db, options, pool, verify_span.id());
       }
       const auto mismatch = [&](const char* dimension) {
         throw ConfigError(
@@ -512,10 +423,10 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
             " bytes diverge from the full recompute at epoch " +
             std::to_string(k));
       };
-      if (epm_bytes(epm_stage.e) != epm_bytes(full_epm.e)) mismatch("epsilon");
-      if (epm_bytes(epm_stage.p) != epm_bytes(full_epm.p)) mismatch("pi");
-      if (epm_bytes(epm_stage.m) != epm_bytes(full_epm.m)) mismatch("mu");
-      if (bview_bytes(bview) != bview_bytes(full_b)) mismatch("behavioral");
+      if (epm_bytes(epm_stage.e) != epm_bytes(full.epm.e)) mismatch("epsilon");
+      if (epm_bytes(epm_stage.p) != epm_bytes(full.epm.p)) mismatch("pi");
+      if (epm_bytes(epm_stage.m) != epm_bytes(full.epm.m)) mismatch("mu");
+      if (bview_bytes(bview) != bview_bytes(full.b)) mismatch("behavioral");
       ++report.epochs_verified;
     }
     have_results = true;

@@ -84,9 +84,9 @@ struct StreamOptions {
 };
 
 /// Runs the streaming epoch loop. Epoch checkpoints are written through
-/// `options.checkpoint` (same store and fingerprint rules as the batch
-/// stages; disabled when the directory is empty — the run then always
-/// starts from the recovered WAL alone). Returns the same Dataset as
+/// `options.checkpoint` (disabled when the directory is empty — the run
+/// then always starts from the recovered WAL alone). With `epochs = 1`
+/// this is the durable one-shot build. Returns the same Dataset as
 /// build_paper_dataset(options), plus populated `ingest` accounting.
 [[nodiscard]] Dataset build_streaming_dataset(const ScenarioOptions& options,
                                               const StreamOptions& stream);

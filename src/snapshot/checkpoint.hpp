@@ -1,21 +1,21 @@
-// Crash-safe pipeline checkpoints.
+// Crash-safe epoch checkpoints.
 //
-// A CheckpointStore persists the state crossing each stage boundary of
-// the paper pipeline as one snapshot file per stage. The container
-// format is versioned and checksummed end to end (per-section CRC-32
-// plus a whole-file CRC trailer), writes are atomic (temp file, fsync,
-// rename, directory fsync), and every snapshot embeds a fingerprint of
-// the producing ScenarioOptions so checkpoints of a *different*
-// configuration are rejected as stale instead of silently reused. A
-// load never fails the caller: corrupt, truncated or stale files are
-// quarantined (renamed aside) and the stage is simply recomputed, so a
-// run killed at any point — including mid-write — resumes to output
-// byte-identical to an uninterrupted run. Streaming epoch cuts use the
-// same container but hold derived state only: the event database is
-// rebuilt on resume by replaying the WAL prefix a cut covers.
+// A CheckpointStore persists one cut per streaming epoch: the derived
+// pipeline state after a WAL prefix was replayed, enriched and
+// clustered. The event database is not part of a cut — resume rebuilds
+// it by replaying the WAL prefix the cut covers. The container format
+// is versioned and checksummed end to end (per-section CRC-32 plus a
+// whole-file CRC trailer), writes are atomic (snapshot/durable_file),
+// and every cut embeds a fingerprint of the producing ScenarioOptions
+// so cuts of a *different* configuration are rejected as stale instead
+// of silently reused. A load never fails the caller: corrupt, truncated
+// or stale files are quarantined (renamed aside) and the epochs they
+// covered are simply recomputed, so a run killed at any point —
+// including mid-write — resumes to output byte-identical to an
+// uninterrupted run.
 //
 // File layout (all little-endian, via util/byteio):
-//   [magic u32][format version u32][stage u8][fingerprint u64]
+//   [magic u32][format version u32][fingerprint u64]
 //   [section count u32]
 //   per section: [name len u32][name][payload len u64][payload]
 //                [payload crc32 u32]
@@ -37,7 +37,6 @@
 #include "fault/injector.hpp"
 #include "honeypot/database.hpp"
 #include "honeypot/enrichment.hpp"
-#include "malware/landscape.hpp"
 #include "snapshot/codec.hpp"
 
 namespace repro::snapshot {
@@ -56,22 +55,12 @@ inline constexpr std::uint32_t kSnapshotEndMagic = 0x44'4e'45'53;  // "SEND"
 // Version 6: epoch cuts no longer carry the event database; they keep
 // a per-sample enrichment column and resume rebuilds the database by
 // replaying the WAL prefix the cut covers.
-// Older files are quarantined as unreadable and their stages
+// Version 7: the epoch cut is the only snapshot kind, so the header's
+// stage byte is gone.
+// Older files are quarantined as unreadable and their epochs
 // recomputed — the normal graceful-degradation path, not an error.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
-/// The pipeline's checkpointable stage boundaries, in execution order.
-enum class Stage : std::uint8_t {
-  kLandscape = 1,   // ground truth built
-  kDatabase = 2,    // deployment run + enrichment done
-  kEpm = 3,         // E/P/M clustering done
-  kBehavioral = 4,  // behavioral clustering done
-  kEpoch = 5,       // streaming ingest epoch cut (derived state only)
-};
-
-[[nodiscard]] std::string_view stage_name(Stage stage);
-/// Snapshot file name for a stage, e.g. "stage2-database.snap".
-[[nodiscard]] std::string stage_filename(Stage stage);
 /// Snapshot file name for a streaming epoch cut, e.g. "epoch-0003.snap".
 [[nodiscard]] std::string epoch_filename(std::uint64_t epoch);
 
@@ -83,35 +72,19 @@ struct Section {
 
 /// Serializes sections into the container format described above.
 [[nodiscard]] std::vector<std::uint8_t> encode_snapshot(
-    Stage stage, std::uint64_t fingerprint,
-    const std::vector<Section>& sections);
+    std::uint64_t fingerprint, const std::vector<Section>& sections);
 
 /// Parsed container header + sections.
 struct DecodedSnapshot {
-  Stage stage = Stage::kLandscape;
   std::uint64_t fingerprint = 0;
   std::vector<Section> sections;
 };
 
-/// Validates magic, version, stage range, section structure and every
+/// Validates magic, version, section structure and every
 /// CRC. Throws ParseError on any deviation — a truncated file or a
 /// single flipped bit never decodes.
 [[nodiscard]] DecodedSnapshot decode_snapshot(
     std::span<const std::uint8_t> bytes);
-
-/// Reads a whole file with sized reads into a buffer reserved from its
-/// size, keeping exactly the bytes delivered. std::nullopt when the
-/// file cannot be opened or read; each caller throws its own error
-/// type.
-/// Shared with the ingest WAL.
-[[nodiscard]] std::optional<std::vector<std::uint8_t>> read_whole_file(
-    const std::string& path);
-
-/// First unused quarantine name for `path`: "<path>.quarantined", then
-/// "<path>.quarantined-2", "-3", ... — so repeated corruptions of the
-/// same file keep every piece of quarantined evidence instead of
-/// overwriting the previous one. Shared with the ingest WAL.
-[[nodiscard]] std::string unique_quarantine_path(const std::string& path);
 
 /// Thrown by the test seams below to simulate the process dying.
 class CheckpointInterrupted : public std::runtime_error {
@@ -121,34 +94,21 @@ class CheckpointInterrupted : public std::runtime_error {
 };
 
 struct CheckpointOptions {
-  /// Directory the snapshots live in; empty disables checkpointing.
+  /// Directory the epoch cuts live in; empty disables checkpointing.
   /// Created on first use.
   std::string directory;
-  /// Test seam: throw CheckpointInterrupted right after the stage with
-  /// this number has been durably saved (0 = never). Simulates a crash
-  /// between stages.
-  int stop_after_stage = 0;
-  /// Test seam: abandon the temp file halfway through writing stage N
-  /// and throw CheckpointInterrupted (0 = never). Simulates a crash
-  /// mid-write; the partial ".tmp" must never be mistaken for a
-  /// snapshot on resume.
-  int short_write_stage = 0;
-  /// Same two seams for the streaming epoch loop, keyed by 1-based
-  /// epoch ordinal (epoch index + 1; 0 = never).
+  /// Test seam: throw CheckpointInterrupted right after the cut of the
+  /// epoch with this 1-based ordinal (epoch index + 1) has been durably
+  /// saved (0 = never). Simulates a crash between epochs.
   int stop_after_epoch = 0;
+  /// Test seam: abandon the temp file halfway through writing the cut
+  /// of epoch N and throw CheckpointInterrupted (0 = never). Simulates
+  /// a crash mid-write; the partial ".tmp" must never be mistaken for a
+  /// cut on resume.
   int short_write_epoch = 0;
 };
 
-/// Post-deployment state bundled into the stage-2 snapshot. The fault
-/// report must travel with the database: on resume the injector is
-/// never re-exercised, so the counters can only come from the snapshot.
-struct DatabaseStage {
-  honeypot::EventDatabase db;
-  honeypot::EnrichmentStats enrichment;
-  fault::FaultReport fault_report;
-};
-
-/// The three clustering results of the stage-3 snapshot.
+/// The three E/P/M clustering results of one epoch.
 struct EpmStage {
   cluster::EpmResult e;
   cluster::EpmResult p;
@@ -223,47 +183,27 @@ class CheckpointStore {
     return !options_.directory.empty();
   }
 
-  void save_landscape(const malware::Landscape& landscape);
-  [[nodiscard]] std::optional<malware::Landscape> load_landscape();
-
-  void save_database(const DatabaseStage& stage);
-  [[nodiscard]] std::optional<DatabaseStage> load_database();
-
-  void save_epm(const EpmStage& stage);
-  [[nodiscard]] std::optional<EpmStage> load_epm();
-
-  /// The behavioral stage travels with the backend that produced it.
-  void save_behavioral(const analysis::BehavioralView& view,
-                       cluster::BackendKind backend);
-  /// Loads the behavioral stage iff it was produced by `expected`; a
-  /// tag mismatch quarantines the file as stale (like a fingerprint
-  /// mismatch) so the caller recomputes instead of silently reusing a
-  /// partition from another backend.
-  [[nodiscard]] std::optional<analysis::BehavioralView> load_behavioral(
-      cluster::BackendKind expected);
-
   /// Durably writes one epoch cut to its own "epoch-NNNN.snap" file.
   void save_epoch(const EpochCut& cut);
   /// Newest valid epoch cut, scanning epoch files in descending index
-  /// order; corrupt/stale files are quarantined and skipped, exactly
-  /// like the stage loads above.
+  /// order; corrupt/stale files are quarantined and skipped. Loading
+  /// does not count as a restore: the caller may still decline the cut.
   [[nodiscard]] std::optional<EpochStage> load_latest_epoch();
   /// Completes a loaded cut against `db`, the database rebuilt by
   /// replaying the cut's WAL prefix: the replay must have produced
   /// exactly the cut's samples (their count and every md5), then the
   /// enrichment column is applied and the database's cross-references
-  /// are checked. On any mismatch the cut file is quarantined, its
-  /// restore is counted back out, and false is returned: the cut
-  /// describes some other record sequence and is never trusted.
+  /// are checked. Only then is the cut counted as restored. On any
+  /// mismatch the cut file is quarantined and false is returned: the
+  /// cut describes some other record sequence and is never trusted.
   [[nodiscard]] bool apply_epoch(const EpochStage& stage,
                                  honeypot::EventDatabase& db);
 
   /// What the store did this run — lets callers (and tests) see whether
-  /// a stage was restored or recomputed, and whether files were thrown
-  /// out.
+  /// a cut was restored, and whether files were thrown out.
   struct Activity {
-    std::size_t saved = 0;          // snapshots durably written
-    std::size_t restored = 0;       // stages loaded from disk
+    std::size_t saved = 0;          // cuts durably written
+    std::size_t restored = 0;       // cuts applied by a resume
     std::size_t quarantined = 0;    // corrupt/truncated files set aside
     std::size_t stale = 0;          // of quarantined: fingerprint mismatch
     std::size_t bytes_written = 0;  // encoded snapshot bytes persisted
@@ -273,11 +213,6 @@ class CheckpointStore {
   }
 
  private:
-  void save_file(const std::string& filename, Stage stage,
-                 const std::vector<Section>& sections, bool short_write,
-                 const std::string& crash_label);
-  void save_stage(Stage stage, const std::vector<Section>& sections);
-  [[nodiscard]] std::optional<std::vector<Section>> load_stage(Stage stage);
   void quarantine(const std::string& path, bool stale);
 
   CheckpointOptions options_;

@@ -1,7 +1,6 @@
 #include "snapshot/codec.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <set>
 #include <string>
 #include <utility>
@@ -22,14 +21,6 @@ void put_string(ByteWriter& writer, std::string_view s) {
 std::string get_string(ByteReader& reader) {
   const std::uint32_t length = reader.u32();
   return reader.fixed_text(length);
-}
-
-void put_double(ByteWriter& writer, double value) {
-  writer.u64(std::bit_cast<std::uint64_t>(value));
-}
-
-double get_double(ByteReader& reader) {
-  return std::bit_cast<double>(reader.u64());
 }
 
 void put_i32(ByteWriter& writer, int value) {
@@ -91,305 +82,6 @@ std::vector<std::string> get_string_vector(ByteReader& reader) {
   values.reserve(count);
   for (std::size_t i = 0; i < count; ++i) values.push_back(get_string(reader));
   return values;
-}
-
-void put_bytes(ByteWriter& writer, const std::vector<std::uint8_t>& bytes) {
-  writer.u64(bytes.size());
-  writer.bytes(bytes);
-}
-
-std::vector<std::uint8_t> get_bytes(ByteReader& reader) {
-  return reader.bytes(get_count(reader));
-}
-
-// --- Ground-truth landscape -------------------------------------------------
-
-void put_gamma_spec(ByteWriter& writer, const proto::GammaSpec& spec) {
-  writer.u8(static_cast<std::uint8_t>(spec.technique));
-  writer.u32(spec.trampoline);
-  writer.u16(spec.pad_length);
-}
-
-proto::GammaSpec get_gamma_spec(ByteReader& reader) {
-  proto::GammaSpec spec;
-  spec.technique = get_enum<proto::HijackTechnique>(
-      reader, static_cast<std::uint8_t>(proto::HijackTechnique::kFuncPointer),
-      "HijackTechnique");
-  spec.trampoline = reader.u32();
-  spec.pad_length = reader.u16();
-  return spec;
-}
-
-void put_exploit(ByteWriter& writer, const proto::ExploitTemplate& exploit) {
-  put_string(writer, exploit.id);
-  writer.u8(static_cast<std::uint8_t>(exploit.service));
-  writer.u64(exploit.requests.size());
-  for (const proto::RequestTemplate& request : exploit.requests) {
-    put_string(writer, request.protocol_prefix);
-    put_string(writer, request.implementation_token);
-    writer.u64(request.random_field_length);
-    writer.u8(request.carries_payload ? 1 : 0);
-  }
-  put_gamma_spec(writer, exploit.gamma);
-}
-
-proto::ExploitTemplate get_exploit(ByteReader& reader) {
-  proto::ExploitTemplate exploit;
-  exploit.id = get_string(reader);
-  exploit.service = get_enum<proto::ServiceKind>(
-      reader, static_cast<std::uint8_t>(proto::ServiceKind::kDceRpc135),
-      "ServiceKind");
-  const std::size_t requests = get_count(reader, 17);
-  exploit.requests.reserve(requests);
-  for (std::size_t i = 0; i < requests; ++i) {
-    proto::RequestTemplate request;
-    request.protocol_prefix = get_string(reader);
-    request.implementation_token = get_string(reader);
-    request.random_field_length = static_cast<std::size_t>(reader.u64());
-    request.carries_payload = get_flag(reader);
-    exploit.requests.push_back(std::move(request));
-  }
-  exploit.gamma = get_gamma_spec(reader);
-  return exploit;
-}
-
-void put_payload_spec(ByteWriter& writer, const malware::PayloadSpec& spec) {
-  writer.u8(static_cast<std::uint8_t>(spec.protocol));
-  writer.u16(spec.port);
-  put_string(writer, spec.filename);
-  writer.u8(spec.random_filename ? 1 : 0);
-  writer.u8(static_cast<std::uint8_t>(spec.host_role));
-  writer.u8(spec.central_host.has_value() ? 1 : 0);
-  if (spec.central_host.has_value()) writer.u32(spec.central_host->value());
-  writer.u8(static_cast<std::uint8_t>(spec.encoder.kind));
-  writer.u8(spec.encoder.random_key ? 1 : 0);
-  writer.u8(spec.encoder.fixed_key);
-  writer.u64(spec.encoder.min_sled);
-  writer.u64(spec.encoder.max_sled);
-}
-
-malware::PayloadSpec get_payload_spec(ByteReader& reader) {
-  malware::PayloadSpec spec;
-  spec.protocol = get_enum<shellcode::Protocol>(
-      reader, static_cast<std::uint8_t>(shellcode::Protocol::kConnectBack),
-      "Protocol");
-  spec.port = reader.u16();
-  spec.filename = get_string(reader);
-  spec.random_filename = get_flag(reader);
-  spec.host_role = get_enum<shellcode::HostRole>(
-      reader, static_cast<std::uint8_t>(shellcode::HostRole::kThirdParty),
-      "HostRole");
-  if (get_flag(reader)) spec.central_host = net::Ipv4{reader.u32()};
-  spec.encoder.kind = get_enum<shellcode::EncoderKind>(
-      reader, static_cast<std::uint8_t>(shellcode::EncoderKind::kAlphanumeric),
-      "EncoderKind");
-  spec.encoder.random_key = get_flag(reader);
-  spec.encoder.fixed_key = reader.u8();
-  spec.encoder.min_sled = static_cast<std::size_t>(reader.u64());
-  spec.encoder.max_sled = static_cast<std::size_t>(reader.u64());
-  return spec;
-}
-
-void put_pe_template(ByteWriter& writer, const pe::PeTemplate& tmpl) {
-  writer.u16(tmpl.machine);
-  writer.u8(tmpl.linker_major);
-  writer.u8(tmpl.linker_minor);
-  writer.u16(tmpl.os_major);
-  writer.u16(tmpl.os_minor);
-  writer.u16(tmpl.subsystem);
-  writer.u32(tmpl.timestamp);
-  writer.u64(tmpl.sections.size());
-  for (const pe::SectionSpec& section : tmpl.sections) {
-    put_string(writer, section.name);
-    writer.u32(section.characteristics);
-    put_bytes(writer, section.content);
-    writer.u8(section.holds_imports ? 1 : 0);
-  }
-  writer.u64(tmpl.imports.size());
-  for (const pe::ImportSpec& import : tmpl.imports) {
-    put_string(writer, import.dll);
-    put_string_vector(writer, import.symbols);
-  }
-  writer.u8(tmpl.target_file_size.has_value() ? 1 : 0);
-  if (tmpl.target_file_size.has_value()) writer.u32(*tmpl.target_file_size);
-}
-
-pe::PeTemplate get_pe_template(ByteReader& reader) {
-  pe::PeTemplate tmpl;
-  tmpl.machine = reader.u16();
-  tmpl.linker_major = reader.u8();
-  tmpl.linker_minor = reader.u8();
-  tmpl.os_major = reader.u16();
-  tmpl.os_minor = reader.u16();
-  tmpl.subsystem = reader.u16();
-  tmpl.timestamp = reader.u32();
-  const std::size_t sections = get_count(reader, 17);
-  tmpl.sections.clear();
-  tmpl.sections.reserve(sections);
-  for (std::size_t i = 0; i < sections; ++i) {
-    pe::SectionSpec section;
-    section.name = get_string(reader);
-    section.characteristics = reader.u32();
-    section.content = get_bytes(reader);
-    section.holds_imports = get_flag(reader);
-    tmpl.sections.push_back(std::move(section));
-  }
-  const std::size_t imports = get_count(reader, 12);
-  tmpl.imports.clear();
-  tmpl.imports.reserve(imports);
-  for (std::size_t i = 0; i < imports; ++i) {
-    pe::ImportSpec import;
-    import.dll = get_string(reader);
-    import.symbols = get_string_vector(reader);
-    tmpl.imports.push_back(std::move(import));
-  }
-  if (get_flag(reader)) tmpl.target_file_size = reader.u32();
-  return tmpl;
-}
-
-void put_behavior(ByteWriter& writer, const malware::BehaviorSpec& behavior) {
-  writer.u8(static_cast<std::uint8_t>(behavior.kind));
-  put_string_vector(writer, behavior.base_features);
-  writer.u8(behavior.irc.has_value() ? 1 : 0);
-  if (behavior.irc.has_value()) {
-    writer.u32(behavior.irc->server.value());
-    writer.u16(behavior.irc->port);
-    put_string(writer, behavior.irc->room);
-  }
-  writer.u8(behavior.downloader.has_value() ? 1 : 0);
-  if (behavior.downloader.has_value()) {
-    put_string(writer, behavior.downloader->domain);
-    put_i32(writer, behavior.downloader->component_count);
-  }
-  put_double(writer, behavior.noise_probability);
-  put_i32(writer, behavior.noise_feature_count);
-}
-
-malware::BehaviorSpec get_behavior(ByteReader& reader) {
-  malware::BehaviorSpec behavior;
-  behavior.kind = get_enum<malware::BehaviorKind>(
-      reader, static_cast<std::uint8_t>(malware::BehaviorKind::kGenericTrojan),
-      "BehaviorKind");
-  behavior.base_features = get_string_vector(reader);
-  if (get_flag(reader)) {
-    malware::IrcCnc irc;
-    irc.server = net::Ipv4{reader.u32()};
-    irc.port = reader.u16();
-    irc.room = get_string(reader);
-    behavior.irc = std::move(irc);
-  }
-  if (get_flag(reader)) {
-    malware::DownloaderCnc downloader;
-    downloader.domain = get_string(reader);
-    downloader.component_count = get_i32(reader);
-    behavior.downloader = std::move(downloader);
-  }
-  behavior.noise_probability = get_double(reader);
-  behavior.noise_feature_count = get_i32(reader);
-  return behavior;
-}
-
-void put_population(ByteWriter& writer, const malware::PopulationSpec& spec) {
-  writer.u8(static_cast<std::uint8_t>(spec.spread));
-  writer.u64(spec.host_count);
-  writer.u64(spec.subnets.size());
-  for (const net::Subnet& subnet : spec.subnets) {
-    writer.u32(subnet.network().value());
-    writer.u8(static_cast<std::uint8_t>(subnet.prefix_length()));
-  }
-}
-
-malware::PopulationSpec get_population(ByteReader& reader) {
-  malware::PopulationSpec spec;
-  spec.spread = get_enum<malware::PopulationSpec::Spread>(
-      reader,
-      static_cast<std::uint8_t>(malware::PopulationSpec::Spread::kConcentrated),
-      "PopulationSpec::Spread");
-  spec.host_count = static_cast<std::size_t>(reader.u64());
-  const std::size_t subnets = get_count(reader, 5);
-  spec.subnets.reserve(subnets);
-  for (std::size_t i = 0; i < subnets; ++i) {
-    const net::Ipv4 base{reader.u32()};
-    const std::uint8_t prefix = reader.u8();
-    if (prefix > 32) {
-      throw ParseError("snapshot codec: subnet prefix " +
-                       std::to_string(prefix) + " out of range");
-    }
-    spec.subnets.emplace_back(base, prefix);
-  }
-  return spec;
-}
-
-void put_schedule(ByteWriter& writer, const malware::ActivitySchedule& s) {
-  writer.u8(static_cast<std::uint8_t>(s.kind));
-  put_i32(writer, s.start_week);
-  put_i32(writer, s.end_week);
-  put_double(writer, s.weekly_event_rate);
-  put_double(writer, s.burst_week_probability);
-  put_i32(writer, s.locations_per_burst);
-  writer.u64(s.seed);
-}
-
-malware::ActivitySchedule get_schedule(ByteReader& reader) {
-  malware::ActivitySchedule s;
-  s.kind = get_enum<malware::ActivitySchedule::Kind>(
-      reader,
-      static_cast<std::uint8_t>(malware::ActivitySchedule::Kind::kBursty),
-      "ActivitySchedule::Kind");
-  s.start_week = get_i32(reader);
-  s.end_week = get_i32(reader);
-  s.weekly_event_rate = get_double(reader);
-  s.burst_week_probability = get_double(reader);
-  s.locations_per_burst = get_i32(reader);
-  s.seed = reader.u64();
-  return s;
-}
-
-void put_variant(ByteWriter& writer, const malware::MalwareVariant& variant) {
-  writer.u32(variant.id);
-  writer.u32(variant.family);
-  put_string(writer, variant.name);
-  writer.u8(static_cast<std::uint8_t>(variant.format));
-  writer.u32(variant.raw_size);
-  put_pe_template(writer, variant.pe_template);
-  writer.u64(variant.mutable_sections.size());
-  for (const std::size_t index : variant.mutable_sections) writer.u64(index);
-  writer.u8(static_cast<std::uint8_t>(variant.polymorphism));
-  put_behavior(writer, variant.behavior);
-  writer.u64(variant.exploit_index);
-  writer.u64(variant.payload_index);
-  put_population(writer, variant.population);
-  put_schedule(writer, variant.schedule);
-  put_string(writer, variant.av_name);
-  writer.u64(variant.seed);
-}
-
-malware::MalwareVariant get_variant(ByteReader& reader) {
-  malware::MalwareVariant variant;
-  variant.id = reader.u32();
-  variant.family = reader.u32();
-  variant.name = get_string(reader);
-  variant.format = get_enum<malware::BinaryFormat>(
-      reader, static_cast<std::uint8_t>(malware::BinaryFormat::kRawData),
-      "BinaryFormat");
-  variant.raw_size = reader.u32();
-  variant.pe_template = get_pe_template(reader);
-  const std::size_t mutable_count = get_count(reader, 8);
-  variant.mutable_sections.reserve(mutable_count);
-  for (std::size_t i = 0; i < mutable_count; ++i) {
-    variant.mutable_sections.push_back(static_cast<std::size_t>(reader.u64()));
-  }
-  variant.polymorphism = get_enum<malware::PolymorphismMode>(
-      reader, static_cast<std::uint8_t>(malware::PolymorphismMode::kPerSource),
-      "PolymorphismMode");
-  variant.behavior = get_behavior(reader);
-  variant.exploit_index = static_cast<std::size_t>(reader.u64());
-  variant.payload_index = static_cast<std::size_t>(reader.u64());
-  variant.population = get_population(reader);
-  variant.schedule = get_schedule(reader);
-  variant.av_name = get_string(reader);
-  variant.seed = reader.u64();
-  return variant;
 }
 
 // --- Observed dataset -------------------------------------------------------
@@ -471,36 +163,6 @@ std::optional<sandbox::BehavioralProfile> get_profile(ByteReader& reader) {
       std::set<std::string>(features.begin(), features.end())};
 }
 
-void put_sample(ByteWriter& writer, const honeypot::MalwareSample& sample) {
-  writer.u32(sample.id);
-  put_string(writer, sample.md5);
-  put_bytes(writer, sample.content);
-  put_i64(writer, sample.first_seen.seconds);
-  writer.u8(sample.truncated ? 1 : 0);
-  writer.u8(sample.corrupted ? 1 : 0);
-  writer.u64(sample.event_count);
-  put_profile(writer, sample.profile);
-  put_string(writer, sample.av_label);
-  writer.u8(sample.label_missing ? 1 : 0);
-  writer.u32(sample.truth_variant);
-}
-
-honeypot::MalwareSample get_sample(ByteReader& reader) {
-  honeypot::MalwareSample sample;
-  sample.id = reader.u32();
-  sample.md5 = get_string(reader);
-  sample.content = get_bytes(reader);
-  sample.first_seen.seconds = get_i64(reader);
-  sample.truncated = get_flag(reader);
-  sample.corrupted = get_flag(reader);
-  sample.event_count = static_cast<std::size_t>(reader.u64());
-  sample.profile = get_profile(reader);
-  sample.av_label = get_string(reader);
-  sample.label_missing = get_flag(reader);
-  sample.truth_variant = reader.u32();
-  return sample;
-}
-
 void put_pattern(ByteWriter& writer, const cluster::Pattern& pattern) {
   writer.u64(pattern.fields().size());
   for (const std::optional<std::string>& field : pattern.fields()) {
@@ -526,22 +188,6 @@ cluster::Pattern get_pattern(ByteReader& reader) {
 }  // namespace
 
 // --- Private-state access shims ---------------------------------------------
-
-struct EventDatabaseAccess {
-  static honeypot::EventDatabase restore(
-      std::vector<honeypot::AttackEvent> events,
-      std::vector<honeypot::MalwareSample> samples) {
-    honeypot::EventDatabase db;
-    db.events_ = std::move(events);
-    db.samples_ = std::move(samples);
-    for (const honeypot::MalwareSample& sample : db.samples_) {
-      if (!db.md5_index_.emplace(sample.md5, sample.id).second) {
-        throw ParseError("snapshot codec: duplicate sample MD5 " + sample.md5);
-      }
-    }
-    return db;
-  }
-};
 
 struct EpmResultAccess {
   static cluster::EpmResult restore(
@@ -626,109 +272,6 @@ struct BehavioralViewAccess {
 };
 
 // --- Public entry points ----------------------------------------------------
-
-void write_landscape(ByteWriter& writer, const malware::Landscape& landscape) {
-  put_i64(writer, landscape.start_time.seconds);
-  put_i32(writer, landscape.weeks);
-  writer.u64(landscape.exploits.size());
-  for (const proto::ExploitTemplate& exploit : landscape.exploits) {
-    put_exploit(writer, exploit);
-  }
-  writer.u64(landscape.payloads.size());
-  for (const malware::PayloadSpec& payload : landscape.payloads) {
-    put_payload_spec(writer, payload);
-  }
-  writer.u64(landscape.families.size());
-  for (const malware::MalwareFamily& family : landscape.families) {
-    writer.u32(family.id);
-    put_string(writer, family.name);
-    writer.u64(family.variants.size());
-    for (const malware::VariantId id : family.variants) writer.u32(id);
-  }
-  writer.u64(landscape.variants.size());
-  for (const malware::MalwareVariant& variant : landscape.variants) {
-    put_variant(writer, variant);
-  }
-}
-
-malware::Landscape read_landscape(ByteReader& reader) {
-  malware::Landscape landscape;
-  landscape.start_time.seconds = get_i64(reader);
-  landscape.weeks = get_i32(reader);
-  const std::size_t exploits = get_count(reader, 12);
-  landscape.exploits.reserve(exploits);
-  for (std::size_t i = 0; i < exploits; ++i) {
-    landscape.exploits.push_back(get_exploit(reader));
-  }
-  const std::size_t payloads = get_count(reader, 24);
-  landscape.payloads.reserve(payloads);
-  for (std::size_t i = 0; i < payloads; ++i) {
-    landscape.payloads.push_back(get_payload_spec(reader));
-  }
-  const std::size_t families = get_count(reader, 16);
-  landscape.families.reserve(families);
-  for (std::size_t i = 0; i < families; ++i) {
-    malware::MalwareFamily family;
-    family.id = reader.u32();
-    family.name = get_string(reader);
-    const std::size_t members = get_count(reader, 4);
-    family.variants.reserve(members);
-    for (std::size_t v = 0; v < members; ++v) {
-      family.variants.push_back(reader.u32());
-    }
-    landscape.families.push_back(std::move(family));
-  }
-  const std::size_t variants = get_count(reader, 64);
-  landscape.variants.reserve(variants);
-  for (std::size_t i = 0; i < variants; ++i) {
-    landscape.variants.push_back(get_variant(reader));
-  }
-  return landscape;
-}
-
-void write_database(ByteWriter& writer, const honeypot::EventDatabase& db) {
-  writer.u64(db.events().size());
-  for (const honeypot::AttackEvent& event : db.events()) {
-    put_event(writer, event);
-  }
-  writer.u64(db.samples().size());
-  for (const honeypot::MalwareSample& sample : db.samples()) {
-    put_sample(writer, sample);
-  }
-}
-
-honeypot::EventDatabase read_database(ByteReader& reader) {
-  const std::size_t event_count = get_count(reader, 32);
-  std::vector<honeypot::AttackEvent> events;
-  events.reserve(event_count);
-  for (std::size_t i = 0; i < event_count; ++i) {
-    events.push_back(get_event(reader));
-    if (events.back().id != i) {
-      throw ParseError("snapshot codec: event id " +
-                       std::to_string(events.back().id) +
-                       " out of order at row " + std::to_string(i));
-    }
-  }
-  const std::size_t sample_count = get_count(reader, 32);
-  std::vector<honeypot::MalwareSample> samples;
-  samples.reserve(sample_count);
-  for (std::size_t i = 0; i < sample_count; ++i) {
-    samples.push_back(get_sample(reader));
-    if (samples.back().id != i) {
-      throw ParseError("snapshot codec: sample id " +
-                       std::to_string(samples.back().id) +
-                       " out of order at row " + std::to_string(i));
-    }
-  }
-  for (const honeypot::AttackEvent& event : events) {
-    if (event.sample.has_value() && *event.sample >= samples.size()) {
-      throw ParseError("snapshot codec: event " + std::to_string(event.id) +
-                       " references unknown sample " +
-                       std::to_string(*event.sample));
-    }
-  }
-  return EventDatabaseAccess::restore(std::move(events), std::move(samples));
-}
 
 void write_enrichment_stats(ByteWriter& writer,
                             const honeypot::EnrichmentStats& stats) {

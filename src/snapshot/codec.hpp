@@ -1,8 +1,8 @@
-// Binary codecs for the pipeline's stage-boundary state.
+// Binary codecs for the durable pipeline state.
 //
-// Every structure that crosses a stage boundary of the paper pipeline
-// (ground-truth landscape, event database with enrichment, EPM results,
-// behavioral view, fault accounting) serializes to the little-endian
+// Every structure an epoch cut or a WAL record carries (attack events,
+// the per-sample enrichment column, EPM results, behavioral view,
+// enrichment and fault accounting) serializes to the little-endian
 // ByteWriter format and restores from a bounds-checked ByteReader.
 // Decoders validate enum ranges, optional flags and cross-references
 // and throw ParseError on anything malformed — never UB, never a
@@ -23,21 +23,12 @@
 #include "fault/injector.hpp"
 #include "honeypot/database.hpp"
 #include "honeypot/enrichment.hpp"
-#include "malware/landscape.hpp"
 #include "sandbox/profile.hpp"
 #include "util/byteio.hpp"
 
 namespace repro::snapshot {
 
-// --- Ground truth -----------------------------------------------------------
-
-void write_landscape(ByteWriter& writer, const malware::Landscape& landscape);
-[[nodiscard]] malware::Landscape read_landscape(ByteReader& reader);
-
 // --- Observed dataset -------------------------------------------------------
-
-void write_database(ByteWriter& writer, const honeypot::EventDatabase& db);
-[[nodiscard]] honeypot::EventDatabase read_database(ByteReader& reader);
 
 void write_enrichment_stats(ByteWriter& writer,
                             const honeypot::EnrichmentStats& stats);
@@ -66,8 +57,7 @@ void write_enrichment_column(ByteWriter& writer,
 [[nodiscard]] std::vector<SampleEnrichment> read_enrichment_column(
     ByteReader& reader);
 
-/// Single-event codec, used by the ingest WAL's record format (the
-/// database codec above serializes whole databases).
+/// Single-event codec, used by the ingest WAL's record format.
 void write_attack_event(ByteWriter& writer, const honeypot::AttackEvent& event);
 [[nodiscard]] honeypot::AttackEvent read_attack_event(ByteReader& reader);
 

@@ -157,8 +157,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllBackends, BackendConformance,
     ::testing::Values(BackendKind::kLsh, BackendKind::kExact,
                       BackendKind::kKmeans),
-    [](const ::testing::TestParamInfo<BackendKind>& info) {
-      return std::string{backend_name(info.param)};
+    [](const ::testing::TestParamInfo<BackendKind>& param_info) {
+      return std::string{backend_name(param_info.param)};
     });
 
 // ------------------------------------------- single-linkage edges
@@ -196,8 +196,8 @@ TEST_P(SingleLinkageEdges, ThresholdAboveOneSplitsEverything) {
 INSTANTIATE_TEST_SUITE_P(
     SingleLinkage, SingleLinkageEdges,
     ::testing::Values(BackendKind::kLsh, BackendKind::kExact),
-    [](const ::testing::TestParamInfo<BackendKind>& info) {
-      return std::string{backend_name(info.param)};
+    [](const ::testing::TestParamInfo<BackendKind>& param_info) {
+      return std::string{backend_name(param_info.param)};
     });
 
 // ------------------------------------------------ oracle agreement
@@ -287,12 +287,12 @@ TEST(KmeansBackend, SeparatesDisjointFamilies) {
 // ------------------------------------------------ registry errors
 
 TEST(BackendRegistry, UnknownNameThrows) {
-  EXPECT_THROW(backend_from_name("agglomerative"), ConfigError);
-  EXPECT_THROW(backend_from_name(""), ConfigError);
+  EXPECT_THROW((void)backend_from_name("agglomerative"), ConfigError);
+  EXPECT_THROW((void)backend_from_name(""), ConfigError);
 }
 
 TEST(BackendRegistry, UnknownTagThrows) {
-  EXPECT_THROW(backend_kind_from_tag(200), ParseError);
+  EXPECT_THROW((void)backend_kind_from_tag(200), ParseError);
 }
 
 TEST(BackendRegistry, AllBackendsListsEveryKind) {

@@ -1,21 +1,25 @@
 // Tests for the snapshot subsystem: codec round-trips, container
-// integrity (CRC, truncation, bit flips), checkpoint durability and the
-// kill-resume guarantee (a run interrupted anywhere resumes to output
-// byte-identical to an uninterrupted run).
+// integrity (CRC, truncation, bit flips), epoch-cut durability and the
+// kill-resume guarantee of the durable one-shot build (a run
+// interrupted anywhere resumes to output byte-identical to the batch
+// build).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "io/csv_export.hpp"
 #include "scenario/paper.hpp"
+#include "scenario/stream.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/codec.hpp"
 #include "snapshot/crc32.hpp"
+#include "snapshot/durable_file.hpp"
 #include "util/byteio.hpp"
 #include "util/error.hpp"
 
@@ -31,8 +35,8 @@ scenario::ScenarioOptions small_options() {
   return options;
 }
 
-/// One tiny shared dataset (no checkpointing) for codec tests and as
-/// the byte-identical baseline of the resume tests.
+/// One tiny shared batch dataset for codec tests and as the
+/// byte-identical baseline of the resume tests.
 const scenario::Dataset& dataset() {
   static const scenario::Dataset ds =
       scenario::build_paper_dataset(small_options());
@@ -128,27 +132,6 @@ void expect_roundtrip(const T& value, WriteFn write, ReadFn read) {
   EXPECT_EQ(again.data(), first);
 }
 
-TEST(Codec, LandscapeRoundTripsByteExactly) {
-  expect_roundtrip(dataset().landscape, write_landscape, read_landscape);
-}
-
-TEST(Codec, DatabaseRoundTripsByteExactly) {
-  expect_roundtrip(dataset().db, write_database, read_database);
-}
-
-TEST(Codec, DatabaseRestoreIsConsistent) {
-  ByteWriter writer;
-  write_database(writer, dataset().db);
-  ByteReader reader{writer.data()};
-  const honeypot::EventDatabase restored = read_database(reader);
-  EXPECT_NO_THROW(restored.check_consistency());
-  EXPECT_EQ(restored.events().size(), dataset().db.events().size());
-  EXPECT_EQ(restored.samples().size(), dataset().db.samples().size());
-  // The MD5 index must be rebuilt, not lost.
-  const std::string& md5 = dataset().db.samples().front().md5;
-  EXPECT_EQ(restored.find_by_md5(md5), dataset().db.find_by_md5(md5));
-}
-
 TEST(Codec, EnrichmentAndFaultReportRoundTrip) {
   honeypot::EnrichmentStats stats;
   stats.submitted = 11;
@@ -229,35 +212,63 @@ TEST(Codec, TruncatedPayloadThrowsParseError) {
   }
 }
 
-TEST(Codec, TruncatedLandscapeNeverCrashes) {
-  ByteWriter writer;
-  write_landscape(writer, dataset().landscape);
-  const std::vector<std::uint8_t>& full = writer.data();
-  // Sparse sweep over a multi-hundred-KB payload.
-  for (std::size_t cut = 0; cut < full.size();
-       cut = cut * 2 + 13) {
-    ByteReader reader{std::span{full}.first(cut)};
-    EXPECT_THROW((void)read_landscape(reader), ParseError);
+/// Events of the shared dataset covering every optional block of the
+/// event codec (gamma, pi, sample reference, refusal flag), one per
+/// combination present.
+std::vector<honeypot::AttackEvent> codec_events() {
+  std::vector<honeypot::AttackEvent> picked;
+  std::set<int> shapes;
+  for (const honeypot::AttackEvent& event : dataset().db.events()) {
+    const int shape = (event.gamma.has_value() ? 1 : 0) |
+                      (event.pi.has_value() ? 2 : 0) |
+                      (event.sample.has_value() ? 4 : 0) |
+                      (event.download_refused ? 8 : 0);
+    if (shapes.insert(shape).second) picked.push_back(event);
   }
+  return picked;
 }
 
 TEST(Codec, CorruptedPayloadFailsSafely) {
-  // Direct codec fuzz *below* the CRC layer: a flipped byte may decode
-  // to different content, but it must never crash and may only ever
-  // throw ParseError.
-  ByteWriter writer;
-  write_database(writer, dataset().db);
-  std::vector<std::uint8_t> bytes = writer.take();
-  for (std::size_t i = 0; i < bytes.size(); i += 211) {
-    std::vector<std::uint8_t> mutated = bytes;
-    mutated[i] ^= 0x40;
-    ByteReader reader{mutated};
-    try {
-      (void)read_database(reader);
-    } catch (const ParseError&) {
-      // Acceptable: the corruption was detected.
+  // Direct fuzz *below* the CRC layer of the event codec every WAL
+  // record carries. Every truncation is a ParseError. A flipped bit may
+  // decode to a different event, but then to a well-formed one that
+  // re-encodes to exactly the bytes it consumed — never a crash, an
+  // over-read or any other exception.
+  const std::vector<honeypot::AttackEvent> events = codec_events();
+  ASSERT_GE(events.size(), 2u);
+  std::size_t rejected = 0;
+  for (const honeypot::AttackEvent& event : events) {
+    ByteWriter writer;
+    write_attack_event(writer, event);
+    const std::vector<std::uint8_t> bytes = writer.take();
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      ByteReader reader{std::span{bytes}.first(cut)};
+      EXPECT_THROW((void)read_attack_event(reader), ParseError)
+          << "event " << event.id << " prefix length " << cut << " decoded";
+    }
+    for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::vector<std::uint8_t> mutated = bytes;
+        mutated[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        ByteReader reader{mutated};
+        try {
+          const honeypot::AttackEvent decoded = read_attack_event(reader);
+          ByteWriter again;
+          write_attack_event(again, decoded);
+          EXPECT_EQ(again.data(),
+                    std::vector<std::uint8_t>(
+                        mutated.begin(),
+                        mutated.end() - static_cast<std::ptrdiff_t>(
+                                            reader.remaining())))
+              << "event " << event.id << " flip of bit " << bit
+              << " in byte " << byte;
+        } catch (const ParseError&) {
+          ++rejected;
+        }
+      }
     }
   }
+  EXPECT_GT(rejected, 0u);
 }
 
 // --- Epoch-cut enrichment column -------------------------------------------
@@ -353,9 +364,8 @@ std::vector<Section> sample_sections() {
 
 TEST(Container, RoundTripPreservesSections) {
   const std::vector<std::uint8_t> bytes =
-      encode_snapshot(Stage::kEpm, 0xfeedbeefULL, sample_sections());
+      encode_snapshot(0xfeedbeefULL, sample_sections());
   const DecodedSnapshot decoded = decode_snapshot(bytes);
-  EXPECT_EQ(decoded.stage, Stage::kEpm);
   EXPECT_EQ(decoded.fingerprint, 0xfeedbeefULL);
   ASSERT_EQ(decoded.sections.size(), 3u);
   EXPECT_EQ(decoded.sections[0].name, "alpha");
@@ -369,7 +379,7 @@ TEST(Container, RoundTripPreservesSections) {
 
 TEST(Container, EveryTruncationIsRejected) {
   const std::vector<std::uint8_t> bytes =
-      encode_snapshot(Stage::kDatabase, 42, sample_sections());
+      encode_snapshot(42, sample_sections());
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     EXPECT_THROW((void)decode_snapshot(std::span{bytes}.first(cut)),
                  ParseError)
@@ -379,7 +389,7 @@ TEST(Container, EveryTruncationIsRejected) {
 
 TEST(Container, EverySingleBitFlipIsRejected) {
   const std::vector<std::uint8_t> bytes =
-      encode_snapshot(Stage::kLandscape, 7, sample_sections());
+      encode_snapshot(7, sample_sections());
   for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
       std::vector<std::uint8_t> mutated = bytes;
@@ -392,7 +402,7 @@ TEST(Container, EverySingleBitFlipIsRejected) {
 
 TEST(Container, RejectsWrongVersion) {
   std::vector<std::uint8_t> bytes =
-      encode_snapshot(Stage::kLandscape, 7, sample_sections());
+      encode_snapshot(7, sample_sections());
   // Bump the version field (offset 4) and fix up the trailer CRC so
   // only the version check can object.
   bytes[4] = 9;
@@ -403,229 +413,6 @@ TEST(Container, RejectsWrongVersion) {
         static_cast<std::uint8_t>(fixed >> (8 * i));
   }
   EXPECT_THROW((void)decode_snapshot(bytes), ParseError);
-}
-
-// --- CheckpointStore --------------------------------------------------------
-
-TEST(Store, DisabledStoreIsInert) {
-  CheckpointStore store{CheckpointOptions{}, 1};
-  EXPECT_FALSE(store.enabled());
-  store.save_landscape(dataset().landscape);
-  EXPECT_FALSE(store.load_landscape().has_value());
-  EXPECT_EQ(store.activity().saved, 0u);
-}
-
-TEST(Store, SaveThenLoadRestores) {
-  const fs::path dir = fresh_dir("save-load");
-  CheckpointStore writer{CheckpointOptions{dir.string()}, 99};
-  writer.save_landscape(dataset().landscape);
-  EXPECT_TRUE(fs::exists(dir / stage_filename(Stage::kLandscape)));
-
-  CheckpointStore reader{CheckpointOptions{dir.string()}, 99};
-  const auto loaded = reader.load_landscape();
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->variants.size(), dataset().landscape.variants.size());
-  EXPECT_EQ(reader.activity().restored, 1u);
-}
-
-TEST(Store, StaleFingerprintIsQuarantinedNotLoaded) {
-  const fs::path dir = fresh_dir("stale");
-  CheckpointStore writer{CheckpointOptions{dir.string()}, 1000};
-  writer.save_landscape(dataset().landscape);
-
-  CheckpointStore reader{CheckpointOptions{dir.string()}, 2000};
-  EXPECT_FALSE(reader.load_landscape().has_value());
-  EXPECT_EQ(reader.activity().stale, 1u);
-  EXPECT_EQ(reader.activity().quarantined, 1u);
-  EXPECT_FALSE(fs::exists(dir / stage_filename(Stage::kLandscape)));
-  EXPECT_TRUE(fs::exists(
-      dir / (stage_filename(Stage::kLandscape) + ".quarantined")));
-}
-
-TEST(Store, RepeatedQuarantinesKeepEveryPieceOfEvidence) {
-  // Regression: quarantining used a fixed ".quarantined" name, so a
-  // second stale/corrupt file silently overwrote the evidence of the
-  // first. unique_quarantine_path must probe "-2", "-3", ... instead.
-  const fs::path dir = fresh_dir("quarantine-unique");
-  const fs::path path = dir / stage_filename(Stage::kLandscape);
-  EXPECT_EQ(unique_quarantine_path(path.string()),
-            path.string() + ".quarantined");
-  { std::ofstream out{path.string() + ".quarantined"}; }
-  EXPECT_EQ(unique_quarantine_path(path.string()),
-            path.string() + ".quarantined-2");
-  { std::ofstream out{path.string() + ".quarantined-2"}; }
-  EXPECT_EQ(unique_quarantine_path(path.string()),
-            path.string() + ".quarantined-3");
-
-  // End to end: two stale snapshots quarantined back to back land in
-  // distinct files.
-  for (int round = 0; round < 2; ++round) {
-    CheckpointStore writer{CheckpointOptions{dir.string()}, 1000};
-    writer.save_landscape(dataset().landscape);
-    CheckpointStore reader{CheckpointOptions{dir.string()}, 2000};
-    EXPECT_FALSE(reader.load_landscape().has_value());
-  }
-  EXPECT_TRUE(fs::exists(path.string() + ".quarantined-3"));
-  EXPECT_TRUE(fs::exists(path.string() + ".quarantined-4"));
-}
-
-TEST(Store, CorruptFileIsQuarantinedNotLoaded) {
-  const fs::path dir = fresh_dir("corrupt");
-  CheckpointStore writer{CheckpointOptions{dir.string()}, 5};
-  writer.save_landscape(dataset().landscape);
-
-  // Flip one byte in the middle of the file.
-  const fs::path path = dir / stage_filename(Stage::kLandscape);
-  std::fstream file{path, std::ios::in | std::ios::out | std::ios::binary};
-  file.seekp(static_cast<std::streamoff>(fs::file_size(path) / 2));
-  file.put('\x7e');
-  file.close();
-
-  CheckpointStore reader{CheckpointOptions{dir.string()}, 5};
-  EXPECT_FALSE(reader.load_landscape().has_value());
-  EXPECT_EQ(reader.activity().quarantined, 1u);
-  EXPECT_EQ(reader.activity().stale, 0u);
-  EXPECT_FALSE(fs::exists(path));
-}
-
-TEST(Store, GarbageFileIsQuarantinedNotLoaded) {
-  const fs::path dir = fresh_dir("garbage");
-  {
-    std::ofstream out{dir / stage_filename(Stage::kDatabase),
-                      std::ios::binary};
-    out << "not a snapshot at all";
-  }
-  CheckpointStore store{CheckpointOptions{dir.string()}, 5};
-  EXPECT_FALSE(store.load_database().has_value());
-  EXPECT_EQ(store.activity().quarantined, 1u);
-}
-
-// --- Kill-resume torture ----------------------------------------------------
-
-/// Runs the pipeline with the given kill seam, expecting it to die,
-/// then resumes in the same directory and returns the finished dataset.
-scenario::Dataset killed_then_resumed(const fs::path& dir,
-                                      int stop_after_stage,
-                                      int short_write_stage) {
-  scenario::ScenarioOptions killed = small_options();
-  killed.checkpoint.directory = dir.string();
-  killed.checkpoint.stop_after_stage = stop_after_stage;
-  killed.checkpoint.short_write_stage = short_write_stage;
-  EXPECT_THROW((void)scenario::build_paper_dataset(killed),
-               CheckpointInterrupted);
-
-  scenario::ScenarioOptions resumed = small_options();
-  resumed.checkpoint.directory = dir.string();
-  return scenario::build_paper_dataset(resumed);
-}
-
-TEST(Resume, KilledAfterEachStageResumesByteIdentical) {
-  const std::string baseline = all_csv(dataset());
-  for (int stage = 1; stage <= 4; ++stage) {
-    const fs::path dir =
-        fresh_dir("kill-after-" + std::to_string(stage));
-    const scenario::Dataset resumed =
-        killed_then_resumed(dir, /*stop_after_stage=*/stage,
-                            /*short_write_stage=*/0);
-    EXPECT_EQ(all_csv(resumed), baseline) << "killed after stage " << stage;
-    // The stages completed before the kill were restored, not rebuilt.
-    EXPECT_EQ(resumed.checkpoint_activity.restored,
-              static_cast<std::size_t>(stage))
-        << "killed after stage " << stage;
-    EXPECT_EQ(resumed.fault_report.proxy_attempts,
-              dataset().fault_report.proxy_attempts);
-  }
-}
-
-TEST(Resume, KilledMidWriteResumesByteIdentical) {
-  const std::string baseline = all_csv(dataset());
-  for (int stage = 1; stage <= 4; ++stage) {
-    const fs::path dir = fresh_dir("kill-mid-" + std::to_string(stage));
-    const scenario::Dataset resumed =
-        killed_then_resumed(dir, /*stop_after_stage=*/0,
-                            /*short_write_stage=*/stage);
-    EXPECT_EQ(all_csv(resumed), baseline) << "killed mid-write of stage "
-                                          << stage;
-    // The interrupted stage only left a ".tmp" file, so everything
-    // before it was restored and it was recomputed.
-    EXPECT_EQ(resumed.checkpoint_activity.restored,
-              static_cast<std::size_t>(stage - 1))
-        << "killed mid-write of stage " << stage;
-  }
-}
-
-TEST(Resume, RepeatedKillsStillConverge) {
-  const fs::path dir = fresh_dir("kill-repeat");
-  // Die after stage 1, then after stage 2 (resuming stage 1), then
-  // mid-write of stage 4 (resuming 1-3), then finish.
-  for (const auto& [stop, short_write] :
-       {std::pair{1, 0}, std::pair{2, 0}, std::pair{0, 4}}) {
-    scenario::ScenarioOptions options = small_options();
-    options.checkpoint.directory = dir.string();
-    options.checkpoint.stop_after_stage = stop;
-    options.checkpoint.short_write_stage = short_write;
-    EXPECT_THROW((void)scenario::build_paper_dataset(options),
-                 CheckpointInterrupted);
-  }
-  scenario::ScenarioOptions options = small_options();
-  options.checkpoint.directory = dir.string();
-  const scenario::Dataset resumed = scenario::build_paper_dataset(options);
-  EXPECT_EQ(all_csv(resumed), all_csv(dataset()));
-}
-
-TEST(Resume, CompletedRunRestoresEverythingOnRerun) {
-  const fs::path dir = fresh_dir("full-restore");
-  scenario::ScenarioOptions options = small_options();
-  options.checkpoint.directory = dir.string();
-  const scenario::Dataset first = scenario::build_paper_dataset(options);
-  EXPECT_EQ(first.checkpoint_activity.saved, 4u);
-  EXPECT_EQ(first.checkpoint_activity.restored, 0u);
-
-  const scenario::Dataset second = scenario::build_paper_dataset(options);
-  EXPECT_EQ(second.checkpoint_activity.restored, 4u);
-  EXPECT_EQ(second.checkpoint_activity.saved, 0u);
-  EXPECT_EQ(all_csv(second), all_csv(dataset()));
-}
-
-TEST(Resume, DifferentOptionsRejectExistingCheckpoints) {
-  const fs::path dir = fresh_dir("option-change");
-  scenario::ScenarioOptions options = small_options();
-  options.checkpoint.directory = dir.string();
-  (void)scenario::build_paper_dataset(options);
-
-  // Same directory, different seed: nothing may be reused.
-  scenario::ScenarioOptions other = small_options();
-  other.seed = 8;
-  other.checkpoint.directory = dir.string();
-  const scenario::Dataset rebuilt = scenario::build_paper_dataset(other);
-  EXPECT_EQ(rebuilt.checkpoint_activity.restored, 0u);
-  EXPECT_EQ(rebuilt.checkpoint_activity.stale, 4u);
-  EXPECT_EQ(rebuilt.checkpoint_activity.saved, 4u);
-
-  scenario::ScenarioOptions baseline_other = small_options();
-  baseline_other.seed = 8;
-  EXPECT_EQ(all_csv(rebuilt),
-            all_csv(scenario::build_paper_dataset(baseline_other)));
-}
-
-TEST(Resume, QuarantinedStageFallsBackToRecompute) {
-  const fs::path dir = fresh_dir("quarantine-fallback");
-  scenario::ScenarioOptions options = small_options();
-  options.checkpoint.directory = dir.string();
-  (void)scenario::build_paper_dataset(options);
-
-  // Corrupt the stage-2 snapshot; stages 1, 3 and 4 stay intact.
-  const fs::path path = dir / stage_filename(Stage::kDatabase);
-  std::fstream file{path, std::ios::in | std::ios::out | std::ios::binary};
-  file.seekp(static_cast<std::streamoff>(fs::file_size(path) / 3));
-  file.put('\x55');
-  file.close();
-
-  const scenario::Dataset resumed = scenario::build_paper_dataset(options);
-  EXPECT_EQ(resumed.checkpoint_activity.quarantined, 1u);
-  EXPECT_EQ(resumed.checkpoint_activity.restored, 3u);
-  EXPECT_EQ(resumed.checkpoint_activity.saved, 1u);  // stage 2 rewritten
-  EXPECT_EQ(all_csv(resumed), all_csv(dataset()));
 }
 
 // --- Behavioral cluster-id validation (satellite bugfix) --------------------
@@ -687,54 +474,38 @@ TEST(Codec, BehavioralHugeIdIsRejectedNotAllocated) {
   EXPECT_THROW((void)read_behavioral_view(reader), ParseError);
 }
 
-// --- Backend tags on checkpoints (tentpole) ---------------------------------
+// --- CheckpointStore --------------------------------------------------------
 
-TEST(Store, BehavioralBackendTagRoundTrips) {
-  const fs::path dir = fresh_dir("backend-tag");
-  CheckpointStore writer{CheckpointOptions{dir.string()}, 42};
-  writer.save_behavioral(dataset().b, cluster::BackendKind::kLsh);
-
-  CheckpointStore reader{CheckpointOptions{dir.string()}, 42};
-  const auto loaded = reader.load_behavioral(cluster::BackendKind::kLsh);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->cluster_count(), dataset().b.cluster_count());
-  EXPECT_EQ(reader.activity().restored, 1u);
+/// The shared dataset's clustering results in cut form.
+const EpmStage& dataset_epm() {
+  static const EpmStage epm{dataset().e, dataset().p, dataset().m};
+  return epm;
 }
 
-TEST(Store, BehavioralBackendMismatchIsQuarantinedAsStale) {
-  // A partition produced by one backend must never silently seed a
-  // run that selected another — the tag mismatch is handled exactly
-  // like a stale fingerprint: quarantine and recompute.
-  const fs::path dir = fresh_dir("backend-mismatch");
-  CheckpointStore writer{CheckpointOptions{dir.string()}, 42};
-  writer.save_behavioral(dataset().b, cluster::BackendKind::kLsh);
-
-  CheckpointStore reader{CheckpointOptions{dir.string()}, 42};
-  EXPECT_FALSE(
-      reader.load_behavioral(cluster::BackendKind::kKmeans).has_value());
-  EXPECT_EQ(reader.activity().stale, 1u);
-  EXPECT_EQ(reader.activity().quarantined, 1u);
-  EXPECT_FALSE(fs::exists(dir / stage_filename(Stage::kBehavioral)));
-}
-
-/// Writes one epoch cut of the shared dataset into `dir`.
-void save_dataset_cut(const fs::path& dir, cluster::BackendKind backend) {
+/// Epoch 2's cut of the shared dataset, written by `backend`.
+EpochCut dataset_cut(cluster::BackendKind backend = cluster::BackendKind::kLsh) {
   const scenario::Dataset& ds = dataset();
-  const EpmStage epm{ds.e, ds.p, ds.m};
-  CheckpointStore writer{CheckpointOptions{dir.string()}, 42};
-  writer.save_epoch(EpochCut{.epoch = 2,
-                             .wal_records = ds.db.events().size(),
-                             .b_backend = backend,
-                             .db = ds.db,
-                             .enrichment = ds.enrichment,
-                             .fault_report = ds.fault_report,
-                             .epm = epm,
-                             .behavioral = ds.b,
-                             .ingest_blob = {},
-                             .e_counts = {},
-                             .p_counts = {},
-                             .m_counts = {},
-                             .signature_blob = {}});
+  return EpochCut{.epoch = 2,
+                  .wal_records = ds.db.events().size(),
+                  .b_backend = backend,
+                  .db = ds.db,
+                  .enrichment = ds.enrichment,
+                  .fault_report = ds.fault_report,
+                  .epm = dataset_epm(),
+                  .behavioral = ds.b,
+                  .ingest_blob = {},
+                  .e_counts = {},
+                  .p_counts = {},
+                  .m_counts = {},
+                  .signature_blob = {}};
+}
+
+/// Writes epoch 2's cut of the shared dataset into `dir`.
+void save_dataset_cut(const fs::path& dir,
+                      cluster::BackendKind backend = cluster::BackendKind::kLsh,
+                      std::uint64_t fingerprint = 42) {
+  CheckpointStore writer{CheckpointOptions{dir.string()}, fingerprint};
+  writer.save_epoch(dataset_cut(backend));
 }
 
 /// The shared dataset's database as a WAL replay rebuilds it: every
@@ -749,10 +520,96 @@ honeypot::EventDatabase replayed_database() {
   return db;
 }
 
-std::vector<std::uint8_t> database_bytes(const honeypot::EventDatabase& db) {
-  ByteWriter writer;
-  write_database(writer, db);
-  return writer.take();
+TEST(Store, DisabledStoreIsInert) {
+  CheckpointStore store{CheckpointOptions{}, 1};
+  EXPECT_FALSE(store.enabled());
+  store.save_epoch(dataset_cut());
+  EXPECT_FALSE(store.load_latest_epoch().has_value());
+  EXPECT_EQ(store.activity().saved, 0u);
+}
+
+TEST(Store, SaveThenLoadRestores) {
+  const fs::path dir = fresh_dir("save-load");
+  save_dataset_cut(dir, cluster::BackendKind::kLsh, 99);
+  EXPECT_TRUE(fs::exists(dir / epoch_filename(2)));
+
+  CheckpointStore reader{CheckpointOptions{dir.string()}, 99};
+  const auto loaded = reader.load_latest_epoch();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->epm.e.cluster_count(), dataset().e.cluster_count());
+  EXPECT_EQ(loaded->behavioral.cluster_count(), dataset().b.cluster_count());
+  // Loading is not restoring: the caller may still decline the cut.
+  EXPECT_EQ(reader.activity().restored, 0u);
+  honeypot::EventDatabase db = replayed_database();
+  ASSERT_TRUE(reader.apply_epoch(*loaded, db));
+  EXPECT_EQ(reader.activity().restored, 1u);
+}
+
+TEST(Store, StaleFingerprintIsQuarantinedNotLoaded) {
+  const fs::path dir = fresh_dir("stale");
+  save_dataset_cut(dir, cluster::BackendKind::kLsh, 1000);
+
+  CheckpointStore reader{CheckpointOptions{dir.string()}, 2000};
+  EXPECT_FALSE(reader.load_latest_epoch().has_value());
+  EXPECT_EQ(reader.activity().stale, 1u);
+  EXPECT_EQ(reader.activity().quarantined, 1u);
+  EXPECT_FALSE(fs::exists(dir / epoch_filename(2)));
+  EXPECT_TRUE(fs::exists(dir / (epoch_filename(2) + ".quarantined")));
+}
+
+TEST(Store, RepeatedQuarantinesKeepEveryPieceOfEvidence) {
+  // Regression: quarantining used a fixed ".quarantined" name, so a
+  // second stale/corrupt file silently overwrote the evidence of the
+  // first. unique_quarantine_path must probe "-2", "-3", ... instead.
+  const fs::path dir = fresh_dir("quarantine-unique");
+  const fs::path path = dir / epoch_filename(2);
+  EXPECT_EQ(unique_quarantine_path(path.string()),
+            path.string() + ".quarantined");
+  { std::ofstream out{path.string() + ".quarantined"}; }
+  EXPECT_EQ(unique_quarantine_path(path.string()),
+            path.string() + ".quarantined-2");
+  { std::ofstream out{path.string() + ".quarantined-2"}; }
+  EXPECT_EQ(unique_quarantine_path(path.string()),
+            path.string() + ".quarantined-3");
+
+  // End to end: two stale cuts quarantined back to back land in
+  // distinct files.
+  for (int round = 0; round < 2; ++round) {
+    save_dataset_cut(dir, cluster::BackendKind::kLsh, 1000);
+    CheckpointStore reader{CheckpointOptions{dir.string()}, 2000};
+    EXPECT_FALSE(reader.load_latest_epoch().has_value());
+  }
+  EXPECT_TRUE(fs::exists(path.string() + ".quarantined-3"));
+  EXPECT_TRUE(fs::exists(path.string() + ".quarantined-4"));
+}
+
+TEST(Store, CorruptFileIsQuarantinedNotLoaded) {
+  const fs::path dir = fresh_dir("corrupt");
+  save_dataset_cut(dir, cluster::BackendKind::kLsh, 5);
+
+  // Flip one byte in the middle of the file.
+  const fs::path path = dir / epoch_filename(2);
+  std::fstream file{path, std::ios::in | std::ios::out | std::ios::binary};
+  file.seekp(static_cast<std::streamoff>(fs::file_size(path) / 2));
+  file.put('\x7e');
+  file.close();
+
+  CheckpointStore reader{CheckpointOptions{dir.string()}, 5};
+  EXPECT_FALSE(reader.load_latest_epoch().has_value());
+  EXPECT_EQ(reader.activity().quarantined, 1u);
+  EXPECT_EQ(reader.activity().stale, 0u);
+  EXPECT_FALSE(fs::exists(path));
+}
+
+TEST(Store, GarbageFileIsQuarantinedNotLoaded) {
+  const fs::path dir = fresh_dir("garbage");
+  {
+    std::ofstream out{dir / epoch_filename(0), std::ios::binary};
+    out << "not a snapshot at all";
+  }
+  CheckpointStore store{CheckpointOptions{dir.string()}, 5};
+  EXPECT_FALSE(store.load_latest_epoch().has_value());
+  EXPECT_EQ(store.activity().quarantined, 1u);
 }
 
 TEST(Store, EpochBackendTagRoundTrips) {
@@ -771,16 +628,196 @@ TEST(Store, EpochBackendTagRoundTrips) {
 
 TEST(Store, EpochCutCompletesTheReplayedDatabase) {
   const fs::path dir = fresh_dir("epoch-apply");
-  save_dataset_cut(dir, cluster::BackendKind::kLsh);
+  save_dataset_cut(dir);
 
   CheckpointStore reader{CheckpointOptions{dir.string()}, 42};
   const auto loaded = reader.load_latest_epoch();
   ASSERT_TRUE(loaded.has_value());
   honeypot::EventDatabase db = replayed_database();
   ASSERT_TRUE(reader.apply_epoch(*loaded, db));
-  EXPECT_EQ(database_bytes(db), database_bytes(dataset().db));
+  EXPECT_NO_THROW(db.check_consistency());
+  const std::vector<honeypot::MalwareSample>& expected =
+      dataset().db.samples();
+  ASSERT_EQ(db.samples().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(db.samples()[i].profile, expected[i].profile) << "sample " << i;
+    EXPECT_EQ(db.samples()[i].av_label, expected[i].av_label)
+        << "sample " << i;
+    EXPECT_EQ(db.samples()[i].label_missing, expected[i].label_missing)
+        << "sample " << i;
+  }
+  const std::string& md5 = expected.front().md5;
+  EXPECT_EQ(db.find_by_md5(md5), dataset().db.find_by_md5(md5));
   EXPECT_EQ(reader.activity().restored, 1u);
   EXPECT_EQ(reader.activity().quarantined, 0u);
+}
+
+// --- Kill-resume of the durable one-shot build ------------------------------
+//
+// The batch build does not checkpoint; the durable one-shot build is the
+// streaming epoch loop with a single epoch (`--epochs 1 --wal-dir`).
+// These tests pin its kill-resume guarantee against the batch output;
+// tests/stream_test.cpp tortures the multi-epoch loop.
+
+/// Durable one-shot options rooted under `root` (wal/ + ckpt/).
+scenario::StreamOptions one_shot(const fs::path& root,
+                                 scenario::ScenarioOptions& options,
+                                 std::size_t epochs = 1) {
+  options.checkpoint.directory = (root / "ckpt").string();
+  scenario::StreamOptions stream;
+  stream.epochs = epochs;
+  stream.wal_dir = (root / "wal").string();
+  return stream;
+}
+
+TEST(Resume, BatchBuildRejectsCheckpointDirectory) {
+  scenario::ScenarioOptions options = small_options();
+  options.checkpoint.directory = fresh_dir("batch-refuses").string();
+  EXPECT_THROW((void)scenario::build_paper_dataset(options), ConfigError);
+}
+
+TEST(Resume, KilledAfterEachStageResumesByteIdentical) {
+  // The one-shot build's durable steps: a WAL append mid-stream, a
+  // segment seal, and the epoch cut. A kill after any of them resumes
+  // byte-identical; only the kill after the cut restores it.
+  const std::string baseline = all_csv(dataset());
+  for (int step = 0; step < 3; ++step) {
+    scenario::ScenarioOptions options = small_options();
+    const fs::path root = fresh_dir("kill-after-" + std::to_string(step));
+    scenario::StreamOptions stream = one_shot(root, options);
+    scenario::StreamOptions killed = stream;
+    scenario::ScenarioOptions killed_options = options;
+    if (step == 0) {
+      killed.after_append = [](std::uint64_t appended) {
+        if (appended == 9) throw CheckpointInterrupted{"crash after append"};
+      };
+    } else if (step == 1) {
+      killed.segment_bytes = 4096;
+      killed.fail_after_seal = 1;
+    } else {
+      killed_options.checkpoint.stop_after_epoch = 1;
+    }
+    EXPECT_THROW((void)scenario::build_streaming_dataset(killed_options,
+                                                         killed),
+                 CheckpointInterrupted)
+        << "step " << step;
+    const scenario::Dataset resumed =
+        scenario::build_streaming_dataset(options, stream);
+    EXPECT_EQ(all_csv(resumed), baseline) << "killed after step " << step;
+    EXPECT_EQ(resumed.checkpoint_activity.restored, step == 2 ? 1u : 0u)
+        << "killed after step " << step;
+    EXPECT_EQ(resumed.ingest.epochs_run, step == 2 ? 0u : 1u)
+        << "killed after step " << step;
+    EXPECT_EQ(resumed.fault_report.proxy_attempts,
+              dataset().fault_report.proxy_attempts);
+  }
+}
+
+TEST(Resume, KilledMidWriteResumesByteIdentical) {
+  scenario::ScenarioOptions options = small_options();
+  const fs::path root = fresh_dir("kill-mid-write");
+  const scenario::StreamOptions stream = one_shot(root, options);
+  scenario::ScenarioOptions killed = options;
+  killed.checkpoint.short_write_epoch = 1;
+  EXPECT_THROW((void)scenario::build_streaming_dataset(killed, stream),
+               CheckpointInterrupted);
+
+  // The interrupted cut only left a ".tmp" file: nothing is restored,
+  // the whole stream comes back from the WAL and is cut again.
+  const scenario::Dataset resumed =
+      scenario::build_streaming_dataset(options, stream);
+  EXPECT_EQ(all_csv(resumed), all_csv(dataset()));
+  EXPECT_EQ(resumed.checkpoint_activity.restored, 0u);
+  EXPECT_EQ(resumed.checkpoint_activity.saved, 1u);
+  EXPECT_EQ(resumed.ingest.records_recovered, resumed.db.events().size());
+}
+
+TEST(Resume, RepeatedKillsStillConverge) {
+  // Die mid-append, then mid-write of the cut, then right after the
+  // cut; the fourth run finishes from the cut.
+  scenario::ScenarioOptions options = small_options();
+  const fs::path root = fresh_dir("kill-repeat");
+  scenario::StreamOptions stream = one_shot(root, options);
+  stream.after_append = [](std::uint64_t appended) {
+    if (appended == 11) throw CheckpointInterrupted{"crash mid-append"};
+  };
+  EXPECT_THROW((void)scenario::build_streaming_dataset(options, stream),
+               CheckpointInterrupted);
+  stream.after_append = nullptr;
+  for (const auto& [stop, short_write] : {std::pair{0, 1}, std::pair{1, 0}}) {
+    scenario::ScenarioOptions killed = options;
+    killed.checkpoint.stop_after_epoch = stop;
+    killed.checkpoint.short_write_epoch = short_write;
+    EXPECT_THROW((void)scenario::build_streaming_dataset(killed, stream),
+                 CheckpointInterrupted);
+  }
+  const scenario::Dataset resumed =
+      scenario::build_streaming_dataset(options, stream);
+  EXPECT_EQ(all_csv(resumed), all_csv(dataset()));
+  EXPECT_EQ(resumed.checkpoint_activity.restored, 1u);
+}
+
+TEST(Resume, CompletedRunRestoresEverythingOnRerun) {
+  scenario::ScenarioOptions options = small_options();
+  const fs::path root = fresh_dir("full-restore");
+  const scenario::StreamOptions stream = one_shot(root, options);
+  const scenario::Dataset first =
+      scenario::build_streaming_dataset(options, stream);
+  EXPECT_EQ(first.checkpoint_activity.saved, 1u);
+  EXPECT_EQ(first.checkpoint_activity.restored, 0u);
+
+  const scenario::Dataset second =
+      scenario::build_streaming_dataset(options, stream);
+  EXPECT_EQ(second.checkpoint_activity.restored, 1u);
+  EXPECT_EQ(second.checkpoint_activity.saved, 0u);
+  EXPECT_EQ(second.ingest.epochs_run, 0u);
+  EXPECT_EQ(all_csv(second), all_csv(dataset()));
+}
+
+TEST(Resume, DifferentOptionsRejectExistingCheckpoints) {
+  scenario::ScenarioOptions options = small_options();
+  const fs::path root = fresh_dir("option-change");
+  const scenario::StreamOptions stream = one_shot(root, options);
+  (void)scenario::build_streaming_dataset(options, stream);
+
+  // Same directories, different seed: nothing may be reused.
+  scenario::ScenarioOptions other = options;
+  other.seed = 8;
+  const scenario::Dataset rebuilt =
+      scenario::build_streaming_dataset(other, stream);
+  EXPECT_EQ(rebuilt.checkpoint_activity.restored, 0u);
+  EXPECT_EQ(rebuilt.checkpoint_activity.stale, 1u);
+  EXPECT_EQ(rebuilt.checkpoint_activity.saved, 1u);
+  EXPECT_GT(rebuilt.ingest.stale_segments, 0u);
+
+  scenario::ScenarioOptions baseline_other = small_options();
+  baseline_other.seed = 8;
+  EXPECT_EQ(all_csv(rebuilt),
+            all_csv(scenario::build_paper_dataset(baseline_other)));
+}
+
+TEST(Resume, QuarantinedStageFallsBackToRecompute) {
+  // Two epochs; corrupt the newest cut. The resume quarantines it,
+  // restores the previous cut and recomputes only the last epoch.
+  scenario::ScenarioOptions options = small_options();
+  const fs::path root = fresh_dir("quarantine-fallback");
+  const scenario::StreamOptions stream = one_shot(root, options, 2);
+  (void)scenario::build_streaming_dataset(options, stream);
+
+  const fs::path path =
+      fs::path{options.checkpoint.directory} / epoch_filename(1);
+  std::fstream file{path, std::ios::in | std::ios::out | std::ios::binary};
+  file.seekp(static_cast<std::streamoff>(fs::file_size(path) / 3));
+  file.put('\x55');
+  file.close();
+
+  const scenario::Dataset resumed =
+      scenario::build_streaming_dataset(options, stream);
+  EXPECT_EQ(resumed.checkpoint_activity.quarantined, 1u);
+  EXPECT_EQ(resumed.checkpoint_activity.restored, 1u);
+  EXPECT_EQ(resumed.checkpoint_activity.saved, 1u);  // epoch 1 rewritten
+  EXPECT_EQ(resumed.ingest.epochs_run, 1u);
+  EXPECT_EQ(all_csv(resumed), all_csv(dataset()));
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "scenario/stream.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/crc32.hpp"
+#include "snapshot/durable_file.hpp"
 #include "util/error.hpp"
 
 namespace repro::scenario {
@@ -490,6 +491,9 @@ TEST(Stream, EpochCutFromAnotherBackendRefusesIncrementalResume) {
   stream.incremental = false;
   const Dataset exact_resumed = build_streaming_dataset(options, stream);
   EXPECT_EQ(exact_resumed.ingest.epochs_restored, 0u);
+  // The declined cut was loaded but never applied, so it is not
+  // counted as restored.
+  EXPECT_EQ(exact_resumed.checkpoint_activity.restored, 0u);
   ScenarioOptions batch = small_options(false);
   batch.b_backend = cluster::BackendKind::kExact;
   EXPECT_EQ(all_csv(exact_resumed), all_csv(build_paper_dataset(batch)));
@@ -698,8 +702,8 @@ TEST(Stream, CutThatDisagreesWithTheReplayIsNeverTrusted) {
         section.payload[12] = section.payload[12] == '0' ? '1' : '0';
       }
     }
-    const std::vector<std::uint8_t> forged = snapshot::encode_snapshot(
-        snapshot::Stage::kEpoch, cut.fingerprint, cut.sections);
+    const std::vector<std::uint8_t> forged =
+        snapshot::encode_snapshot(cut.fingerprint, cut.sections);
     {
       std::ofstream out{path, std::ios::binary | std::ios::trunc};
       out.write(reinterpret_cast<const char*>(forged.data()),
@@ -712,7 +716,7 @@ TEST(Stream, CutThatDisagreesWithTheReplayIsNeverTrusted) {
         << "rewrite_count=" << rewrite_count;
     EXPECT_EQ(resumed.ingest.epochs_restored, 0u);
     EXPECT_EQ(resumed.ingest.epochs_run, 3u);
-    EXPECT_EQ(resumed.checkpoint_activity.restored, 1u);  // the landscape
+    EXPECT_EQ(resumed.checkpoint_activity.restored, 0u);
     EXPECT_EQ(resumed.checkpoint_activity.quarantined, 1u);
     EXPECT_TRUE(fs::exists(path.string() + ".quarantined"));
   }

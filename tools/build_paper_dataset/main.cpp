@@ -4,6 +4,8 @@
 // to the durable streaming epoch loop (crash-safe WAL + epoch
 // checkpoints — kill this process at any point and rerun the same
 // command to resume; the exports come out byte-identical either way).
+// The batch build does not checkpoint: the durable one-shot build is
+// `--epochs 1 --wal-dir DIR --checkpoint-dir DIR`.
 //
 //   build_paper_dataset --scale 0.25 --threads 8
 //       --faults paper --checkpoint-dir ckpt --epochs 4 --wal-dir wal
@@ -58,7 +60,10 @@ void usage(std::ostream& os) {
         "  --cluster-backend B    B-clustering backend: lsh, exact, or\n"
         "                         kmeans (default lsh)\n"
         "  --faults none|paper    fault-injection plan (default none)\n"
-        "  --checkpoint-dir DIR   crash-safe stage/epoch snapshots\n"
+        "  --checkpoint-dir DIR   streaming mode: crash-safe epoch cuts"
+        " (with --wal-dir;\n"
+        "                         --epochs 1 is the durable one-shot"
+        " build)\n"
         "  --epochs N             streaming mode: epoch batches (with"
         " --wal-dir)\n"
         "  --wal-dir DIR          streaming mode: WAL segment directory\n"
@@ -140,6 +145,12 @@ CliOptions parse_cli(int argc, char** argv) {
   cli.streaming = have_epochs || !cli.stream.wal_dir.empty();
   if (cli.streaming && cli.stream.wal_dir.empty()) {
     throw repro::ConfigError("--epochs requires --wal-dir");
+  }
+  if (!cli.scenario.checkpoint.directory.empty() && !cli.streaming) {
+    throw repro::ConfigError(
+        "--checkpoint-dir requires --wal-dir (the batch build does not "
+        "checkpoint; use --epochs 1 --wal-dir DIR for a durable one-shot "
+        "build)");
   }
   if (cli.kill_after_records != 0 && !cli.streaming) {
     throw repro::ConfigError("--kill-after-records requires --wal-dir");

@@ -618,7 +618,7 @@ struct ProjectChecker {
   // RL010 — durability ordering on the crash-safety paths: every rename
   // must see an fsync of the written file before it and a directory
   // fsync after it, in the same function (an fsync inside a directly
-  // called project function counts — that is how fsync_or_throw and
+  // called project function counts — that is how fsync_file and
   // fsync_dir factor the protocol).
   void check_durability_ordering() {
     const auto fsyncs_directly = [](const FunctionInfo& fn) {
@@ -658,7 +658,7 @@ struct ProjectChecker {
                    "() without a preceding fsync of the written file — a "
                    "crash can publish the final name over unsynced bytes",
                "fsync the written file (or call a helper that does, e.g. "
-               "fsync_or_throw) before the rename, as in snapshot "
+               "fsync_file) before the rename, as in snapshot "
                "atomic_write");
         }
         if (!fsync_on_side(/*before=*/false)) {
