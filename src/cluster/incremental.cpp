@@ -225,13 +225,12 @@ void IncrementalEpm::restore(const honeypot::EventDatabase& db,
         "IncrementalEpm::restore: invariant table arity mismatch");
   }
   events_seen_ = db.events().size();
-  const bool have_counts = !counts_blob.empty();
-  if (have_counts) decode_counts(counts_blob);
+  decode_counts(counts_blob);
 
   for (const honeypot::AttackEvent& event : db.events()) {
     RowRef ref = extract_row(event, db);
     if (ref.row == nullptr) continue;
-    add_row(std::move(ref), event, /*count=*/!have_counts);
+    add_row(std::move(ref), event, /*count=*/false);
   }
   if (rows_.size() != result.assignment.size()) {
     throw ConfigError(
@@ -243,18 +242,16 @@ void IncrementalEpm::restore(const honeypot::EventDatabase& db,
         "IncrementalEpm::restore: event ids disagree with the restored "
         "clustering");
   }
-  if (have_counts) {
-    // Every value's persisted instance count must equal the number of
-    // restored rows holding it — the cheap full cross-check that the
-    // blob and the database describe the same prefix.
-    for (std::size_t f = 0; f < schema_.size(); ++f) {
-      for (const std::string& value : sorted_keys(stats_[f])) {
-        const ValueStats& stats = stats_[f].at(value);
-        if (stats.instances != stats.rows.size()) {
-          throw ConfigError(
-              "IncrementalEpm::restore: counting state disagrees with the "
-              "restored rows");
-        }
+  // Every value's persisted instance count must equal the number of
+  // restored rows holding it — the cheap full cross-check that the blob
+  // and the database describe the same prefix.
+  for (std::size_t f = 0; f < schema_.size(); ++f) {
+    for (const std::string& value : sorted_keys(stats_[f])) {
+      const ValueStats& stats = stats_[f].at(value);
+      if (stats.instances != stats.rows.size()) {
+        throw ConfigError(
+            "IncrementalEpm::restore: counting state disagrees with the "
+            "restored rows");
       }
     }
   }

@@ -25,9 +25,7 @@
 // it from the resumed database (rebuilt by replaying the cut's WAL
 // prefix) + the cut's clustering result, and the blob
 // contributes the counts plus the cumulative reclassification total
-// (the deterministic `epm.instances_reclassified` counter). A cut
-// written by the full-recompute path has no blob; restore() then
-// recounts from the restored rows, which yields the same state.
+// (the deterministic `epm.instances_reclassified` counter).
 #pragma once
 
 #include <cstdint>
@@ -58,9 +56,8 @@ class IncrementalEpm {
 
   /// Re-primes the engine from a restored checkpoint: the database, the
   /// clustering result of the cut, and the counting-state blob written
-  /// by encode_counts() (empty when the cut came from the full-recompute
-  /// path — the counts are then rebuilt from the rows). Throws
-  /// ConfigError when the pieces are mutually inconsistent.
+  /// by encode_counts(). Throws ParseError on a malformed (or empty)
+  /// blob and ConfigError when the pieces are mutually inconsistent.
   void restore(const honeypot::EventDatabase& db, const EpmResult& result,
                std::span<const std::uint8_t> counts_blob);
 
@@ -116,7 +113,7 @@ class IncrementalEpm {
   [[nodiscard]] RowRef extract_row(const honeypot::AttackEvent& event,
                                    const honeypot::EventDatabase& db);
   /// Appends one row; updates postings always, counts only when
-  /// `count` (restore-with-blob already has them).
+  /// `count` (restore takes them from the blob).
   void add_row(RowRef ref, const honeypot::AttackEvent& event, bool count);
   [[nodiscard]] bool meets(const ValueStats& stats,
                            const InvariantThresholds& thresholds) const;

@@ -8,6 +8,7 @@
 #include <tuple>
 #include <utility>
 
+#include "cluster/backend.hpp"
 #include "cluster/feature.hpp"
 #include "cluster/incremental.hpp"
 #include "malware/binary.hpp"
@@ -934,7 +935,11 @@ EpochClusters cluster_epoch(const honeypot::EventDatabase& db,
     behavioral.metrics = b_metrics;
     if (incremental != nullptr) {
       behavioral.signature_cache = &incremental->signatures;
-      behavioral.prior_assignment = &incremental->prior_b;
+      // Seeding from the prior partition is only sound under
+      // connected-component semantics; other backends recompute theirs.
+      if (cluster::cluster_backend(options.b_backend).single_linkage()) {
+        behavioral.prior_assignment = &incremental->prior_b;
+      }
     }
     out.b = analysis::BehavioralView::build(db, behavioral);
   });

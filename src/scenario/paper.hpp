@@ -145,7 +145,8 @@ struct IncrementalClustering {
   cluster::IncrementalEpm& m;
   cluster::SignatureStore& signatures;
   /// The previous epoch's B partition; its rows are a prefix of this
-  /// epoch's, so it seeds B's union-find.
+  /// epoch's, so it seeds B's union-find when the backend is
+  /// single-linkage.
   const std::vector<int>& prior_b;
 };
 
@@ -160,11 +161,12 @@ struct EpochClusters {
 /// same immutable database, so they run as concurrent pool tasks, each
 /// under a "cluster.e|p|m|b" span whose parent is `parent`. B uses
 /// `options.b_threshold` and `options.b_backend`. With `incremental`,
-/// E/P/M advance their engines and B reuses cached signatures and the
-/// prior partition; without it everything is recomputed. Both give
-/// byte-identical results. `b_metrics` receives B's work counters (the
-/// batch build's ABL-9 counters); the streaming loop passes none, since
-/// per-process counts would differ across a kill and resume.
+/// E/P/M advance their engines and B reuses cached signatures (and, for
+/// a single-linkage backend, the prior partition); without it
+/// everything is recomputed. Both give byte-identical results.
+/// `b_metrics` receives B's work counters (the batch build's ABL-9
+/// counters); the streaming loop passes none, since per-process counts
+/// would differ across a kill and resume.
 [[nodiscard]] EpochClusters cluster_epoch(
     const honeypot::EventDatabase& db, const ScenarioOptions& options,
     ThreadPool& pool, obs::TraceRecorder::SpanId parent,

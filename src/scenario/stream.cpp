@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/backend.hpp"
 #include "cluster/incremental.hpp"
 #include "cluster/minhash.hpp"
 #include "ingest/queue.hpp"
@@ -36,6 +35,13 @@ namespace {
 /// original order and therefore reproduces the batch database
 /// byte-for-byte (same sample ids, same first_seen, same event counts).
 constexpr std::uint8_t kRecordVersion = 1;
+
+/// Bounded ingest queue capacity. The epoch driver always uses the
+/// kBlock overflow policy: a full queue stalls the producer and is
+/// drained to the WAL, so no record is ever shed (shedding would break
+/// the byte-identity guarantee; the kShedOldest policy is for lossy
+/// sensor-side buffers and is exercised by the ingest tests).
+constexpr std::size_t kQueueCapacity = 64;
 
 [[nodiscard]] std::vector<std::uint8_t> encode_record(
     const honeypot::AttackEvent& event,
@@ -117,9 +123,6 @@ void StreamOptions::validate() const {
   if (epochs == 0) {
     throw ConfigError("StreamOptions: epochs must be at least 1");
   }
-  if (queue_capacity == 0) {
-    throw ConfigError("StreamOptions: queue_capacity must be at least 1");
-  }
   ingest::WalOptions wal;
   wal.directory = wal_dir;
   wal.segment_bytes = segment_bytes;
@@ -131,17 +134,6 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
                                 const StreamOptions& stream) {
   options.faults.validate();
   stream.validate();
-  if ((stream.incremental || stream.verify_incremental) &&
-      !cluster::cluster_backend(options.b_backend).single_linkage()) {
-    // Prefix seeding from the prior epoch's partition is only sound
-    // under connected-component semantics; re-centering backends must
-    // recompute every epoch.
-    throw ConfigError(
-        "incremental epoch clustering requires a single-linkage backend; "
-        "run backend '" +
-        std::string{cluster::backend_name(options.b_backend)} +
-        "' with --full-recluster");
-  }
   const std::uint64_t fingerprint = scenario_fingerprint(options);
   snapshot::CheckpointStore store{options.checkpoint, fingerprint};
 
@@ -198,26 +190,14 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   }
 
   std::optional<snapshot::EpochStage> restored = store.load_latest_epoch();
-  if (restored && restored->wal_records > total) {
-    // A matching fingerprint can never produce more records than the
-    // regenerated stream; never trust disk anyway.
-    restored.reset();
-  }
-  if (restored && restored->b_backend != options.b_backend) {
-    // The cut's behavioral partition came from another backend. The
-    // incremental path would seed this backend's union-find from it —
-    // a silent stale partition — so it refuses the switch outright;
-    // the full-recompute path just declines the cut and replays the
-    // WAL from the start (everything it recomputes is backend-pure).
-    if (stream.incremental || stream.verify_incremental) {
-      throw ConfigError(
-          "epoch checkpoint was cut by cluster backend '" +
-          std::string{cluster::backend_name(restored->b_backend)} +
-          "' but this run selects '" +
-          std::string{cluster::backend_name(options.b_backend)} +
-          "'; incremental seeding across backends is unsound — use a "
-          "fresh checkpoint directory or --full-recluster");
-    }
+  if (restored && (restored->wal_records > total ||
+                   restored->b_backend != options.b_backend)) {
+    // Decline the cut and replay from record 0. A matching fingerprint
+    // can never produce more records than the regenerated stream (never
+    // trust disk anyway). The fingerprint excludes the backend, so the
+    // cut's backend tag is what keeps another backend's partition from
+    // seeding this one; a cold replay recomputes everything under the
+    // backend this run selects.
     restored.reset();
   }
 
@@ -243,6 +223,14 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     return records[static_cast<std::size_t>(index)];
   };
 
+  // Incremental clustering engines: durable counting state per EPM
+  // dimension plus the cross-epoch MinHash signature cache, primed from
+  // the restored cut below.
+  cluster::IncrementalEpm inc_e{cluster::Dimension::kEpsilon};
+  cluster::IncrementalEpm inc_p{cluster::Dimension::kPi};
+  cluster::IncrementalEpm inc_m{cluster::Dimension::kMu};
+  cluster::SignatureStore signatures;
+
   std::uint64_t done = 0;  // records already replayed into `db`
   honeypot::EventDatabase db;
   if (restored) {
@@ -250,13 +238,27 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     // cut covers. The cut's fault slice and stream totals already
     // account for these records, so there is no delivery simulation
     // and nothing is appended here. The cut is trusted only once the
-    // replay reproduced exactly its samples.
+    // replay reproduced exactly its samples and its stream totals and
+    // engine state decoded against it.
     for (std::uint64_t i = 0; i < restored->wal_records; ++i) {
       replay_record(record_bytes(i), db);
     }
-    if (!store.apply_epoch(*restored, db)) {
+    const auto prime = [&](const honeypot::EventDatabase& replayed) {
+      ingest::IngestReport totals = report;
+      ingest::decode_stream_totals(restored->ingest_blob, totals);
+      inc_e.restore(replayed, restored->epm.e, restored->e_counts);
+      inc_p.restore(replayed, restored->epm.p, restored->p_counts);
+      inc_m.restore(replayed, restored->epm.m, restored->m_counts);
+      signatures = cluster::decode_signature_store(restored->signature_blob);
+      report = totals;
+    };
+    if (!store.apply_epoch(*restored, db, prime)) {
       restored.reset();
       db = honeypot::EventDatabase{};
+      // Priming may have stopped part-way: start every engine over.
+      inc_e = cluster::IncrementalEpm{cluster::Dimension::kEpsilon};
+      inc_p = cluster::IncrementalEpm{cluster::Dimension::kPi};
+      inc_m = cluster::IncrementalEpm{cluster::Dimension::kMu};
     }
   }
 
@@ -264,15 +266,6 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   fault::FaultReport restored_slice;
   snapshot::EpmStage epm_stage;
   analysis::BehavioralView bview;
-  // Incremental clustering engines: durable counting state per EPM
-  // dimension plus the cross-epoch MinHash signature cache. Primed from
-  // the restored cut below; verify mode also runs them (its published
-  // results are the incremental ones).
-  const bool incremental = stream.incremental || stream.verify_incremental;
-  cluster::IncrementalEpm inc_e{cluster::Dimension::kEpsilon};
-  cluster::IncrementalEpm inc_p{cluster::Dimension::kPi};
-  cluster::IncrementalEpm inc_m{cluster::Dimension::kMu};
-  cluster::SignatureStore signatures;
   bool have_results = false;
   if (restored) {
     done = restored->wal_records;
@@ -280,23 +273,12 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     restored_slice = restored->fault_report;
     epm_stage = std::move(restored->epm);
     bview = std::move(restored->behavioral);
-    ingest::decode_stream_totals(restored->ingest_blob, report);
-    if (incremental) {
-      // Empty blobs (a cut written by the full-recompute path) make the
-      // engines recount from the restored rows — same state, recomputed.
-      inc_e.restore(db, epm_stage.e, restored->e_counts);
-      inc_p.restore(db, epm_stage.p, restored->p_counts);
-      inc_m.restore(db, epm_stage.m, restored->m_counts);
-      if (!restored->signature_blob.empty()) {
-        signatures = cluster::decode_signature_store(restored->signature_blob);
-      }
-    }
     have_results = true;
     report.epochs_restored = 1;
   }
 
   std::uint64_t appended_this_run = 0;
-  ingest::BoundedRecordQueue queue{stream.queue_capacity,
+  ingest::BoundedRecordQueue queue{kQueueCapacity,
                                    ingest::OverflowPolicy::kBlock};
   auto drain_queue = [&] {
     while (auto rec = queue.try_pop()) {
@@ -383,13 +365,12 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
                                            first_sample));
     }
 
-    // Epoch clustering. Incremental (the default): the EPM engines
-    // absorb the epoch's event delta into their durable counting state
-    // and re-generalize only flip-affected rows, and B reuses cached
-    // MinHash signatures for the unchanged profile prefix — both
-    // byte-identical to the full recompute, which `incremental = false`
-    // still runs (this is the cost pair the ABL-10 streaming ablation
-    // measures).
+    // Epoch clustering: the EPM engines absorb the epoch's event delta
+    // into their durable counting state and re-generalize only
+    // flip-affected rows, and B reuses cached MinHash signatures for
+    // the unchanged profile prefix — byte-identical to the full
+    // recompute, which verify mode runs beside it (the cost pair the
+    // ABL-10 streaming ablation measures).
     {
       const obs::TraceRecorder::Scoped cluster_span{
           options.trace, "epoch.cluster", epoch_span.id()};
@@ -400,9 +381,8 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
       epm_stage = {};
       const IncrementalClustering engines{inc_e, inc_p, inc_m, signatures,
                                           bview.clusters().assignment};
-      EpochClusters clusters = cluster_epoch(
-          db, options, pool, cluster_span.id(),
-          incremental ? &engines : nullptr);
+      EpochClusters clusters =
+          cluster_epoch(db, options, pool, cluster_span.id(), &engines);
       epm_stage = std::move(clusters.epm);
       bview = std::move(clusters.b);
     }
@@ -446,20 +426,14 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     report.segments_sealed = writer.segment_index() - 1;
 
     // The engines' durable state travels with the cut so resume is
-    // delta-only; the full-recompute path leaves these empty and a
-    // later incremental resume recounts from the restored rows.
+    // delta-only.
     const std::vector<std::uint8_t> ingest_blob =
         ingest::encode_stream_totals(report);
-    std::vector<std::uint8_t> e_counts;
-    std::vector<std::uint8_t> p_counts;
-    std::vector<std::uint8_t> m_counts;
-    std::vector<std::uint8_t> signature_blob;
-    if (incremental) {
-      e_counts = inc_e.encode_counts();
-      p_counts = inc_p.encode_counts();
-      m_counts = inc_m.encode_counts();
-      signature_blob = cluster::encode_signature_store(signatures);
-    }
+    const std::vector<std::uint8_t> e_counts = inc_e.encode_counts();
+    const std::vector<std::uint8_t> p_counts = inc_p.encode_counts();
+    const std::vector<std::uint8_t> m_counts = inc_m.encode_counts();
+    const std::vector<std::uint8_t> signature_blob =
+        cluster::encode_signature_store(signatures);
     {
       const obs::TraceRecorder::Scoped span{options.trace, "epoch.checkpoint",
                                             epoch_span.id()};
@@ -503,18 +477,16 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   if (options.metrics != nullptr) {
     publish_dataset_metrics(*options.metrics, dataset);
     ingest::publish_ingest_metrics(*options.metrics, report);
-    if (incremental) {
-      // Final-state values of the engines' durable totals: pure
-      // functions of the record sequence and the epoch split, so they
-      // are width-stable and kill-invariant (a resumed run restores
-      // them from the cut instead of re-earning them).
-      obs::add_counter(options.metrics, "epm.instances_reclassified",
-                       inc_e.instances_reclassified() +
-                           inc_p.instances_reclassified() +
-                           inc_m.instances_reclassified());
-      obs::add_counter(options.metrics, "cluster.signatures_reused",
-                       signatures.reused);
-    }
+    // Final-state values of the engines' durable totals: pure functions
+    // of the record sequence and the epoch split, so they are
+    // width-stable and kill-invariant (a resumed run restores them from
+    // the cut instead of re-earning them).
+    obs::add_counter(options.metrics, "epm.instances_reclassified",
+                     inc_e.instances_reclassified() +
+                         inc_p.instances_reclassified() +
+                         inc_m.instances_reclassified());
+    obs::add_counter(options.metrics, "cluster.signatures_reused",
+                     signatures.reused);
     publish_pool_metrics(*options.metrics, pool, pool_metrics);
   }
   return dataset;

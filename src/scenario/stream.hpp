@@ -9,9 +9,10 @@
 // split into N epochs; each epoch replays its record delta into the
 // event database, enriches the delta, advances the E/P/M/B clusterings
 // incrementally (delta counting + flip-triggered reclassification for
-// EPM, signature-cached LSH for B — byte-identical to a full recompute,
-// which StreamOptions::incremental=false still runs) and cuts an epoch
-// checkpoint. A run killed at any point — mid-epoch,
+// EPM, cached MinHash signatures for B, plus prior-partition seeding
+// when the backend is single-linkage — byte-identical to a full
+// recompute, which StreamOptions::verify_incremental cross-checks) and
+// cuts an epoch checkpoint. A run killed at any point — mid-epoch,
 // mid-append, mid-segment-rotation, mid-checkpoint-write — resumes
 // from the newest valid epoch cut plus the recovered WAL tail and
 // finishes with byte-identical output, which is the contract pinned by
@@ -38,25 +39,11 @@ struct StreamOptions {
   std::uint64_t segment_bytes = 1u << 20;
   /// Sensor-to-collector retry/backoff policy.
   ingest::RetryPolicy retry;
-  /// Bounded ingest queue capacity. The epoch driver always uses the
-  /// kBlock overflow policy: a full queue stalls the producer and is
-  /// drained to the WAL, so no record is ever shed (shedding would
-  /// break the byte-identity guarantee; the kShedOldest policy is for
-  /// lossy sensor-side buffers and is exercised by the ingest tests).
-  std::size_t queue_capacity = 64;
-  /// Incremental epoch clustering (the default): E/P/M advance durable
-  /// per-(feature,value) counting state and re-generalize only rows
-  /// whose invariant status flipped, and B reuses cached MinHash
-  /// signatures for the unchanged profile prefix. Off re-runs the full
-  /// clustering every epoch — the pre-incremental behavior, kept as the
-  /// verification baseline and for the ABL-10 cost comparison. Both
-  /// modes produce byte-identical output.
-  bool incremental = true;
-  /// Cross-check mode: every computed epoch runs BOTH the incremental
-  /// and the full path and byte-compares their serialized results,
+  /// Cross-check mode: every computed epoch also runs the full batch
+  /// clustering and byte-compares it against the incremental results,
   /// throwing ConfigError on the first divergence. Costs both paths per
-  /// epoch — a test/CI mode, not a production one. Implies the
-  /// incremental results are the ones published and checkpointed.
+  /// epoch — a test/CI mode, not a production one. The incremental
+  /// results are still the ones published and checkpointed.
   bool verify_incremental = false;
   /// Test seam, forwarded to WalOptions::fail_after_seal: simulated
   /// crash between sealing a segment and opening the next one.
@@ -78,8 +65,8 @@ struct StreamOptions {
                      const analysis::BehavioralView& b, std::size_t epoch)>
       on_epoch;
 
-  /// Throws ConfigError on zero epochs/capacity, an empty wal_dir, or
-  /// an invalid retry policy.
+  /// Throws ConfigError on zero epochs, an empty wal_dir, or an invalid
+  /// retry policy.
   void validate() const;
 };
 

@@ -198,8 +198,7 @@ void CheckpointStore::save_epoch(const EpochCut& cut) {
        blob("signatures", cut.signature_blob)});
   const std::string path =
       (fs::path{options_.directory} / epoch_filename(cut.epoch)).string();
-  const int ordinal = static_cast<int>(cut.epoch) + 1;
-  if (options_.short_write_epoch == ordinal) {
+  if (options_.short_write_epoch == static_cast<int>(cut.epoch) + 1) {
     // Simulated crash mid-write: half the bytes reach the temp file,
     // which is never fsynced or renamed over the final name.
     std::ofstream{path + ".tmp", std::ios::binary | std::ios::trunc}.write(
@@ -211,10 +210,6 @@ void CheckpointStore::save_epoch(const EpochCut& cut) {
   atomic_write(path, bytes, "checkpoint");
   ++activity_.saved;
   activity_.bytes_written += bytes.size();
-  if (options_.stop_after_epoch == ordinal) {
-    throw CheckpointInterrupted("simulated crash after epoch " +
-                                std::to_string(cut.epoch));
-  }
 }
 
 std::optional<EpochStage> CheckpointStore::load_latest_epoch() {
@@ -290,8 +285,9 @@ std::optional<EpochStage> CheckpointStore::load_latest_epoch() {
   return std::nullopt;
 }
 
-bool CheckpointStore::apply_epoch(const EpochStage& stage,
-                                  honeypot::EventDatabase& db) {
+bool CheckpointStore::apply_epoch(
+    const EpochStage& stage, honeypot::EventDatabase& db,
+    const std::function<void(const honeypot::EventDatabase&)>& prime) {
   std::vector<honeypot::MalwareSample>& samples = db.samples_mutable();
   bool matches = stage.sample_count == samples.size() &&
                  stage.samples.size() == samples.size();
@@ -307,8 +303,10 @@ bool CheckpointStore::apply_epoch(const EpochStage& stage,
     }
     try {
       db.check_consistency();
+      prime(db);
       ++activity_.restored;
       return true;
+    } catch (const ParseError&) {
     } catch (const ConfigError&) {
     }
   }

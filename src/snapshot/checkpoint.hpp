@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -97,10 +98,6 @@ struct CheckpointOptions {
   /// Directory the epoch cuts live in; empty disables checkpointing.
   /// Created on first use.
   std::string directory;
-  /// Test seam: throw CheckpointInterrupted right after the cut of the
-  /// epoch with this 1-based ordinal (epoch index + 1) has been durably
-  /// saved (0 = never). Simulates a crash between epochs.
-  int stop_after_epoch = 0;
   /// Test seam: abandon the temp file halfway through writing the cut
   /// of epoch N and throw CheckpointInterrupted (0 = never). Simulates
   /// a crash mid-write; the partial ".tmp" must never be mistaken for a
@@ -129,8 +126,9 @@ struct EpochStage {
   std::uint64_t wal_records = 0;  // records covered by this state
   /// Backend that produced `behavioral`. The scenario fingerprint
   /// deliberately excludes the backend (everything else in a cut is
-  /// backend-independent), so this tag is what stops an incremental
-  /// resume from seeding one backend with another's partition.
+  /// backend-independent), so this tag is what makes a resume under
+  /// another backend decline the cut instead of seeding from its
+  /// partition.
   cluster::BackendKind b_backend = cluster::BackendKind::kLsh;
   /// Samples the replayed prefix must produce, and their enrichment
   /// outputs in sample-id order.
@@ -144,9 +142,8 @@ struct EpochStage {
   std::vector<std::uint8_t> ingest_blob;
   /// Opaque incremental-clustering state: per-dimension EPM counting
   /// blobs (cluster::IncrementalEpm::encode_counts) and the MinHash
-  /// signature store (cluster::encode_signature_store). Empty when the
-  /// cut was written by the full-recompute path — the engines then
-  /// re-derive the state from the restored rows.
+  /// signature store (cluster::encode_signature_store). A cut whose
+  /// blobs cannot prime the engines is never trusted (apply_epoch).
   std::vector<std::uint8_t> e_counts;
   std::vector<std::uint8_t> p_counts;
   std::vector<std::uint8_t> m_counts;
@@ -192,12 +189,15 @@ class CheckpointStore {
   /// Completes a loaded cut against `db`, the database rebuilt by
   /// replaying the cut's WAL prefix: the replay must have produced
   /// exactly the cut's samples (their count and every md5), then the
-  /// enrichment column is applied and the database's cross-references
-  /// are checked. Only then is the cut counted as restored. On any
-  /// mismatch the cut file is quarantined and false is returned: the
-  /// cut describes some other record sequence and is never trusted.
-  [[nodiscard]] bool apply_epoch(const EpochStage& stage,
-                                 honeypot::EventDatabase& db);
+  /// enrichment column is applied, the database's cross-references are
+  /// checked, and `prime` rebuilds the caller's derived state from the
+  /// cut and the completed database. Only then is the cut counted as
+  /// restored. On any mismatch, or a ParseError/ConfigError from
+  /// `prime`, the cut file is quarantined and false is returned: the
+  /// cut is never trusted, and the caller recomputes from record 0.
+  [[nodiscard]] bool apply_epoch(
+      const EpochStage& stage, honeypot::EventDatabase& db,
+      const std::function<void(const honeypot::EventDatabase&)>& prime);
 
   /// What the store did this run — lets callers (and tests) see whether
   /// a cut was restored, and whether files were thrown out.

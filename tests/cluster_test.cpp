@@ -1056,7 +1056,7 @@ TEST(IncrementalEpm, RestoreResumesFromBlobOrRecounts) {
   for (std::size_t i = 30; i < events.size(); ++i) db.add_event(events[i]);
   const EpmResult live = engine.update(db);
 
-  // Resume from the cut with the counting-state blob...
+  // Resume from the cut with the counting-state blob.
   honeypot::EventDatabase resumed_db;
   for (std::size_t i = 0; i < 30; ++i) resumed_db.add_event(events[i]);
   IncrementalEpm resumed{Dimension::kEpsilon};
@@ -1066,18 +1066,6 @@ TEST(IncrementalEpm, RestoreResumesFromBlobOrRecounts) {
     resumed_db.add_event(events[i]);
   }
   expect_same_clustering(resumed.update(resumed_db), live);
-
-  // ...and from a full-recompute cut (no blob): the counts are rebuilt
-  // from the rows and the engine continues identically.
-  honeypot::EventDatabase recounted_db;
-  for (std::size_t i = 0; i < 30; ++i) recounted_db.add_event(events[i]);
-  IncrementalEpm recounted{Dimension::kEpsilon};
-  recounted.restore(recounted_db, cut, {});
-  EXPECT_EQ(recounted.instances_reclassified(), 0u);
-  for (std::size_t i = 30; i < events.size(); ++i) {
-    recounted_db.add_event(events[i]);
-  }
-  expect_same_clustering(recounted.update(recounted_db), live);
 }
 
 TEST(IncrementalEpm, RestoreRejectsInconsistentState) {
@@ -1095,6 +1083,10 @@ TEST(IncrementalEpm, RestoreRejectsInconsistentState) {
   tampered[0] ^= 0xff;  // version
   IncrementalEpm fresh{Dimension::kEpsilon};
   EXPECT_THROW(fresh.restore(db, cut, tampered), ParseError);
+
+  // The counts are mandatory: an empty blob is not a recount request.
+  IncrementalEpm blobless{Dimension::kEpsilon};
+  EXPECT_THROW(blobless.restore(db, cut, {}), ParseError);
 
   // A database that moved past the cut no longer matches the blob.
   db.add_event(stream_event("late", 1, 100));

@@ -508,6 +508,9 @@ void save_dataset_cut(const fs::path& dir,
   writer.save_epoch(dataset_cut(backend));
 }
 
+/// An apply_epoch priming step for callers that keep no derived state.
+void prime_nothing(const honeypot::EventDatabase&) {}
+
 /// The shared dataset's database as a WAL replay rebuilds it: every
 /// event and sample, but no enrichment outputs.
 honeypot::EventDatabase replayed_database() {
@@ -541,7 +544,7 @@ TEST(Store, SaveThenLoadRestores) {
   // Loading is not restoring: the caller may still decline the cut.
   EXPECT_EQ(reader.activity().restored, 0u);
   honeypot::EventDatabase db = replayed_database();
-  ASSERT_TRUE(reader.apply_epoch(*loaded, db));
+  ASSERT_TRUE(reader.apply_epoch(*loaded, db, prime_nothing));
   EXPECT_EQ(reader.activity().restored, 1u);
 }
 
@@ -634,7 +637,7 @@ TEST(Store, EpochCutCompletesTheReplayedDatabase) {
   const auto loaded = reader.load_latest_epoch();
   ASSERT_TRUE(loaded.has_value());
   honeypot::EventDatabase db = replayed_database();
-  ASSERT_TRUE(reader.apply_epoch(*loaded, db));
+  ASSERT_TRUE(reader.apply_epoch(*loaded, db, prime_nothing));
   EXPECT_NO_THROW(db.check_consistency());
   const std::vector<honeypot::MalwareSample>& expected =
       dataset().db.samples();
@@ -652,12 +655,44 @@ TEST(Store, EpochCutCompletesTheReplayedDatabase) {
   EXPECT_EQ(reader.activity().quarantined, 0u);
 }
 
+TEST(Store, CutThatCannotPrimeTheCallerIsQuarantined) {
+  // The replay matched, but the caller's derived state cannot be rebuilt
+  // from the cut: it is set aside, never counted as restored.
+  for (const bool parse_error : {true, false}) {
+    const fs::path dir =
+        fresh_dir(parse_error ? "prime-parse" : "prime-config");
+    save_dataset_cut(dir);
+
+    CheckpointStore reader{CheckpointOptions{dir.string()}, 42};
+    const auto loaded = reader.load_latest_epoch();
+    ASSERT_TRUE(loaded.has_value());
+    honeypot::EventDatabase db = replayed_database();
+    EXPECT_FALSE(reader.apply_epoch(
+        *loaded, db, [parse_error](const honeypot::EventDatabase&) {
+          if (parse_error) throw ParseError("unreadable engine state");
+          throw ConfigError("engine state disagrees with the replay");
+        }));
+    EXPECT_EQ(reader.activity().restored, 0u);
+    EXPECT_EQ(reader.activity().quarantined, 1u);
+    EXPECT_FALSE(fs::exists(dir / epoch_filename(2)));
+  }
+}
+
 // --- Kill-resume of the durable one-shot build ------------------------------
 //
 // The batch build does not checkpoint; the durable one-shot build is the
 // streaming epoch loop with a single epoch (`--epochs 1 --wal-dir`).
 // These tests pin its kill-resume guarantee against the batch output;
 // tests/stream_test.cpp tortures the multi-epoch loop.
+
+/// An on_epoch hook that simulates the process dying right after the
+/// cut of 1-based epoch `epoch` is durable.
+auto crash_after_epoch(std::size_t epoch) {
+  return [epoch](const honeypot::EventDatabase&, const EpmStage&,
+                 const analysis::BehavioralView&, std::size_t durable) {
+    if (durable == epoch) throw CheckpointInterrupted{"crash after the cut"};
+  };
+}
 
 /// Durable one-shot options rooted under `root` (wal/ + ckpt/).
 scenario::StreamOptions one_shot(const fs::path& root,
@@ -686,7 +721,6 @@ TEST(Resume, KilledAfterEachStageResumesByteIdentical) {
     const fs::path root = fresh_dir("kill-after-" + std::to_string(step));
     scenario::StreamOptions stream = one_shot(root, options);
     scenario::StreamOptions killed = stream;
-    scenario::ScenarioOptions killed_options = options;
     if (step == 0) {
       killed.after_append = [](std::uint64_t appended) {
         if (appended == 9) throw CheckpointInterrupted{"crash after append"};
@@ -695,10 +729,9 @@ TEST(Resume, KilledAfterEachStageResumesByteIdentical) {
       killed.segment_bytes = 4096;
       killed.fail_after_seal = 1;
     } else {
-      killed_options.checkpoint.stop_after_epoch = 1;
+      killed.on_epoch = crash_after_epoch(1);
     }
-    EXPECT_THROW((void)scenario::build_streaming_dataset(killed_options,
-                                                         killed),
+    EXPECT_THROW((void)scenario::build_streaming_dataset(options, killed),
                  CheckpointInterrupted)
         << "step " << step;
     const scenario::Dataset resumed =
@@ -744,13 +777,14 @@ TEST(Resume, RepeatedKillsStillConverge) {
   EXPECT_THROW((void)scenario::build_streaming_dataset(options, stream),
                CheckpointInterrupted);
   stream.after_append = nullptr;
-  for (const auto& [stop, short_write] : {std::pair{0, 1}, std::pair{1, 0}}) {
-    scenario::ScenarioOptions killed = options;
-    killed.checkpoint.stop_after_epoch = stop;
-    killed.checkpoint.short_write_epoch = short_write;
-    EXPECT_THROW((void)scenario::build_streaming_dataset(killed, stream),
-                 CheckpointInterrupted);
-  }
+  scenario::ScenarioOptions killed = options;
+  killed.checkpoint.short_write_epoch = 1;
+  EXPECT_THROW((void)scenario::build_streaming_dataset(killed, stream),
+               CheckpointInterrupted);
+  scenario::StreamOptions stopped = stream;
+  stopped.on_epoch = crash_after_epoch(1);
+  EXPECT_THROW((void)scenario::build_streaming_dataset(options, stopped),
+               CheckpointInterrupted);
   const scenario::Dataset resumed =
       scenario::build_streaming_dataset(options, stream);
   EXPECT_EQ(all_csv(resumed), all_csv(dataset()));

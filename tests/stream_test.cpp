@@ -13,9 +13,12 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "cluster/backend.hpp"
 #include "fault/plan.hpp"
 #include "io/csv_export.hpp"
 #include "obs/metrics.hpp"
@@ -76,6 +79,25 @@ const std::string& batch_csv(bool faults) {
   static const std::string faulty = all_csv(build_paper_dataset(
       small_options(true)));
   return faults ? faulty : plain;
+}
+
+/// The faulty batch baseline under B backend `backend`.
+std::string backend_batch_csv(cluster::BackendKind backend) {
+  ScenarioOptions batch = small_options(true);
+  batch.b_backend = backend;
+  return all_csv(build_paper_dataset(batch));
+}
+
+/// An on_epoch hook that simulates the process dying right after the
+/// cut of 1-based epoch `epoch` is durable.
+auto crash_after_epoch(std::size_t epoch) {
+  return [epoch](const honeypot::EventDatabase&, const snapshot::EpmStage&,
+                 const analysis::BehavioralView&, std::size_t durable) {
+    if (durable == epoch) {
+      throw snapshot::CheckpointInterrupted{"simulated crash after epoch " +
+                                            std::to_string(epoch)};
+    }
+  };
 }
 
 // --- Batch equivalence ------------------------------------------------------
@@ -140,25 +162,24 @@ Dataset killed_then_resumed(ScenarioOptions options, StreamOptions stream) {
     interrupted = true;
   }
   EXPECT_TRUE(interrupted) << "seam never fired";
-  options.checkpoint.stop_after_epoch = 0;
   options.checkpoint.short_write_epoch = 0;
   stream.fail_after_seal = 0;
   stream.after_append = nullptr;
+  stream.on_epoch = nullptr;
   return build_streaming_dataset(options, stream);
 }
 
 TEST(Stream, KilledAfterEachEpochResumesByteIdentical) {
-  for (int epoch = 1; epoch <= 3; ++epoch) {
+  for (std::size_t epoch = 1; epoch <= 3; ++epoch) {
     ScenarioOptions options = small_options(true);
     const fs::path root = fresh_dir("epoch-kill-" + std::to_string(epoch));
-    const StreamOptions stream = stream_under(root, options);
-    options.checkpoint.stop_after_epoch = epoch;
+    StreamOptions stream = stream_under(root, options);
+    stream.on_epoch = crash_after_epoch(epoch);
     const Dataset resumed = killed_then_resumed(options, stream);
     EXPECT_EQ(all_csv(resumed), batch_csv(true)) << "killed after epoch "
                                                  << epoch;
     EXPECT_EQ(resumed.ingest.epochs_restored, 1u);
-    EXPECT_EQ(resumed.ingest.epochs_run + static_cast<std::uint64_t>(epoch),
-              3u)
+    EXPECT_EQ(resumed.ingest.epochs_run + epoch, 3u)
         << "killed after epoch " << epoch;
   }
 }
@@ -225,10 +246,10 @@ TEST(Stream, RepeatedKillsAtEveryLayerStillConverge) {
   EXPECT_THROW((void)build_streaming_dataset(options, stream),
                snapshot::CheckpointInterrupted);
   options.checkpoint.short_write_epoch = 0;
-  options.checkpoint.stop_after_epoch = 2;
+  stream.on_epoch = crash_after_epoch(2);
   EXPECT_THROW((void)build_streaming_dataset(options, stream),
                snapshot::CheckpointInterrupted);
-  options.checkpoint.stop_after_epoch = 0;
+  stream.on_epoch = nullptr;
   const Dataset resumed = build_streaming_dataset(options, stream);
   EXPECT_EQ(all_csv(resumed), batch_csv(true));
 }
@@ -355,25 +376,11 @@ TEST(Stream, ForeignWalAndCheckpointsAreRejectedNotMixedIn) {
 
 // --- Incremental clustering -------------------------------------------------
 
-TEST(Stream, FullReclusterModeMatchesBatchAtEveryWidth) {
-  // The pre-incremental behavior is kept as the verification baseline;
-  // it must still be byte-identical to the batch build.
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    ScenarioOptions options = small_options(true);
-    options.threads = threads;
-    const fs::path root = fresh_dir("full-" + std::to_string(threads));
-    StreamOptions stream = stream_under(root, options);
-    stream.incremental = false;
-    const Dataset ds = build_streaming_dataset(options, stream);
-    EXPECT_EQ(all_csv(ds), batch_csv(true)) << "threads=" << threads;
-  }
-}
-
 TEST(Stream, VerifyIncrementalPassesAtEveryWidthUnderFaults) {
   // The cross-check mode byte-compares every epoch's incremental
-  // results against a fresh full recompute and throws on the first
-  // divergence — so a completed run IS the proof, per width and fault
-  // plan.
+  // results against a fresh full recompute (the batch clustering step)
+  // and throws on the first divergence — so a completed run IS the
+  // proof, per width and fault plan.
   for (const bool faults : {false, true}) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
       ScenarioOptions options = small_options(faults);
@@ -391,12 +398,12 @@ TEST(Stream, VerifyIncrementalPassesAtEveryWidthUnderFaults) {
 }
 
 TEST(Stream, VerifyIncrementalSurvivesKillsAtEveryEpochBoundary) {
-  for (int epoch = 1; epoch <= 3; ++epoch) {
+  for (std::size_t epoch = 1; epoch <= 3; ++epoch) {
     ScenarioOptions options = small_options(true);
     const fs::path root = fresh_dir("verify-kill-" + std::to_string(epoch));
     StreamOptions stream = stream_under(root, options);
     stream.verify_incremental = true;
-    options.checkpoint.stop_after_epoch = epoch;
+    stream.on_epoch = crash_after_epoch(epoch);
     const Dataset resumed = killed_then_resumed(options, stream);
     EXPECT_EQ(all_csv(resumed), batch_csv(true))
         << "killed after epoch " << epoch;
@@ -424,92 +431,86 @@ TEST(Stream, VerifyIncrementalSurvivesMidEpochKills) {
   }
 }
 
-TEST(Stream, MixedModeResumeRecountsFromAFullModeCut) {
-  // Epoch 1's cut is written by the full-recompute path, so it carries
-  // no counting-state blobs. Resuming with the incremental default must
-  // rebuild the counts from the restored rows; verify mode cross-checks
-  // every subsequently computed epoch against the full path.
+// --- Backends ---------------------------------------------------------------
+
+/// (backend, verify_incremental)
+class StreamBackend
+    : public ::testing::TestWithParam<std::tuple<cluster::BackendKind, bool>> {
+};
+
+TEST_P(StreamBackend, KilledAfterEachEpochMatchesItsBatchBuild) {
+  // Every backend streams in the one epoch clustering mode: E/P/M delta
+  // counting and cached signatures always, prior-partition seeding
+  // only for the single-linkage backends (kmeans recomputes its
+  // partition each epoch). Killed after every epoch, at every width,
+  // with and without the verify cross-check, each resume must export
+  // exactly what the batch build under the same backend exports.
+  const auto [backend, verify] = GetParam();
+  const std::string expected = backend_batch_csv(backend);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    for (std::size_t epoch = 1; epoch <= 3; ++epoch) {
+      ScenarioOptions options = small_options(true);
+      options.b_backend = backend;
+      options.threads = threads;
+      const fs::path root = fresh_dir(
+          std::string{cluster::backend_name(backend)} +
+          (verify ? "-verify-" : "-") + std::to_string(threads) + "-" +
+          std::to_string(epoch));
+      StreamOptions stream = stream_under(root, options);
+      stream.verify_incremental = verify;
+      stream.on_epoch = crash_after_epoch(epoch);
+      const Dataset resumed = killed_then_resumed(options, stream);
+      EXPECT_EQ(all_csv(resumed), expected)
+          << "threads=" << threads << " killed after epoch " << epoch;
+      EXPECT_EQ(resumed.ingest.epochs_restored, 1u);
+      EXPECT_EQ(resumed.ingest.epochs_verified,
+                verify ? resumed.ingest.epochs_run : 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, StreamBackend,
+    ::testing::Combine(::testing::Values(cluster::BackendKind::kLsh,
+                                         cluster::BackendKind::kExact,
+                                         cluster::BackendKind::kKmeans),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<cluster::BackendKind, bool>>&
+           param_info) {
+      return std::string{cluster::backend_name(std::get<0>(param_info.param))} +
+             (std::get<1>(param_info.param) ? "_verify" : "");
+    });
+
+TEST(Stream, EpochCutFromAnotherBackendIsDeclined) {
+  // The fingerprint excludes the backend, so a cut's backend tag is
+  // what keeps one backend's partition from seeding another. Switching
+  // backends over one WAL and checkpoint directory must decline the
+  // foreign cut — never seed from it, never refuse to run — and replay
+  // from record 0 to that backend's own batch output.
   ScenarioOptions options = small_options(true);
-  const fs::path root = fresh_dir("mixed-mode");
-  StreamOptions stream = stream_under(root, options);
-  stream.incremental = false;
-  options.checkpoint.stop_after_epoch = 1;
-  EXPECT_THROW((void)build_streaming_dataset(options, stream),
-               snapshot::CheckpointInterrupted);
-  options.checkpoint.stop_after_epoch = 0;
-  stream.incremental = true;
-  stream.verify_incremental = true;
-  const Dataset resumed = build_streaming_dataset(options, stream);
-  EXPECT_EQ(all_csv(resumed), batch_csv(true));
-  EXPECT_EQ(resumed.ingest.epochs_restored, 1u);
-  EXPECT_EQ(resumed.ingest.epochs_run, 2u);
-  EXPECT_EQ(resumed.ingest.epochs_verified, 2u);
-}
-
-// --- Backend switches across epochs (satellite bugfix) ----------------------
-
-TEST(Stream, IncrementalRequiresSingleLinkageBackend) {
-  // prior_assignment seeding is only sound under connected-component
-  // semantics; a kmeans run must refuse the incremental modes up
-  // front (typed ConfigError, before any WAL or checkpoint work).
-  ScenarioOptions options = small_options(false);
-  options.b_backend = cluster::BackendKind::kKmeans;
-  const fs::path root = fresh_dir("kmeans-incremental");
-  StreamOptions stream = stream_under(root, options);
-  EXPECT_THROW((void)build_streaming_dataset(options, stream), ConfigError);
-  stream.incremental = false;
-  stream.verify_incremental = true;
-  EXPECT_THROW((void)build_streaming_dataset(options, stream), ConfigError);
-
-  // Full recompute per epoch is backend-pure, so kmeans streams fine
-  // there — and still matches the batch build with the same backend.
-  stream.verify_incremental = false;
-  const Dataset streamed = build_streaming_dataset(options, stream);
-  ScenarioOptions batch = small_options(false);
-  batch.b_backend = cluster::BackendKind::kKmeans;
-  EXPECT_EQ(all_csv(streamed), all_csv(build_paper_dataset(batch)));
-}
-
-TEST(Stream, EpochCutFromAnotherBackendRefusesIncrementalResume) {
-  // Kill/resume with a backend switch in between: the epoch cut is
-  // tagged with the backend that produced it, and an incremental
-  // resume under a different backend must be a typed refusal — not a
-  // silent resume seeded with the other backend's partition.
-  ScenarioOptions options = small_options(false);
   const fs::path root = fresh_dir("backend-switch");
   StreamOptions stream = stream_under(root, options);
-  options.checkpoint.stop_after_epoch = 1;  // cut epoch 1 with lsh
+  stream.verify_incremental = true;
+  stream.on_epoch = crash_after_epoch(1);  // cut epoch 1 with lsh
   EXPECT_THROW((void)build_streaming_dataset(options, stream),
                snapshot::CheckpointInterrupted);
-  options.checkpoint.stop_after_epoch = 0;
+  stream.on_epoch = nullptr;
 
-  options.b_backend = cluster::BackendKind::kExact;
-  EXPECT_THROW((void)build_streaming_dataset(options, stream), ConfigError);
-
-  // --full-recluster declines the foreign cut and replays the WAL from
-  // the start instead; the output matches an exact-backend batch build.
-  stream.incremental = false;
-  const Dataset exact_resumed = build_streaming_dataset(options, stream);
-  EXPECT_EQ(exact_resumed.ingest.epochs_restored, 0u);
-  // The declined cut was loaded but never applied, so it is not
-  // counted as restored.
-  EXPECT_EQ(exact_resumed.checkpoint_activity.restored, 0u);
-  ScenarioOptions batch = small_options(false);
-  batch.b_backend = cluster::BackendKind::kExact;
-  EXPECT_EQ(all_csv(exact_resumed), all_csv(build_paper_dataset(batch)));
-
-  // The exact run wrote its own cuts, so switching back to lsh
-  // incrementally is refused the same way — the newest cut is foreign.
-  options.b_backend = cluster::BackendKind::kLsh;
-  stream.incremental = true;
-  EXPECT_THROW((void)build_streaming_dataset(options, stream), ConfigError);
-
-  // The documented remedy — a fresh checkpoint directory — replays the
-  // same WAL under lsh and converges on the batch output.
-  options.checkpoint.directory = (root / "ckpt-lsh").string();
-  const Dataset lsh_resumed = build_streaming_dataset(options, stream);
-  EXPECT_EQ(lsh_resumed.ingest.epochs_restored, 0u);
-  EXPECT_EQ(all_csv(lsh_resumed), batch_csv(false));
+  for (const cluster::BackendKind backend :
+       {cluster::BackendKind::kExact, cluster::BackendKind::kKmeans,
+        cluster::BackendKind::kLsh}) {
+    options.b_backend = backend;
+    const Dataset switched = build_streaming_dataset(options, stream);
+    const std::string_view name = cluster::backend_name(backend);
+    // The declined cut was loaded but never applied, so it is not
+    // counted as restored; the newest cut is always the previous
+    // backend's.
+    EXPECT_EQ(switched.ingest.epochs_restored, 0u) << name;
+    EXPECT_EQ(switched.checkpoint_activity.restored, 0u) << name;
+    EXPECT_EQ(switched.ingest.epochs_run, 3u) << name;
+    EXPECT_EQ(switched.ingest.epochs_verified, 3u) << name;
+    EXPECT_EQ(all_csv(switched), backend_batch_csv(backend)) << name;
+  }
 }
 
 TEST(Stream, IncrementalCountersAreKillInvariant) {
@@ -543,10 +544,10 @@ TEST(Stream, IncrementalCountersAreKillInvariant) {
   ScenarioOptions options = small_options(true);
   const fs::path root = fresh_dir("counters-kill");
   StreamOptions stream = stream_under(root, options);
-  options.checkpoint.stop_after_epoch = 2;
+  stream.on_epoch = crash_after_epoch(2);
   EXPECT_THROW((void)build_streaming_dataset(options, stream),
                snapshot::CheckpointInterrupted);
-  options.checkpoint.stop_after_epoch = 0;
+  stream.on_epoch = nullptr;
   obs::MetricsRegistry resumed_metrics;
   options.metrics = &resumed_metrics;
   (void)build_streaming_dataset(options, stream);
@@ -628,6 +629,16 @@ std::vector<std::pair<fs::path, snapshot::DecodedSnapshot>> epoch_cuts(
   return cuts;
 }
 
+/// Re-seals a decoded cut, with valid CRCs, over the file at `path`.
+void write_cut(const fs::path& path, const snapshot::DecodedSnapshot& cut) {
+  const std::vector<std::uint8_t> bytes =
+      snapshot::encode_snapshot(cut.fingerprint, cut.sections);
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.flush()) << path;
+}
+
 TEST(Stream, EpochCutsCarryNoSampleContent) {
   // The WAL is the only durable copy of the raw samples; a cut holds
   // derived state only, so it stays a small fraction of the stream.
@@ -681,11 +692,11 @@ TEST(Stream, CutThatDisagreesWithTheReplayIsNeverTrusted) {
     ScenarioOptions options = small_options(true);
     const fs::path root =
         fresh_dir(rewrite_count ? "forged-count" : "forged-md5");
-    const StreamOptions stream = stream_under(root, options);
-    options.checkpoint.stop_after_epoch = 1;
+    StreamOptions stream = stream_under(root, options);
+    stream.on_epoch = crash_after_epoch(1);
     EXPECT_THROW((void)build_streaming_dataset(options, stream),
                  snapshot::CheckpointInterrupted);
-    options.checkpoint.stop_after_epoch = 0;
+    stream.on_epoch = nullptr;
 
     auto cuts = epoch_cuts(options.checkpoint.directory);
     ASSERT_EQ(cuts.size(), 1u);
@@ -702,14 +713,7 @@ TEST(Stream, CutThatDisagreesWithTheReplayIsNeverTrusted) {
         section.payload[12] = section.payload[12] == '0' ? '1' : '0';
       }
     }
-    const std::vector<std::uint8_t> forged =
-        snapshot::encode_snapshot(cut.fingerprint, cut.sections);
-    {
-      std::ofstream out{path, std::ios::binary | std::ios::trunc};
-      out.write(reinterpret_cast<const char*>(forged.data()),
-                static_cast<std::streamsize>(forged.size()));
-      ASSERT_TRUE(out.flush()) << path;
-    }
+    write_cut(path, cut);
 
     const Dataset resumed = build_streaming_dataset(options, stream);
     EXPECT_EQ(all_csv(resumed), batch_csv(true))
@@ -719,6 +723,57 @@ TEST(Stream, CutThatDisagreesWithTheReplayIsNeverTrusted) {
     EXPECT_EQ(resumed.checkpoint_activity.restored, 0u);
     EXPECT_EQ(resumed.checkpoint_activity.quarantined, 1u);
     EXPECT_TRUE(fs::exists(path.string() + ".quarantined"));
+  }
+}
+
+TEST(Stream, CutThatCannotBePrimedIsQuarantined) {
+  // A cut whose samples match the replay but whose opaque state does not
+  // describe it — epoch 1's cut carrying epoch 0's epsilon counts, a cut
+  // with empty engine blobs, or one with empty stream totals — is
+  // quarantined and the run rebuilds cold from record 0, like any other
+  // cut the replay disagrees with. It must never abort the resume.
+  for (const std::string forgery :
+       {"stale-counts", "empty-engine-blobs", "empty-totals"}) {
+    ScenarioOptions options = small_options(true);
+    const fs::path root = fresh_dir("forged-" + forgery);
+    StreamOptions stream = stream_under(root, options);
+    const std::size_t kill_after = forgery == "stale-counts" ? 2 : 1;
+    stream.on_epoch = crash_after_epoch(kill_after);
+    EXPECT_THROW((void)build_streaming_dataset(options, stream),
+                 snapshot::CheckpointInterrupted);
+    stream.on_epoch = nullptr;
+
+    auto cuts = epoch_cuts(options.checkpoint.directory);
+    ASSERT_EQ(cuts.size(), kill_after);
+    const std::vector<std::uint8_t> older_counts = [&] {
+      for (const snapshot::Section& section : cuts.front().second.sections) {
+        if (section.name == "epsilon-counts") return section.payload;
+      }
+      ADD_FAILURE() << "epoch 0 cut has no epsilon-counts section";
+      return std::vector<std::uint8_t>{};
+    }();
+    auto& [path, cut] = cuts.back();
+    for (snapshot::Section& section : cut.sections) {
+      if (forgery == "stale-counts" && section.name == "epsilon-counts") {
+        section.payload = older_counts;
+      }
+      if (forgery == "empty-engine-blobs" &&
+          (section.name.ends_with("-counts") || section.name == "signatures")) {
+        section.payload.clear();
+      }
+      if (forgery == "empty-totals" && section.name == "ingest") {
+        section.payload.clear();
+      }
+    }
+    write_cut(path, cut);
+
+    const Dataset resumed = build_streaming_dataset(options, stream);
+    EXPECT_EQ(all_csv(resumed), batch_csv(true)) << forgery;
+    EXPECT_EQ(resumed.ingest.epochs_restored, 0u) << forgery;
+    EXPECT_EQ(resumed.ingest.epochs_run, 3u) << forgery;
+    EXPECT_EQ(resumed.checkpoint_activity.restored, 0u) << forgery;
+    EXPECT_EQ(resumed.checkpoint_activity.quarantined, 1u) << forgery;
+    EXPECT_TRUE(fs::exists(path.string() + ".quarantined")) << forgery;
   }
 }
 
@@ -775,10 +830,6 @@ TEST(Stream, OptionsValidate) {
   EXPECT_THROW(stream.validate(), ConfigError);
   stream = StreamOptions{};
   EXPECT_THROW(stream.validate(), ConfigError);  // missing wal_dir
-  stream = StreamOptions{};
-  stream.wal_dir = "somewhere";
-  stream.queue_capacity = 0;
-  EXPECT_THROW(stream.validate(), ConfigError);
   stream = StreamOptions{};
   stream.wal_dir = "somewhere";
   stream.retry.max_attempts = 0;

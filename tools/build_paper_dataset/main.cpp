@@ -67,12 +67,11 @@ void usage(std::ostream& os) {
         "  --epochs N             streaming mode: epoch batches (with"
         " --wal-dir)\n"
         "  --wal-dir DIR          streaming mode: WAL segment directory\n"
-        "  --full-recluster       streaming mode: full E/P/M/B recompute"
-        " per epoch\n"
-        "                         (instead of the incremental default)\n"
-        "  --verify-incremental   streaming mode: run both paths per epoch"
-        " and\n"
-        "                         byte-diff their results (fails loudly)\n"
+        "  --verify-incremental   streaming mode: also run the full E/P/M/B"
+        " recompute\n"
+        "                         per epoch and byte-diff it against the"
+        " incremental\n"
+        "                         results (fails loudly)\n"
         "  --kill-after-records N SIGKILL self after Nth WAL append"
         " (crash harness)\n"
         "  --export-dir DIR       write events/samples/clusters/profiles\n"
@@ -123,8 +122,6 @@ CliOptions parse_cli(int argc, char** argv) {
       have_epochs = true;
     } else if (arg == "--wal-dir") {
       cli.stream.wal_dir = std::string{value()};
-    } else if (arg == "--full-recluster") {
-      cli.stream.incremental = false;
     } else if (arg == "--verify-incremental") {
       cli.stream.verify_incremental = true;
     } else if (arg == "--kill-after-records") {
@@ -155,10 +152,8 @@ CliOptions parse_cli(int argc, char** argv) {
   if (cli.kill_after_records != 0 && !cli.streaming) {
     throw repro::ConfigError("--kill-after-records requires --wal-dir");
   }
-  if (!cli.streaming &&
-      (!cli.stream.incremental || cli.stream.verify_incremental)) {
-    throw repro::ConfigError(
-        "--full-recluster/--verify-incremental require --wal-dir");
+  if (!cli.streaming && cli.stream.verify_incremental) {
+    throw repro::ConfigError("--verify-incremental requires --wal-dir");
   }
   return cli;
 }

@@ -62,14 +62,12 @@ void usage(std::ostream& os) {
         "  --scale X              event-rate scale (default 1.0)\n"
         "  --threads N            pool width, 0 = hardware (default 0)\n"
         "  --cluster-backend B    B-clustering backend: lsh, exact, or\n"
-        "                         kmeans (default lsh; non-single-linkage\n"
-        "                         backends need --full-recluster)\n"
+        "                         kmeans (default lsh)\n"
         "  --faults none|paper    fault plan incl. serve sites"
         " (default none)\n"
         "  --checkpoint-dir DIR   crash-safe epoch snapshots\n"
         "  --epochs N             epoch batches (default 4)\n"
         "  --wal-dir DIR          WAL segment directory (required)\n"
-        "  --full-recluster       full E/P/M/B recompute per epoch\n"
         "  --port N               TCP port, 0 = ephemeral (default 0)\n"
         "  --workers N            serving worker threads (default 2)\n"
         "  --admission N          admission queue capacity (default 16)\n"
@@ -119,8 +117,6 @@ CliOptions parse_cli(int argc, char** argv) {
           static_cast<std::size_t>(repro::parse_u64(value(), "--epochs"));
     } else if (arg == "--wal-dir") {
       cli.stream.wal_dir = std::string{value()};
-    } else if (arg == "--full-recluster") {
-      cli.stream.incremental = false;
     } else if (arg == "--port") {
       cli.run.server.port = repro::parse_u16(value(), "--port");
     } else if (arg == "--workers") {
