@@ -92,13 +92,6 @@ std::string_view backend_name(BackendKind kind) {
   return cluster_backend(kind).name();
 }
 
-BackendKind backend_kind_from_tag(std::uint8_t tag) {
-  if (tag >= kRegistry.size()) {
-    throw ParseError("unknown cluster backend tag " + std::to_string(tag));
-  }
-  return static_cast<BackendKind>(tag);
-}
-
 std::span<const BackendKind> all_backends() { return kKinds; }
 
 }  // namespace repro::cluster

@@ -13,9 +13,9 @@
 //
 // The registry is a closed set keyed by BackendKind (declared in
 // behavioral.hpp so options can name a backend without this header).
-// Checkpoints stamp the kind as a wire tag: a behavioral snapshot or
-// epoch stage produced by one backend must never silently seed another
-// (see DESIGN.md §15 for the soundness argument).
+// An epoch cut's fingerprint names the backend that produced its
+// partition, so a cut of one backend is stale under another and can
+// never seed it (see DESIGN.md §15 for the soundness argument).
 #pragma once
 
 #include <cstdint>
@@ -58,12 +58,8 @@ class ClusterBackend {
 /// Lookup by CLI name; throws ConfigError listing the valid names.
 [[nodiscard]] const ClusterBackend& backend_from_name(std::string_view name);
 
-/// Stable display / wire name of a kind.
+/// Stable display name of a kind.
 [[nodiscard]] std::string_view backend_name(BackendKind kind);
-
-/// Checkpoint tag -> kind; throws ParseError on an unknown tag (a
-/// snapshot written by a future revision).
-[[nodiscard]] BackendKind backend_kind_from_tag(std::uint8_t tag);
 
 /// Every registered kind, in BackendKind enumerator order.
 [[nodiscard]] std::span<const BackendKind> all_backends();

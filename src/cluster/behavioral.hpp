@@ -34,8 +34,8 @@ namespace repro::cluster {
 struct SignatureStore;
 
 /// Which clustering algorithm produces the B partition. The enumerator
-/// values are a durable wire tag (checkpoints stamp them) — never
-/// renumber, only append.
+/// values are mixed into the epoch-cut fingerprint, so renumbering one
+/// only makes the existing cuts stale; append instead.
 enum class BackendKind : std::uint8_t {
   /// LSH-accelerated single linkage (Bayer et al.) — the default and
   /// the paper-faithful path.

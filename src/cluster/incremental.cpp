@@ -3,17 +3,12 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/byteio.hpp"
 #include "util/error.hpp"
 #include "util/sorted.hpp"
 
 namespace repro::cluster {
 
 namespace {
-
-/// Counting-state blob format version (independent of the snapshot
-/// container version — the blob travels inside a container section).
-constexpr std::uint32_t kCountsVersion = 1;
 
 FeatureSchema schema_of(Dimension dimension) {
   switch (dimension) {
@@ -73,46 +68,28 @@ IncrementalEpm::RowRef IncrementalEpm::extract_row(
   throw ConfigError("IncrementalEpm: unknown dimension");
 }
 
-void IncrementalEpm::add_row(RowRef ref, const honeypot::AttackEvent& event,
-                             bool count) {
+void IncrementalEpm::add_row(RowRef ref, const honeypot::AttackEvent& event) {
   const FeatureVector& row = *ref.row;
   if (row.values.size() != schema_.size()) {
     throw ConfigError("IncrementalEpm: instance arity mismatch with schema");
   }
   const std::size_t index = rows_.size();
   std::vector<ValueStats*>* slots = ref.slots;
+  const auto count = [&](ValueStats& stats) {
+    ++stats.instances;
+    stats.sources.insert(event.attacker.value());
+    stats.destinations.insert(event.honeypot.value());
+    stats.rows.push_back(index);
+  };
   if (slots != nullptr && !slots->empty()) {
     // This sample's counting slots were resolved by an earlier event —
     // update them directly, no value re-hashing.
-    for (std::size_t f = 0; f < schema_.size(); ++f) {
-      ValueStats& stats = *(*slots)[f];
-      if (count) {
-        ++stats.instances;
-        stats.sources.insert(event.attacker.value());
-        stats.destinations.insert(event.honeypot.value());
-      }
-      stats.rows.push_back(index);
-    }
+    for (ValueStats* stats : *slots) count(*stats);
   } else {
     for (std::size_t f = 0; f < schema_.size(); ++f) {
-      const std::string& value = row.values[f];
-      ValueStats* stats = nullptr;
-      if (count) {
-        stats = &stats_[f][value];
-        ++stats->instances;
-        stats->sources.insert(event.attacker.value());
-        stats->destinations.insert(event.honeypot.value());
-      } else {
-        const auto it = stats_[f].find(value);
-        if (it == stats_[f].end()) {
-          throw ConfigError(
-              "IncrementalEpm::restore: counting state lacks a restored "
-              "row's value");
-        }
-        stats = &it->second;
-      }
-      stats->rows.push_back(index);
-      if (slots != nullptr) slots->push_back(stats);
+      ValueStats& stats = stats_[f][row.values[f]];
+      count(stats);
+      if (slots != nullptr) slots->push_back(&stats);
     }
   }
   event_ids_.push_back(event.id);
@@ -173,7 +150,7 @@ EpmResult IncrementalEpm::update(const honeypot::EventDatabase& db,
   for (std::size_t i = events_seen_; i < events.size(); ++i) {
     RowRef ref = extract_row(events[i], db);
     if (ref.row == nullptr) continue;
-    add_row(std::move(ref), events[i], /*count=*/true);
+    add_row(std::move(ref), events[i]);
   }
   events_seen_ = events.size();
 
@@ -215,7 +192,8 @@ EpmResult IncrementalEpm::update(const honeypot::EventDatabase& db,
 
 void IncrementalEpm::restore(const honeypot::EventDatabase& db,
                              const EpmResult& result,
-                             std::span<const std::uint8_t> counts_blob) {
+                             std::uint64_t reclassified,
+                             const InvariantThresholds& thresholds) {
   reset();
   if (result.schema.dimension != schema_.dimension) {
     throw ConfigError("IncrementalEpm::restore: dimension mismatch");
@@ -224,13 +202,12 @@ void IncrementalEpm::restore(const honeypot::EventDatabase& db,
     throw ConfigError(
         "IncrementalEpm::restore: invariant table arity mismatch");
   }
+  // Recount the replayed prefix through the path update() takes.
   events_seen_ = db.events().size();
-  decode_counts(counts_blob);
-
   for (const honeypot::AttackEvent& event : db.events()) {
     RowRef ref = extract_row(event, db);
     if (ref.row == nullptr) continue;
-    add_row(std::move(ref), event, /*count=*/false);
+    add_row(std::move(ref), event);
   }
   if (rows_.size() != result.assignment.size()) {
     throw ConfigError(
@@ -242,25 +219,27 @@ void IncrementalEpm::restore(const honeypot::EventDatabase& db,
         "IncrementalEpm::restore: event ids disagree with the restored "
         "clustering");
   }
-  // Every value's persisted instance count must equal the number of
-  // restored rows holding it — the cheap full cross-check that the blob
-  // and the database describe the same prefix.
+  // Counts only grow, so the table update() advanced to is exactly the
+  // set of values meeting the thresholds now. A cut whose table differs
+  // does not describe this prefix.
   for (std::size_t f = 0; f < schema_.size(); ++f) {
     for (const std::string& value : sorted_keys(stats_[f])) {
-      const ValueStats& stats = stats_[f].at(value);
-      if (stats.instances != stats.rows.size()) {
-        throw ConfigError(
-            "IncrementalEpm::restore: counting state disagrees with the "
-            "restored rows");
+      if (value != kNotAvailable && meets(stats_[f].at(value), thresholds)) {
+        invariants_.add(f, value);
       }
     }
+    if (invariants_.sorted_values(f) != result.invariants.sorted_values(f)) {
+      throw ConfigError(
+          "IncrementalEpm::restore: invariant table disagrees with the "
+          "recounted statistics");
+    }
   }
+  reclassified_ = reclassified;
 
   // The restored pattern list is dense in first-seen order, i.e. it is
   // exactly the intern pool in creation order (stale pool entries of
   // the pre-kill process are gone, which is harmless: handles are
   // internal and densification re-derives the same ids either way).
-  invariants_ = result.invariants;
   pool_ = result.patterns;
   for (std::size_t handle = 0; handle < pool_.size(); ++handle) {
     if (!pool_index_.emplace(pool_[handle].key(), static_cast<int>(handle))
@@ -278,82 +257,6 @@ void IncrementalEpm::restore(const honeypot::EventDatabase& db,
           "pattern");
     }
     handles_.push_back(cluster);
-  }
-}
-
-std::vector<std::uint8_t> IncrementalEpm::encode_counts() const {
-  ByteWriter writer;
-  writer.u32(kCountsVersion);
-  writer.u8(static_cast<std::uint8_t>(schema_.dimension));
-  writer.u64(reclassified_);
-  writer.u64(events_seen_);
-  writer.u64(schema_.size());
-  for (std::size_t f = 0; f < schema_.size(); ++f) {
-    const std::vector<std::string> values = sorted_keys(stats_[f]);
-    writer.u64(values.size());
-    for (const std::string& value : values) {
-      const ValueStats& stats = stats_[f].at(value);
-      writer.u32(static_cast<std::uint32_t>(value.size()));
-      writer.text(value);
-      writer.u64(stats.instances);
-      const std::vector<std::uint32_t> sources = sorted_keys(stats.sources);
-      writer.u64(sources.size());
-      for (const std::uint32_t source : sources) writer.u32(source);
-      const std::vector<std::uint32_t> destinations =
-          sorted_keys(stats.destinations);
-      writer.u64(destinations.size());
-      for (const std::uint32_t destination : destinations) {
-        writer.u32(destination);
-      }
-    }
-  }
-  return writer.take();
-}
-
-void IncrementalEpm::decode_counts(std::span<const std::uint8_t> blob) {
-  ByteReader reader{blob};
-  const std::uint32_t version = reader.u32();
-  if (version != kCountsVersion) {
-    throw ParseError("IncrementalEpm counting state: unsupported version " +
-                     std::to_string(version));
-  }
-  const auto dimension = static_cast<Dimension>(reader.u8());
-  if (dimension != schema_.dimension) {
-    throw ParseError("IncrementalEpm counting state: dimension mismatch");
-  }
-  reclassified_ = reader.u64();
-  const std::uint64_t events_recorded = reader.u64();
-  if (events_recorded != events_seen_) {
-    throw ParseError(
-        "IncrementalEpm counting state: event count disagrees with the "
-        "restored database");
-  }
-  const std::uint64_t feature_count = reader.u64();
-  if (feature_count != schema_.size()) {
-    throw ParseError("IncrementalEpm counting state: feature count mismatch");
-  }
-  for (std::size_t f = 0; f < schema_.size(); ++f) {
-    const std::uint64_t value_count = reader.u64();
-    for (std::uint64_t v = 0; v < value_count; ++v) {
-      const std::uint32_t length = reader.u32();
-      std::string value = reader.fixed_text(length);
-      ValueStats stats;
-      stats.instances = reader.u64();
-      const std::uint64_t source_count = reader.u64();
-      for (std::uint64_t s = 0; s < source_count; ++s) {
-        stats.sources.insert(reader.u32());
-      }
-      const std::uint64_t destination_count = reader.u64();
-      for (std::uint64_t d = 0; d < destination_count; ++d) {
-        stats.destinations.insert(reader.u32());
-      }
-      if (!stats_[f].emplace(std::move(value), std::move(stats)).second) {
-        throw ParseError("IncrementalEpm counting state: duplicate value");
-      }
-    }
-  }
-  if (reader.remaining() != 0) {
-    throw ParseError("IncrementalEpm counting state: trailing bytes");
   }
 }
 

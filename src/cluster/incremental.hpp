@@ -20,17 +20,16 @@
 //      result is byte-identical to epm_cluster() over the whole
 //      database.
 //
-// The counting state serializes to an opaque blob carried inside the
-// epoch snapshot, making the engine crash-tolerant: restore() re-primes
-// it from the resumed database (rebuilt by replaying the cut's WAL
-// prefix) + the cut's clustering result, and the blob
-// contributes the counts plus the cumulative reclassification total
-// (the deterministic `epm.instances_reclassified` counter).
+// The counting state is a pure function of the absorbed rows, so it is
+// never persisted: restore() recounts it from the database that resume
+// rebuilt by replaying the cut's WAL prefix, and takes from the cut only
+// what a recount cannot give — the clustering result (checked against
+// the recount) and the cumulative reclassification total (the
+// deterministic `epm.instances_reclassified` counter, which is history).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -54,21 +53,19 @@ class IncrementalEpm {
   [[nodiscard]] EpmResult update(const honeypot::EventDatabase& db,
                                  const InvariantThresholds& thresholds = {});
 
-  /// Re-primes the engine from a restored checkpoint: the database, the
-  /// clustering result of the cut, and the counting-state blob written
-  /// by encode_counts(). Throws ParseError on a malformed (or empty)
-  /// blob and ConfigError when the pieces are mutually inconsistent.
+  /// Re-primes the engine from a restored checkpoint: recounts every
+  /// row of `db` (the database rebuilt from the cut's WAL prefix), then
+  /// adopts the cut's clustering `result` and reclassification total.
+  /// Throws ConfigError unless `result` describes exactly those rows —
+  /// the same event ids, and the invariant table the recount yields
+  /// under `thresholds` (which must be the ones update() ran with).
   void restore(const honeypot::EventDatabase& db, const EpmResult& result,
-               std::span<const std::uint8_t> counts_blob);
-
-  /// Durable counting state: the per-(feature,value) statistics plus
-  /// the cumulative reclassification total, in deterministic byte
-  /// order.
-  [[nodiscard]] std::vector<std::uint8_t> encode_counts() const;
+               std::uint64_t reclassified,
+               const InvariantThresholds& thresholds = {});
 
   /// Cumulative number of previously classified rows whose pattern was
   /// recomputed because a value's invariant status flipped. Survives
-  /// kill/resume via the counting-state blob.
+  /// kill/resume through the epoch cut (restore()).
   [[nodiscard]] std::uint64_t instances_reclassified() const noexcept {
     return reclassified_;
   }
@@ -86,8 +83,7 @@ class IncrementalEpm {
     std::unordered_set<std::uint32_t> sources;
     std::unordered_set<std::uint32_t> destinations;
     /// Rows containing this value, ascending — the reclassification
-    /// trigger set of an invariant flip. Rebuilt on restore, never
-    /// serialized.
+    /// trigger set of an invariant flip.
     std::vector<std::size_t> rows;
   };
 
@@ -112,9 +108,8 @@ class IncrementalEpm {
   /// sample (they are a pure function of the binary).
   [[nodiscard]] RowRef extract_row(const honeypot::AttackEvent& event,
                                    const honeypot::EventDatabase& db);
-  /// Appends one row; updates postings always, counts only when
-  /// `count` (restore takes them from the blob).
-  void add_row(RowRef ref, const honeypot::AttackEvent& event, bool count);
+  /// Appends one row and counts its values.
+  void add_row(RowRef ref, const honeypot::AttackEvent& event);
   [[nodiscard]] bool meets(const ValueStats& stats,
                            const InvariantThresholds& thresholds) const;
   /// Interns a pattern by key into the stable pool.
@@ -122,7 +117,6 @@ class IncrementalEpm {
   /// Densifies the per-row pattern handles into an EpmResult in
   /// first-seen row order — the exact shape epm_cluster() produces.
   [[nodiscard]] EpmResult materialize() const;
-  void decode_counts(std::span<const std::uint8_t> blob);
 
   FeatureSchema schema_;
   std::size_t events_seen_ = 0;

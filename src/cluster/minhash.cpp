@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <set>
-#include <string>
 
-#include "util/byteio.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -98,68 +96,12 @@ std::vector<std::pair<std::size_t, std::size_t>> LshIndex::candidate_pairs()
   return {pairs.begin(), pairs.end()};
 }
 
-namespace {
-
-/// Signature-store blob format version (travels inside a snapshot
-/// section, so it versions independently of the container).
-constexpr std::uint32_t kSignatureStoreVersion = 1;
-
-}  // namespace
-
 std::uint64_t signature_config(std::size_t bands, std::size_t rows,
                                std::uint64_t seed) {
   std::uint64_t config = mix64(0x5349474eULL ^ bands);
   config = mix64(config ^ rows);
   config = mix64(config ^ seed);
   return config == 0 ? 1 : config;
-}
-
-std::vector<std::uint8_t> encode_signature_store(const SignatureStore& store) {
-  ByteWriter writer;
-  writer.u32(kSignatureStoreVersion);
-  writer.u64(store.config);
-  writer.u64(store.reused);
-  writer.u64(store.computed);
-  writer.u64(store.signatures.size());
-  for (const std::vector<std::uint64_t>& signature : store.signatures) {
-    writer.u64(signature.size());
-    for (const std::uint64_t component : signature) writer.u64(component);
-  }
-  return writer.take();
-}
-
-SignatureStore decode_signature_store(std::span<const std::uint8_t> blob) {
-  ByteReader reader{blob};
-  const std::uint32_t version = reader.u32();
-  if (version != kSignatureStoreVersion) {
-    throw ParseError("signature store: unsupported version " +
-                     std::to_string(version));
-  }
-  SignatureStore store;
-  store.config = reader.u64();
-  store.reused = reader.u64();
-  store.computed = reader.u64();
-  const std::uint64_t item_count = reader.u64();
-  if (item_count > reader.remaining() / 8) {
-    throw ParseError("signature store: item count exceeds payload");
-  }
-  store.signatures.reserve(item_count);
-  for (std::uint64_t i = 0; i < item_count; ++i) {
-    const std::uint64_t component_count = reader.u64();
-    if (component_count > reader.remaining() / 8) {
-      throw ParseError("signature store: signature size exceeds payload");
-    }
-    std::vector<std::uint64_t> signature;
-    signature.reserve(component_count);
-    for (std::uint64_t c = 0; c < component_count; ++c) {
-      signature.push_back(reader.u64());
-    }
-    store.signatures.push_back(std::move(signature));
-  }
-  if (reader.remaining() != 0) {
-    throw ParseError("signature store: trailing bytes");
-  }
-  return store;
 }
 
 }  // namespace repro::cluster

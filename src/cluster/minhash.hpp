@@ -80,8 +80,9 @@ class LshIndex {
 /// verbatim and only new items need hashing. Items are identified
 /// positionally; `config` pins the (bands, rows, seed) the signatures
 /// were computed under — any mismatch or a shrunk item list resets the
-/// cache. `reused`/`computed` are cumulative over the store's whole
-/// history and survive kill/resume via the codec below.
+/// cache. The store is process-local and never persisted: a resumed
+/// epoch loop starts empty and its first pass hashes the restored
+/// prefix once. `reused`/`computed` count this process's passes only.
 struct SignatureStore {
   std::uint64_t config = 0;  // 0 = unconfigured
   std::vector<std::vector<std::uint64_t>> signatures;
@@ -89,8 +90,6 @@ struct SignatureStore {
   std::uint64_t computed = 0;
   /// Positional cache of the per-item sorted feature-id sets the
   /// signatures are derived from, under the same append-only identity.
-  /// Pure derived data: never serialized — a restored store starts
-  /// empty and the next clustering pass recomputes it once.
   std::vector<std::vector<std::uint64_t>> id_sets;
 };
 
@@ -98,13 +97,5 @@ struct SignatureStore {
 [[nodiscard]] std::uint64_t signature_config(std::size_t bands,
                                              std::size_t rows,
                                              std::uint64_t seed);
-
-/// Durable form of a signature store, in deterministic byte order.
-[[nodiscard]] std::vector<std::uint8_t> encode_signature_store(
-    const SignatureStore& store);
-/// Inverse of encode_signature_store; throws ParseError on malformed
-/// bytes.
-[[nodiscard]] SignatureStore decode_signature_store(
-    std::span<const std::uint8_t> blob);
 
 }  // namespace repro::cluster

@@ -49,9 +49,9 @@ struct ScenarioOptions {
   /// B-clustering backend (cluster/backend.hpp registry). Deliberately
   /// NOT part of the scenario fingerprint: the database and EPM results
   /// are backend-independent, so WAL segments are sound to share across
-  /// backends. Epoch cuts carry their own backend tag instead — the
-  /// full-recompute streaming path declines a foreign cut, and the
-  /// incremental path refuses the switch with a typed ConfigError (see
+  /// backends. The epoch loop mixes it into its cuts' fingerprint
+  /// instead, so a cut from another backend is quarantined as stale and
+  /// the run resumes from this backend's own newest cut, or cold (see
   /// DESIGN.md §15).
   cluster::BackendKind b_backend = cluster::BackendKind::kLsh;
   /// Worker-pool width for the processing pipeline (enrichment and the
@@ -87,8 +87,8 @@ struct ScenarioOptions {
 /// not `threads`, which never changes the dataset). Embedded in epoch
 /// cuts and WAL segments so stale state never leaks across
 /// configurations. `b_backend` is also excluded: WAL segments are
-/// shared across backends, while epoch cuts are guarded by their own
-/// backend tag (see ScenarioOptions).
+/// shared across backends, while epoch cuts mix the backend into this
+/// digest (see ScenarioOptions).
 [[nodiscard]] std::uint64_t scenario_fingerprint(
     const ScenarioOptions& options);
 

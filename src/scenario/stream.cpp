@@ -16,6 +16,7 @@
 #include "snapshot/codec.hpp"
 #include "util/byteio.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace repro::scenario {
@@ -135,7 +136,14 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   options.faults.validate();
   stream.validate();
   const std::uint64_t fingerprint = scenario_fingerprint(options);
-  snapshot::CheckpointStore store{options.checkpoint, fingerprint};
+  // A cut holds one backend's B partition, so its fingerprint also names
+  // the backend: another backend's cut is stale like any other, and the
+  // scan moves past it to this backend's own. The WAL keeps the
+  // backend-free fingerprint, since its records are shared by every
+  // backend.
+  snapshot::CheckpointStore store{
+      options.checkpoint,
+      mix64(fingerprint ^ static_cast<std::uint64_t>(options.b_backend))};
 
   Dataset dataset;
   ThreadPool pool{options.threads};
@@ -190,14 +198,10 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   }
 
   std::optional<snapshot::EpochStage> restored = store.load_latest_epoch();
-  if (restored && (restored->wal_records > total ||
-                   restored->b_backend != options.b_backend)) {
+  if (restored && restored->wal_records > total) {
     // Decline the cut and replay from record 0. A matching fingerprint
     // can never produce more records than the regenerated stream (never
-    // trust disk anyway). The fingerprint excludes the backend, so the
-    // cut's backend tag is what keeps another backend's partition from
-    // seeding this one; a cold replay recomputes everything under the
-    // backend this run selects.
+    // trust disk anyway).
     restored.reset();
   }
 
@@ -223,9 +227,9 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     return records[static_cast<std::size_t>(index)];
   };
 
-  // Incremental clustering engines: durable counting state per EPM
-  // dimension plus the cross-epoch MinHash signature cache, primed from
-  // the restored cut below.
+  // Incremental clustering engines: counting state per EPM dimension,
+  // recounted from the restored prefix below, plus the process-local
+  // MinHash signature cache, which starts empty on every run.
   cluster::IncrementalEpm inc_e{cluster::Dimension::kEpsilon};
   cluster::IncrementalEpm inc_p{cluster::Dimension::kPi};
   cluster::IncrementalEpm inc_m{cluster::Dimension::kMu};
@@ -238,18 +242,19 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     // cut covers. The cut's fault slice and stream totals already
     // account for these records, so there is no delivery simulation
     // and nothing is appended here. The cut is trusted only once the
-    // replay reproduced exactly its samples and its stream totals and
-    // engine state decoded against it.
+    // replay reproduced exactly its samples, its stream totals decoded
+    // and the engines' recount agreed with its E/P/M results.
     for (std::uint64_t i = 0; i < restored->wal_records; ++i) {
       replay_record(record_bytes(i), db);
     }
     const auto prime = [&](const honeypot::EventDatabase& replayed) {
       ingest::IngestReport totals = report;
       ingest::decode_stream_totals(restored->ingest_blob, totals);
-      inc_e.restore(replayed, restored->epm.e, restored->e_counts);
-      inc_p.restore(replayed, restored->epm.p, restored->p_counts);
-      inc_m.restore(replayed, restored->epm.m, restored->m_counts);
-      signatures = cluster::decode_signature_store(restored->signature_blob);
+      const snapshot::EpmReclassified& reclassified =
+          restored->epm_reclassified;
+      inc_e.restore(replayed, restored->epm.e, reclassified[0]);
+      inc_p.restore(replayed, restored->epm.p, reclassified[1]);
+      inc_m.restore(replayed, restored->epm.m, reclassified[2]);
       report = totals;
     };
     if (!store.apply_epoch(*restored, db, prime)) {
@@ -366,7 +371,7 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     }
 
     // Epoch clustering: the EPM engines absorb the epoch's event delta
-    // into their durable counting state and re-generalize only
+    // into their counting state and re-generalize only
     // flip-affected rows, and B reuses cached MinHash signatures for
     // the unchanged profile prefix — byte-identical to the full
     // recompute, which verify mode runs beside it (the cost pair the
@@ -425,31 +430,23 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     bytes_delta = 0;
     report.segments_sealed = writer.segment_index() - 1;
 
-    // The engines' durable state travels with the cut so resume is
-    // delta-only.
     const std::vector<std::uint8_t> ingest_blob =
         ingest::encode_stream_totals(report);
-    const std::vector<std::uint8_t> e_counts = inc_e.encode_counts();
-    const std::vector<std::uint8_t> p_counts = inc_p.encode_counts();
-    const std::vector<std::uint8_t> m_counts = inc_m.encode_counts();
-    const std::vector<std::uint8_t> signature_blob =
-        cluster::encode_signature_store(signatures);
     {
       const obs::TraceRecorder::Scoped span{options.trace, "epoch.checkpoint",
                                             epoch_span.id()};
       store.save_epoch(snapshot::EpochCut{.epoch = k,
                                           .wal_records = target,
-                                          .b_backend = options.b_backend,
                                           .db = db,
                                           .enrichment = enrich_totals,
                                           .fault_report = final_slice,
                                           .epm = epm_stage,
                                           .behavioral = bview,
                                           .ingest_blob = ingest_blob,
-                                          .e_counts = e_counts,
-                                          .p_counts = p_counts,
-                                          .m_counts = m_counts,
-                                          .signature_blob = signature_blob});
+                                          .epm_reclassified = {
+                                              inc_e.instances_reclassified(),
+                                              inc_p.instances_reclassified(),
+                                              inc_m.instances_reclassified()}});
     }
     // The hook sees the 1-based count of durable epochs so a view built
     // here for the final epoch carries the same epoch number as one built
@@ -477,16 +474,18 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   if (options.metrics != nullptr) {
     publish_dataset_metrics(*options.metrics, dataset);
     ingest::publish_ingest_metrics(*options.metrics, report);
-    // Final-state values of the engines' durable totals: pure functions
-    // of the record sequence and the epoch split, so they are
-    // width-stable and kill-invariant (a resumed run restores them from
-    // the cut instead of re-earning them).
+    // The reclassification total is a pure function of the record
+    // sequence and the epoch split, so it is width-stable and
+    // kill-invariant (a resumed run restores it from the cut instead of
+    // re-earning it). Signature reuse counts this process's cache hits
+    // only — a resumed run starts with an empty cache — so it is runtime
+    // telemetry.
     obs::add_counter(options.metrics, "epm.instances_reclassified",
                      inc_e.instances_reclassified() +
                          inc_p.instances_reclassified() +
                          inc_m.instances_reclassified());
     obs::add_counter(options.metrics, "cluster.signatures_reused",
-                     signatures.reused);
+                     signatures.reused, obs::Channel::kRuntime);
     publish_pool_metrics(*options.metrics, pool, pool_metrics);
   }
   return dataset;

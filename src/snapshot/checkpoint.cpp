@@ -5,7 +5,6 @@
 #include <fstream>
 #include <utility>
 
-#include "cluster/backend.hpp"
 #include "snapshot/codec.hpp"
 #include "snapshot/crc32.hpp"
 #include "snapshot/durable_file.hpp"
@@ -162,8 +161,10 @@ void CheckpointStore::save_epoch(const EpochCut& cut) {
   ByteWriter meta_writer;
   meta_writer.u64(cut.epoch);
   meta_writer.u64(cut.wal_records);
-  meta_writer.u8(static_cast<std::uint8_t>(cut.b_backend));
   meta_writer.u64(cut.db.samples().size());
+  for (const std::uint64_t reclassified : cut.epm_reclassified) {
+    meta_writer.u64(reclassified);
+  }
   ByteWriter samples_writer;
   write_enrichment_column(samples_writer, cut.db.samples());
   ByteWriter stats_writer;
@@ -178,9 +179,6 @@ void CheckpointStore::save_epoch(const EpochCut& cut) {
   write_epm_result(m_writer, cut.epm.m);
   ByteWriter b_writer;
   write_behavioral_view(b_writer, cut.behavioral);
-  const auto blob = [](std::string name, std::span<const std::uint8_t> bytes) {
-    return Section{std::move(name), {bytes.begin(), bytes.end()}};
-  };
   const std::vector<std::uint8_t> bytes = encode_snapshot(
       fingerprint_,
       {make_section("epoch-meta", std::move(meta_writer)),
@@ -191,11 +189,7 @@ void CheckpointStore::save_epoch(const EpochCut& cut) {
        make_section("pi", std::move(p_writer)),
        make_section("mu", std::move(m_writer)),
        make_section("behavioral", std::move(b_writer)),
-       blob("ingest", cut.ingest_blob),
-       blob("epsilon-counts", cut.e_counts),
-       blob("pi-counts", cut.p_counts),
-       blob("mu-counts", cut.m_counts),
-       blob("signatures", cut.signature_blob)});
+       Section{"ingest", {cut.ingest_blob.begin(), cut.ingest_blob.end()}}});
   const std::string path =
       (fs::path{options_.directory} / epoch_filename(cut.epoch)).string();
   if (options_.short_write_epoch == static_cast<int>(cut.epoch) + 1) {
@@ -251,8 +245,10 @@ std::optional<EpochStage> CheckpointStore::load_latest_epoch() {
       decode_section(decoded.sections, "epoch-meta", [&](ByteReader& reader) {
         stage.epoch = reader.u64();
         stage.wal_records = reader.u64();
-        stage.b_backend = cluster::backend_kind_from_tag(reader.u8());
         stage.sample_count = reader.u64();
+        for (std::uint64_t& reclassified : stage.epm_reclassified) {
+          reclassified = reader.u64();
+        }
         return 0;
       });
       if (stage.epoch != index) {
@@ -271,11 +267,6 @@ std::optional<EpochStage> CheckpointStore::load_latest_epoch() {
       stage.behavioral =
           decode_section(decoded.sections, "behavioral", read_behavioral_view);
       stage.ingest_blob = find_section(decoded.sections, "ingest").payload;
-      stage.e_counts = find_section(decoded.sections, "epsilon-counts").payload;
-      stage.p_counts = find_section(decoded.sections, "pi-counts").payload;
-      stage.m_counts = find_section(decoded.sections, "mu-counts").payload;
-      stage.signature_blob =
-          find_section(decoded.sections, "signatures").payload;
       return stage;
     } catch (const ParseError&) {
     } catch (const ConfigError&) {

@@ -23,6 +23,7 @@
 //   [end magic u32]
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -33,7 +34,6 @@
 #include <vector>
 
 #include "analysis/bview.hpp"
-#include "cluster/behavioral.hpp"
 #include "cluster/epm.hpp"
 #include "fault/injector.hpp"
 #include "honeypot/database.hpp"
@@ -58,9 +58,14 @@ inline constexpr std::uint32_t kSnapshotEndMagic = 0x44'4e'45'53;  // "SEND"
 // replaying the WAL prefix the cut covers.
 // Version 7: the epoch cut is the only snapshot kind, so the header's
 // stage byte is gone.
+// Version 8: cuts keep results, not engine caches. The EPM counting
+// blobs and the MinHash signature store are gone (resume rebuilds both
+// from the replayed prefix); the meta carries the three EPM
+// reclassification totals instead of the backend tag, and the backend
+// is mixed into the fingerprint.
 // Older files are quarantined as unreadable and their epochs
 // recomputed — the normal graceful-degradation path, not an error.
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 
 /// Snapshot file name for a streaming epoch cut, e.g. "epoch-0003.snap".
 [[nodiscard]] std::string epoch_filename(std::uint64_t epoch);
@@ -112,6 +117,9 @@ struct EpmStage {
   cluster::EpmResult m;
 };
 
+/// Per-dimension instances_reclassified of the E, P and M engines.
+using EpmReclassified = std::array<std::uint64_t, 3>;
+
 /// One streaming epoch cut as loaded: the derived pipeline state after
 /// the first `wal_records` WAL records were replayed and re-clustered.
 /// The event database is not part of it — those records are already
@@ -124,12 +132,6 @@ struct EpmStage {
 struct EpochStage {
   std::uint64_t epoch = 0;        // 0-based epoch index that was cut
   std::uint64_t wal_records = 0;  // records covered by this state
-  /// Backend that produced `behavioral`. The scenario fingerprint
-  /// deliberately excludes the backend (everything else in a cut is
-  /// backend-independent), so this tag is what makes a resume under
-  /// another backend decline the cut instead of seeding from its
-  /// partition.
-  cluster::BackendKind b_backend = cluster::BackendKind::kLsh;
   /// Samples the replayed prefix must produce, and their enrichment
   /// outputs in sample-id order.
   std::uint64_t sample_count = 0;
@@ -140,14 +142,10 @@ struct EpochStage {
   analysis::BehavioralView behavioral;
   /// Opaque ingest stream totals (ingest::encode_stream_totals).
   std::vector<std::uint8_t> ingest_blob;
-  /// Opaque incremental-clustering state: per-dimension EPM counting
-  /// blobs (cluster::IncrementalEpm::encode_counts) and the MinHash
-  /// signature store (cluster::encode_signature_store). A cut whose
-  /// blobs cannot prime the engines is never trusted (apply_epoch).
-  std::vector<std::uint8_t> e_counts;
-  std::vector<std::uint8_t> p_counts;
-  std::vector<std::uint8_t> m_counts;
-  std::vector<std::uint8_t> signature_blob;
+  /// The E/P/M engines' cumulative instances_reclassified. History, so
+  /// unlike the engines' counting state it cannot be recounted from
+  /// the replayed prefix.
+  EpmReclassified epm_reclassified{};
 };
 
 /// The write side of one epoch cut: borrowed views of the live epoch
@@ -157,17 +155,13 @@ struct EpochStage {
 struct EpochCut {
   std::uint64_t epoch = 0;
   std::uint64_t wal_records = 0;
-  cluster::BackendKind b_backend = cluster::BackendKind::kLsh;
   const honeypot::EventDatabase& db;
   const honeypot::EnrichmentStats& enrichment;
   const fault::FaultReport& fault_report;
   const EpmStage& epm;
   const analysis::BehavioralView& behavioral;
   std::span<const std::uint8_t> ingest_blob;
-  std::span<const std::uint8_t> e_counts;
-  std::span<const std::uint8_t> p_counts;
-  std::span<const std::uint8_t> m_counts;
-  std::span<const std::uint8_t> signature_blob;
+  EpmReclassified epm_reclassified{};
 };
 
 class CheckpointStore {

@@ -91,8 +91,6 @@ TEST_P(BackendConformance, RegistryRoundTrip) {
   EXPECT_EQ(backend.kind(), GetParam());
   EXPECT_EQ(backend_from_name(backend.name()).kind(), GetParam());
   EXPECT_EQ(backend_name(GetParam()), backend.name());
-  EXPECT_EQ(backend_kind_from_tag(static_cast<std::uint8_t>(GetParam())),
-            GetParam());
 }
 
 TEST_P(BackendConformance, EmptyInput) {
@@ -289,10 +287,6 @@ TEST(KmeansBackend, SeparatesDisjointFamilies) {
 TEST(BackendRegistry, UnknownNameThrows) {
   EXPECT_THROW((void)backend_from_name("agglomerative"), ConfigError);
   EXPECT_THROW((void)backend_from_name(""), ConfigError);
-}
-
-TEST(BackendRegistry, UnknownTagThrows) {
-  EXPECT_THROW((void)backend_kind_from_tag(200), ParseError);
 }
 
 TEST(BackendRegistry, AllBackendsListsEveryKind) {

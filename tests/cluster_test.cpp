@@ -841,30 +841,6 @@ TEST(SignatureCache, ParameterChangeInvalidatesTheCache) {
             cluster_profiles(ptrs, BehavioralOptions{}).assignment);
 }
 
-TEST(SignatureCache, CodecRoundTripsAndRejectsDamage) {
-  SignatureStore store;
-  store.config = signature_config(20, 5, 7);
-  store.reused = 3;
-  store.computed = 9;
-  store.signatures = {{1, 2, 3}, {}, {42}};
-  const auto blob = encode_signature_store(store);
-  const SignatureStore back = decode_signature_store(blob);
-  EXPECT_EQ(back.config, store.config);
-  EXPECT_EQ(back.reused, 3u);
-  EXPECT_EQ(back.computed, 9u);
-  EXPECT_EQ(back.signatures, store.signatures);
-
-  auto truncated = blob;
-  truncated.pop_back();
-  EXPECT_THROW((void)decode_signature_store(truncated), ParseError);
-  auto trailing = blob;
-  trailing.push_back(0);
-  EXPECT_THROW((void)decode_signature_store(trailing), ParseError);
-  auto wrong_version = blob;
-  wrong_version[0] ^= 0xff;
-  EXPECT_THROW((void)decode_signature_store(wrong_version), ParseError);
-}
-
 TEST(Behavioral, PriorAssignmentSeedingMatchesFromScratch) {
   // Epoch-style growth: cluster a prefix, then the full list seeded
   // with the prefix partition. The seeded run must equal the
@@ -1044,54 +1020,70 @@ TEST(IncrementalEpm, CountsFlipTriggeredReclassifications) {
   EXPECT_GT(engine.instances_reclassified(), 0u);
 }
 
-TEST(IncrementalEpm, RestoreResumesFromBlobOrRecounts) {
+TEST(IncrementalEpm, RestoreRecountsFromRows) {
   const auto events = flip_stream(60);
   honeypot::EventDatabase db;
   IncrementalEpm engine{Dimension::kEpsilon};
   for (std::size_t i = 0; i < 30; ++i) db.add_event(events[i]);
   const EpmResult cut = engine.update(db);
-  const auto blob = engine.encode_counts();
   const std::uint64_t reclassified_at_cut = engine.instances_reclassified();
   // The live engine absorbs the tail.
   for (std::size_t i = 30; i < events.size(); ++i) db.add_event(events[i]);
   const EpmResult live = engine.update(db);
 
-  // Resume from the cut with the counting-state blob.
+  // Resume from the cut: the counts are recounted from the replayed
+  // rows, only the reclassification total comes from the cut.
   honeypot::EventDatabase resumed_db;
   for (std::size_t i = 0; i < 30; ++i) resumed_db.add_event(events[i]);
   IncrementalEpm resumed{Dimension::kEpsilon};
-  resumed.restore(resumed_db, cut, blob);
+  resumed.restore(resumed_db, cut, reclassified_at_cut);
   EXPECT_EQ(resumed.instances_reclassified(), reclassified_at_cut);
   for (std::size_t i = 30; i < events.size(); ++i) {
     resumed_db.add_event(events[i]);
   }
   expect_same_clustering(resumed.update(resumed_db), live);
+  EXPECT_EQ(resumed.instances_reclassified(), engine.instances_reclassified());
 }
 
 TEST(IncrementalEpm, RestoreRejectsInconsistentState) {
-  const auto events = flip_stream(20);
+  const auto events = flip_stream(60);
   honeypot::EventDatabase db;
   IncrementalEpm engine{Dimension::kEpsilon};
   for (const auto& event : events) db.add_event(event);
   const EpmResult cut = engine.update(db);
-  const auto blob = engine.encode_counts();
 
   IncrementalEpm wrong_dimension{Dimension::kPi};
-  EXPECT_THROW(wrong_dimension.restore(db, cut, blob), ConfigError);
+  EXPECT_THROW(wrong_dimension.restore(db, cut, 0), ConfigError);
 
-  auto tampered = blob;
-  tampered[0] ^= 0xff;  // version
-  IncrementalEpm fresh{Dimension::kEpsilon};
-  EXPECT_THROW(fresh.restore(db, cut, tampered), ParseError);
+  // The invariant table disagrees with the recount: one invariant
+  // dropped, or a value promoted that never met the thresholds.
+  std::size_t invariants = 0;
+  for (std::size_t f = 0; f < cut.schema.size(); ++f) {
+    invariants += cut.invariants.count(f);
+  }
+  ASSERT_GT(invariants, 0u);
+  for (const bool drop : {true, false}) {
+    EpmResult forged = cut;
+    forged.invariants = InvariantTable{cut.schema.size()};
+    bool dropped = false;
+    for (std::size_t f = 0; f < cut.schema.size(); ++f) {
+      for (const std::string& value : cut.invariants.sorted_values(f)) {
+        if (drop && !dropped) {
+          dropped = true;
+          continue;
+        }
+        forged.invariants.add(f, value);
+      }
+    }
+    if (!drop) forged.invariants.add(0, "never-seen");
+    IncrementalEpm fresh{Dimension::kEpsilon};
+    EXPECT_THROW(fresh.restore(db, forged, 0), ConfigError) << drop;
+  }
 
-  // The counts are mandatory: an empty blob is not a recount request.
-  IncrementalEpm blobless{Dimension::kEpsilon};
-  EXPECT_THROW(blobless.restore(db, cut, {}), ParseError);
-
-  // A database that moved past the cut no longer matches the blob.
+  // A database that moved past the cut has rows the cut never clustered.
   db.add_event(stream_event("late", 1, 100));
   IncrementalEpm stale{Dimension::kEpsilon};
-  EXPECT_THROW(stale.restore(db, cut, blob), ParseError);
+  EXPECT_THROW(stale.restore(db, cut, 0), ConfigError);
 }
 
 TEST(IncrementalEpm, RejectsAShrunkenDatabase) {

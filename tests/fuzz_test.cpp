@@ -6,14 +6,21 @@
 // boundary.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <optional>
+
+#include "ingest/report.hpp"
 #include "io/csv_import.hpp"
 #include "pe/builder.hpp"
 #include "pe/filetype.hpp"
 #include "pe/parser.hpp"
 #include "proto/gamma.hpp"
 #include "proto/region.hpp"
+#include "scenario/paper.hpp"
 #include "shellcode/analyzer.hpp"
 #include "shellcode/builder.hpp"
+#include "snapshot/checkpoint.hpp"
+#include "snapshot/durable_file.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
 #include "util/rng.hpp"
@@ -164,6 +171,79 @@ TEST_P(FuzzSeed, HexAndDateParsersSurviveJunk) {
     } catch (const ParseError&) {
     }
   }
+}
+
+TEST_P(FuzzSeed, EpochCutSectionsSurviveMutations) {
+  // One tiny cut, written the way the epoch loop writes it. Each trial
+  // mutates one section's payload and re-seals the container, so every
+  // CRC is valid and the mutation reaches that section's decoder.
+  namespace fs = std::filesystem;
+  constexpr std::uint64_t kFingerprint = 42;
+  constexpr std::size_t kTrials = 12;
+  const fs::path dir = fs::path{testing::TempDir()} /
+                       ("fuzz-cut-" + std::to_string(GetParam()));
+  fs::remove_all(dir);
+  scenario::ScenarioOptions options;
+  options.scale = 0.02;
+  options.seed = 5;
+  const scenario::Dataset ds = scenario::build_paper_dataset(options);
+  const snapshot::EpmStage epm{ds.e, ds.p, ds.m};
+  ingest::IngestReport totals;
+  totals.records_appended = ds.db.events().size();
+  const std::vector<std::uint8_t> ingest_blob =
+      ingest::encode_stream_totals(totals);
+  snapshot::CheckpointStore writer{snapshot::CheckpointOptions{dir.string()},
+                                   kFingerprint};
+  writer.save_epoch(snapshot::EpochCut{.epoch = 0,
+                                       .wal_records = ds.db.events().size(),
+                                       .db = ds.db,
+                                       .enrichment = ds.enrichment,
+                                       .fault_report = ds.fault_report,
+                                       .epm = epm,
+                                       .behavioral = ds.b,
+                                       .ingest_blob = ingest_blob,
+                                       .epm_reclassified = {1, 2, 3}});
+  const std::string path = (dir / snapshot::epoch_filename(0)).string();
+  const std::optional<std::vector<std::uint8_t>> valid =
+      snapshot::read_whole_file(path);
+  ASSERT_TRUE(valid.has_value());
+  const snapshot::DecodedSnapshot cut = snapshot::decode_snapshot(*valid);
+
+  Rng rng{static_cast<std::uint64_t>(GetParam()) * 811 + 3};
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for (std::size_t section = 0; section < cut.sections.size(); ++section) {
+    for (std::size_t trial = 0; trial < kTrials; ++trial) {
+      std::vector<snapshot::Section> sections = cut.sections;
+      sections[section].payload =
+          mutate(sections[section].payload, rng,
+                 1 + static_cast<int>(rng.index(6)));
+      snapshot::atomic_write(
+          path, snapshot::encode_snapshot(kFingerprint, sections), "fuzz");
+      snapshot::CheckpointStore reader{
+          snapshot::CheckpointOptions{dir.string()}, kFingerprint};
+      std::optional<snapshot::EpochStage> stage;
+      ASSERT_NO_THROW(stage = reader.load_latest_epoch())
+          << cut.sections[section].name;
+      if (stage.has_value()) {
+        ++loaded;
+        EXPECT_EQ(reader.activity().quarantined, 0u);
+        // The ingest totals stay opaque until priming decodes them.
+        ingest::IngestReport decoded;
+        try {
+          ingest::decode_stream_totals(stage->ingest_blob, decoded);
+        } catch (const ParseError&) {
+        }
+      } else {
+        ++rejected;
+        EXPECT_EQ(reader.activity().quarantined, 1u)
+            << cut.sections[section].name;
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(loaded + rejected, kTrials * cut.sections.size());
+  fs::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeed, ::testing::Range(0, 8));

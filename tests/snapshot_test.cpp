@@ -482,30 +482,24 @@ const EpmStage& dataset_epm() {
   return epm;
 }
 
-/// Epoch 2's cut of the shared dataset, written by `backend`.
-EpochCut dataset_cut(cluster::BackendKind backend = cluster::BackendKind::kLsh) {
+/// Epoch 2's cut of the shared dataset.
+EpochCut dataset_cut() {
   const scenario::Dataset& ds = dataset();
   return EpochCut{.epoch = 2,
                   .wal_records = ds.db.events().size(),
-                  .b_backend = backend,
                   .db = ds.db,
                   .enrichment = ds.enrichment,
                   .fault_report = ds.fault_report,
                   .epm = dataset_epm(),
                   .behavioral = ds.b,
                   .ingest_blob = {},
-                  .e_counts = {},
-                  .p_counts = {},
-                  .m_counts = {},
-                  .signature_blob = {}};
+                  .epm_reclassified = {3, 5, 7}};
 }
 
 /// Writes epoch 2's cut of the shared dataset into `dir`.
-void save_dataset_cut(const fs::path& dir,
-                      cluster::BackendKind backend = cluster::BackendKind::kLsh,
-                      std::uint64_t fingerprint = 42) {
+void save_dataset_cut(const fs::path& dir, std::uint64_t fingerprint = 42) {
   CheckpointStore writer{CheckpointOptions{dir.string()}, fingerprint};
-  writer.save_epoch(dataset_cut(backend));
+  writer.save_epoch(dataset_cut());
 }
 
 /// An apply_epoch priming step for callers that keep no derived state.
@@ -533,12 +527,17 @@ TEST(Store, DisabledStoreIsInert) {
 
 TEST(Store, SaveThenLoadRestores) {
   const fs::path dir = fresh_dir("save-load");
-  save_dataset_cut(dir, cluster::BackendKind::kLsh, 99);
+  save_dataset_cut(dir, 99);
   EXPECT_TRUE(fs::exists(dir / epoch_filename(2)));
 
   CheckpointStore reader{CheckpointOptions{dir.string()}, 99};
   const auto loaded = reader.load_latest_epoch();
   ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->epoch, 2u);
+  EXPECT_EQ(loaded->wal_records, dataset().db.events().size());
+  EXPECT_EQ(loaded->sample_count, dataset().db.samples().size());
+  EXPECT_EQ(loaded->samples.size(), dataset().db.samples().size());
+  EXPECT_EQ(loaded->epm_reclassified, (EpmReclassified{3, 5, 7}));
   EXPECT_EQ(loaded->epm.e.cluster_count(), dataset().e.cluster_count());
   EXPECT_EQ(loaded->behavioral.cluster_count(), dataset().b.cluster_count());
   // Loading is not restoring: the caller may still decline the cut.
@@ -550,7 +549,7 @@ TEST(Store, SaveThenLoadRestores) {
 
 TEST(Store, StaleFingerprintIsQuarantinedNotLoaded) {
   const fs::path dir = fresh_dir("stale");
-  save_dataset_cut(dir, cluster::BackendKind::kLsh, 1000);
+  save_dataset_cut(dir, 1000);
 
   CheckpointStore reader{CheckpointOptions{dir.string()}, 2000};
   EXPECT_FALSE(reader.load_latest_epoch().has_value());
@@ -578,7 +577,7 @@ TEST(Store, RepeatedQuarantinesKeepEveryPieceOfEvidence) {
   // End to end: two stale cuts quarantined back to back land in
   // distinct files.
   for (int round = 0; round < 2; ++round) {
-    save_dataset_cut(dir, cluster::BackendKind::kLsh, 1000);
+    save_dataset_cut(dir, 1000);
     CheckpointStore reader{CheckpointOptions{dir.string()}, 2000};
     EXPECT_FALSE(reader.load_latest_epoch().has_value());
   }
@@ -588,7 +587,7 @@ TEST(Store, RepeatedQuarantinesKeepEveryPieceOfEvidence) {
 
 TEST(Store, CorruptFileIsQuarantinedNotLoaded) {
   const fs::path dir = fresh_dir("corrupt");
-  save_dataset_cut(dir, cluster::BackendKind::kLsh, 5);
+  save_dataset_cut(dir, 5);
 
   // Flip one byte in the middle of the file.
   const fs::path path = dir / epoch_filename(2);
@@ -613,20 +612,6 @@ TEST(Store, GarbageFileIsQuarantinedNotLoaded) {
   CheckpointStore store{CheckpointOptions{dir.string()}, 5};
   EXPECT_FALSE(store.load_latest_epoch().has_value());
   EXPECT_EQ(store.activity().quarantined, 1u);
-}
-
-TEST(Store, EpochBackendTagRoundTrips) {
-  const fs::path dir = fresh_dir("epoch-backend-tag");
-  save_dataset_cut(dir, cluster::BackendKind::kKmeans);
-
-  CheckpointStore reader{CheckpointOptions{dir.string()}, 42};
-  const auto loaded = reader.load_latest_epoch();
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->epoch, 2u);
-  EXPECT_EQ(loaded->wal_records, dataset().db.events().size());
-  EXPECT_EQ(loaded->b_backend, cluster::BackendKind::kKmeans);
-  EXPECT_EQ(loaded->sample_count, dataset().db.samples().size());
-  EXPECT_EQ(loaded->samples.size(), dataset().db.samples().size());
 }
 
 TEST(Store, EpochCutCompletesTheReplayedDatabase) {

@@ -25,8 +25,10 @@
 #include "scenario/paper.hpp"
 #include "scenario/stream.hpp"
 #include "snapshot/checkpoint.hpp"
+#include "snapshot/codec.hpp"
 #include "snapshot/crc32.hpp"
 #include "snapshot/durable_file.hpp"
+#include "util/byteio.hpp"
 #include "util/error.hpp"
 
 namespace repro::scenario {
@@ -482,11 +484,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Stream, EpochCutFromAnotherBackendIsDeclined) {
-  // The fingerprint excludes the backend, so a cut's backend tag is
-  // what keeps one backend's partition from seeding another. Switching
-  // backends over one WAL and checkpoint directory must decline the
-  // foreign cut — never seed from it, never refuse to run — and replay
-  // from record 0 to that backend's own batch output.
+  // A cut's fingerprint names the backend that produced its partition,
+  // so switching backends over one WAL and checkpoint directory finds
+  // only stale cuts: it quarantines them — never seeds from them, never
+  // refuses to run — and replays from record 0 to that backend's own
+  // batch output.
   ScenarioOptions options = small_options(true);
   const fs::path root = fresh_dir("backend-switch");
   StreamOptions stream = stream_under(root, options);
@@ -502,58 +504,96 @@ TEST(Stream, EpochCutFromAnotherBackendIsDeclined) {
     options.b_backend = backend;
     const Dataset switched = build_streaming_dataset(options, stream);
     const std::string_view name = cluster::backend_name(backend);
-    // The declined cut was loaded but never applied, so it is not
-    // counted as restored; the newest cut is always the previous
-    // backend's.
+    // Every cut on disk is the previous backend's.
     EXPECT_EQ(switched.ingest.epochs_restored, 0u) << name;
     EXPECT_EQ(switched.checkpoint_activity.restored, 0u) << name;
+    EXPECT_GT(switched.checkpoint_activity.stale, 0u) << name;
     EXPECT_EQ(switched.ingest.epochs_run, 3u) << name;
     EXPECT_EQ(switched.ingest.epochs_verified, 3u) << name;
     EXPECT_EQ(all_csv(switched), backend_batch_csv(backend)) << name;
   }
 }
 
+TEST(Stream, ForeignCutDoesNotShadowTheBackendsOwnCuts) {
+  // lsh cuts more epochs than exact does, so its newest file has a
+  // higher index than any exact cut. Once set aside it must not keep
+  // shadowing exact's own cuts: the second exact run resumes.
+  ScenarioOptions options = small_options(true);
+  const fs::path root = fresh_dir("backend-shadow");
+  (void)build_streaming_dataset(options, stream_under(root, options, 8));
+
+  options.b_backend = cluster::BackendKind::kExact;
+  const StreamOptions stream = stream_under(root, options, 4);
+  const Dataset first = build_streaming_dataset(options, stream);
+  EXPECT_EQ(first.ingest.epochs_restored, 0u);
+  EXPECT_EQ(first.checkpoint_activity.stale, 8u);
+  EXPECT_EQ(first.ingest.epochs_run, 4u);
+
+  const Dataset second = build_streaming_dataset(options, stream);
+  EXPECT_EQ(second.ingest.epochs_restored, 1u);
+  EXPECT_EQ(second.checkpoint_activity.quarantined, 0u);
+  EXPECT_EQ(second.ingest.epochs_run, 0u);
+  const std::string expected = backend_batch_csv(cluster::BackendKind::kExact);
+  EXPECT_EQ(all_csv(first), expected);
+  EXPECT_EQ(all_csv(second), expected);
+}
+
 TEST(Stream, IncrementalCountersAreKillInvariant) {
   const auto counter_of = [](const obs::MetricsRegistry& metrics,
-                             const std::string& name) -> std::uint64_t {
-    for (const auto& [counter, value] :
-         metrics.counter_values(obs::Channel::kDeterministic)) {
+                             const std::string& name,
+                             obs::Channel channel) -> std::uint64_t {
+    for (const auto& [counter, value] : metrics.counter_values(channel)) {
       if (counter == name) return value;
     }
     ADD_FAILURE() << "missing counter " << name;
     return 0;
   };
+  constexpr std::size_t kEpochs = 4;
 
+  // B's item count after each epoch of an uninterrupted run.
   obs::MetricsRegistry clean_metrics;
   ScenarioOptions clean_options = small_options(true);
   clean_options.metrics = &clean_metrics;
   const fs::path clean_root = fresh_dir("counters-clean");
-  (void)build_streaming_dataset(clean_options,
-                                stream_under(clean_root, clean_options));
-  const std::uint64_t reclassified =
-      counter_of(clean_metrics, "epm.instances_reclassified");
-  const std::uint64_t reused =
-      counter_of(clean_metrics, "cluster.signatures_reused");
-  // Profiles only ever accumulate, so epochs 2..N reuse a non-empty
-  // prefix.
-  EXPECT_GT(reused, 0u);
+  StreamOptions clean_stream = stream_under(clean_root, clean_options, kEpochs);
+  std::vector<std::uint64_t> items;
+  clean_stream.on_epoch = [&items](const honeypot::EventDatabase&,
+                                   const snapshot::EpmStage&,
+                                   const analysis::BehavioralView& bview,
+                                   std::size_t) {
+    items.push_back(bview.clusters().assignment.size());
+  };
+  (void)build_streaming_dataset(clean_options, clean_stream);
+  ASSERT_EQ(items.size(), kEpochs);
+  const std::uint64_t reclassified = counter_of(
+      clean_metrics, "epm.instances_reclassified", obs::Channel::kDeterministic);
+  // Every epoch after the first reuses the previous epoch's signatures.
+  EXPECT_EQ(counter_of(clean_metrics, "cluster.signatures_reused",
+                       obs::Channel::kRuntime),
+            items[0] + items[1] + items[2]);
+  EXPECT_GT(items[0], 0u);
 
-  // The same stream killed after epoch 2 and resumed must publish the
-  // same final totals: both counters are whole-history values restored
-  // from the cut, not per-process ones.
+  // The same stream killed after epoch 2 and resumed publishes the same
+  // reclassification total, restored from the cut. The signature cache
+  // is process-local: the resumed process hashes the restored prefix in
+  // epoch 3 and reuses only that in epoch 4.
   ScenarioOptions options = small_options(true);
   const fs::path root = fresh_dir("counters-kill");
-  StreamOptions stream = stream_under(root, options);
+  StreamOptions stream = stream_under(root, options, kEpochs);
   stream.on_epoch = crash_after_epoch(2);
   EXPECT_THROW((void)build_streaming_dataset(options, stream),
                snapshot::CheckpointInterrupted);
   stream.on_epoch = nullptr;
   obs::MetricsRegistry resumed_metrics;
   options.metrics = &resumed_metrics;
-  (void)build_streaming_dataset(options, stream);
-  EXPECT_EQ(counter_of(resumed_metrics, "epm.instances_reclassified"),
+  const Dataset resumed = build_streaming_dataset(options, stream);
+  EXPECT_EQ(resumed.ingest.epochs_restored, 1u);
+  EXPECT_EQ(counter_of(resumed_metrics, "epm.instances_reclassified",
+                       obs::Channel::kDeterministic),
             reclassified);
-  EXPECT_EQ(counter_of(resumed_metrics, "cluster.signatures_reused"), reused);
+  EXPECT_EQ(counter_of(resumed_metrics, "cluster.signatures_reused",
+                       obs::Channel::kRuntime),
+            items[2]);
 }
 
 TEST(Stream, OlderSnapshotVersionIsQuarantinedOnWarmResume) {
@@ -703,9 +743,10 @@ TEST(Stream, CutThatDisagreesWithTheReplayIsNeverTrusted) {
     auto& [path, cut] = cuts.front();
     for (snapshot::Section& section : cut.sections) {
       if (rewrite_count && section.name == "epoch-meta") {
-        // [epoch u64][wal_records u64][backend u8][sample count u64]
-        ASSERT_EQ(section.payload.size(), 25u);
-        ++section.payload[17];
+        // [epoch u64][wal_records u64][sample count u64]
+        // [reclassified u64 x3]
+        ASSERT_EQ(section.payload.size(), 48u);
+        ++section.payload[16];
       }
       if (!rewrite_count && section.name == "samples") {
         // [count u64][md5 length u32][md5 ...] — flip the first md5.
@@ -727,39 +768,40 @@ TEST(Stream, CutThatDisagreesWithTheReplayIsNeverTrusted) {
 }
 
 TEST(Stream, CutThatCannotBePrimedIsQuarantined) {
-  // A cut whose samples match the replay but whose opaque state does not
-  // describe it — epoch 1's cut carrying epoch 0's epsilon counts, a cut
-  // with empty engine blobs, or one with empty stream totals — is
-  // quarantined and the run rebuilds cold from record 0, like any other
-  // cut the replay disagrees with. It must never abort the resume.
-  for (const std::string forgery :
-       {"stale-counts", "empty-engine-blobs", "empty-totals"}) {
+  // A cut whose samples match the replay but whose results or totals do
+  // not describe it — epoch 1's epsilon clustering with one invariant
+  // dropped from its table, or empty stream totals — is quarantined and
+  // the run rebuilds cold from record 0, like any other cut the replay
+  // disagrees with. It must never abort the resume.
+  for (const std::string forgery : {"forged-invariants", "empty-totals"}) {
     ScenarioOptions options = small_options(true);
-    const fs::path root = fresh_dir("forged-" + forgery);
+    const fs::path root = fresh_dir(forgery);
     StreamOptions stream = stream_under(root, options);
-    const std::size_t kill_after = forgery == "stale-counts" ? 2 : 1;
-    stream.on_epoch = crash_after_epoch(kill_after);
+    stream.on_epoch = crash_after_epoch(2);
     EXPECT_THROW((void)build_streaming_dataset(options, stream),
                  snapshot::CheckpointInterrupted);
     stream.on_epoch = nullptr;
 
     auto cuts = epoch_cuts(options.checkpoint.directory);
-    ASSERT_EQ(cuts.size(), kill_after);
-    const std::vector<std::uint8_t> older_counts = [&] {
-      for (const snapshot::Section& section : cuts.front().second.sections) {
-        if (section.name == "epsilon-counts") return section.payload;
-      }
-      ADD_FAILURE() << "epoch 0 cut has no epsilon-counts section";
-      return std::vector<std::uint8_t>{};
-    }();
+    ASSERT_EQ(cuts.size(), 2u);
     auto& [path, cut] = cuts.back();
     for (snapshot::Section& section : cut.sections) {
-      if (forgery == "stale-counts" && section.name == "epsilon-counts") {
-        section.payload = older_counts;
-      }
-      if (forgery == "empty-engine-blobs" &&
-          (section.name.ends_with("-counts") || section.name == "signatures")) {
-        section.payload.clear();
+      if (forgery == "forged-invariants" && section.name == "epsilon") {
+        ByteReader reader{section.payload};
+        cluster::EpmResult result = snapshot::read_epm_result(reader);
+        cluster::InvariantTable kept{result.schema.size()};
+        bool dropped = false;
+        for (std::size_t f = 0; f < result.schema.size(); ++f) {
+          for (const std::string& value : result.invariants.sorted_values(f)) {
+            if (dropped) kept.add(f, value);
+            dropped = true;
+          }
+        }
+        ASSERT_TRUE(dropped) << "epoch 1 has no epsilon invariant to drop";
+        result.invariants = std::move(kept);
+        ByteWriter writer;
+        snapshot::write_epm_result(writer, result);
+        section.payload = writer.take();
       }
       if (forgery == "empty-totals" && section.name == "ingest") {
         section.payload.clear();

@@ -13,6 +13,12 @@
 # export the same bytes: both resume from the newest epoch cut by
 # replaying its WAL prefix (recovered, or regenerated when lost).
 #
+# The run that finishes the kill chain must also publish the same
+# kill-invariant counters (the pipeline.*, enrich.*, fault.*, cluster.*
+# and epm.* families of --metrics-out) as one uninterrupted stream.
+# Only per-run counters may differ: snapshot.*, ingest.epochs.*,
+# ingest.queue.* and the WAL recovery counters.
+#
 # Every round runs under a hard per-round timeout: a child that hangs
 # (instead of dying or completing) is SIGKILLed by timeout(1) and the
 # round is retried at the same kill point, up to a bounded number of
@@ -61,6 +67,16 @@ echo "== baseline: one-shot batch build (seed $SEED, scale $SCALE," \
   exit 1
 }
 
+echo "== reference: one uninterrupted stream"
+"$BIN" --seed "$SEED" --scale "$SCALE" --faults "$FAULTS" \
+       --epochs "$EPOCHS" \
+       --wal-dir "$work/ref-wal" --checkpoint-dir "$work/ref-ckpt" \
+       --metrics-out "$work/ref-metrics.json" \
+       --export-dir "$work/ref" >/dev/null || {
+  echo "crash_loop_stress: reference stream failed" >&2
+  exit 1
+}
+
 kill_at=7
 round=0
 hung_retries=0
@@ -74,6 +90,8 @@ while :; do
   # job notice lands in /dev/null instead of the log; the 137 exit
   # status still propagates. timeout(1) bounds the round: a hung child
   # gets SIGTERM at $ROUND_TIMEOUT (exit 124), then SIGKILL 10s later.
+  # Metrics are written at exit, so only a completing round leaves them.
+  rm -f "$work/final-metrics.json"
   # shellcheck disable=SC2086  # intentional: empty TIMEOUT_CMD vanishes
   $TIMEOUT_CMD ${TIMEOUT_CMD:+-k 10 "$ROUND_TIMEOUT"} \
      sh -c '"$@" >/dev/null 2>&1' crash-loop \
@@ -81,6 +99,7 @@ while :; do
      --epochs "$EPOCHS" \
      --wal-dir "$work/wal" --checkpoint-dir "$work/ckpt" \
      --kill-after-records "$kill_at" \
+     --metrics-out "$work/final-metrics.json" \
      --export-dir "$work/stream" 2>/dev/null
   rc=$?
   if [ "$rc" -eq 0 ]; then
@@ -134,9 +153,26 @@ rerun_stream() {
   }
 }
 
+expect_batch_identical ref
 expect_batch_identical stream
 echo "== exports byte-identical to the batch build after $round runs" \
      "($((round - 1)) kills)"
+
+# The kill-invariant metric families of one metrics JSON file.
+kill_invariant_metrics() {
+  grep -E '^ *"(pipeline|enrich|fault|cluster|epm)\.' "$1"
+}
+if ! diff <(kill_invariant_metrics "$work/ref-metrics.json") \
+          <(kill_invariant_metrics "$work/final-metrics.json") >/dev/null
+then
+  echo "crash_loop_stress: kill-invariant counters differ from the" \
+       "uninterrupted stream:" >&2
+  diff <(kill_invariant_metrics "$work/ref-metrics.json") \
+       <(kill_invariant_metrics "$work/final-metrics.json") >&2
+  exit 1
+fi
+echo "== $(kill_invariant_metrics "$work/final-metrics.json" | wc -l)" \
+     "kill-invariant counters match the uninterrupted stream"
 
 # Warm rerun: epoch cuts hold derived state only, so resume rebuilds
 # the database by replaying the WAL prefix the newest cut covers.
