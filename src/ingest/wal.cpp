@@ -332,17 +332,19 @@ WalWriter::WalWriter(WalOptions options, std::uint64_t fingerprint,
   segment_index_ = recovered.next_segment_index;
   if (recovered.open_tail) {
     segment_index_ = recovered.open_tail_index;
-    const std::string path =
-        (fs::path{options_.directory} /
-         segment_filename(segment_index_, /*open=*/true))
-            .string();
-    fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
-    if (fd_ < 0) throw_io(kOwner, "open", path);
+    open_path_ = segment_path(/*open=*/true);
+    fd_ = ::open(open_path_.c_str(), O_WRONLY | O_APPEND);
+    if (fd_ < 0) throw_io(kOwner, "open", open_path_);
     std::error_code ec;
-    const std::uintmax_t size = fs::file_size(path, ec);
-    if (ec) throw IoError("wal: cannot stat " + path);
+    const std::uintmax_t size = fs::file_size(open_path_, ec);
+    if (ec) throw IoError("wal: cannot stat " + open_path_);
     segment_bytes_written_ = size;
   }
+}
+
+std::string WalWriter::segment_path(bool open) const {
+  return (fs::path{options_.directory} / segment_filename(segment_index_, open))
+      .string();
 }
 
 WalWriter::~WalWriter() { close_fd(); }
@@ -355,29 +357,22 @@ void WalWriter::close_fd() noexcept {
 }
 
 void WalWriter::open_segment() {
-  const std::string path = (fs::path{options_.directory} /
-                            segment_filename(segment_index_, /*open=*/true))
-                               .string();
-  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd_ < 0) throw_io(kOwner, "open", path);
+  open_path_ = segment_path(/*open=*/true);
+  fd_ = ::open(open_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd_ < 0) throw_io(kOwner, "open", open_path_);
   const std::vector<std::uint8_t> header =
       encode_segment_header(fingerprint_, segment_index_, next_record_);
-  write_fully(fd_, header, path, kOwner);
-  if (options_.sync_every_append) fsync_file(fd_, path, kOwner);
-  // The new file's directory entry must be durable before any frame in
-  // it is acknowledged.
+  write_fully(fd_, header, open_path_, kOwner);
+  // The header is synced with the frames when the segment is sealed;
+  // the new file's directory entry is made durable now.
   fsync_dir(options_.directory, kOwner);
   segment_bytes_written_ = header.size();
 }
 
 void WalWriter::append(std::span<const std::uint8_t> payload) {
   if (fd_ < 0) open_segment();
-  const std::string path = (fs::path{options_.directory} /
-                            segment_filename(segment_index_, /*open=*/true))
-                               .string();
   const std::vector<std::uint8_t> frame = encode_frame(next_record_, payload);
-  write_fully(fd_, frame, path, kOwner);
-  if (options_.sync_every_append) fsync_file(fd_, path, kOwner);
+  write_fully(fd_, frame, open_path_, kOwner);
   segment_bytes_written_ += frame.size();
   ++next_record_;
   if (report_ != nullptr) {
@@ -387,29 +382,13 @@ void WalWriter::append(std::span<const std::uint8_t> payload) {
   if (segment_bytes_written_ >= options_.segment_bytes) seal();
 }
 
-void WalWriter::sync() {
-  if (fd_ < 0) return;
-  fsync_file(fd_,
-             (fs::path{options_.directory} /
-              segment_filename(segment_index_, /*open=*/true))
-                 .string(),
-             kOwner);
-}
-
 void WalWriter::seal() {
   if (fd_ < 0 || segment_bytes_written_ <= kWalSegmentHeaderBytes) return;
-  const std::string open_path =
-      (fs::path{options_.directory} /
-       segment_filename(segment_index_, /*open=*/true))
-          .string();
-  const std::string sealed_path =
-      (fs::path{options_.directory} /
-       segment_filename(segment_index_, /*open=*/false))
-          .string();
-  fsync_file(fd_, open_path, kOwner);
+  const std::string sealed_path = segment_path(/*open=*/false);
+  fsync_file(fd_, open_path_, kOwner);
   close_fd();
-  if (std::rename(open_path.c_str(), sealed_path.c_str()) != 0) {
-    throw_io(kOwner, "rename", open_path);
+  if (std::rename(open_path_.c_str(), sealed_path.c_str()) != 0) {
+    throw_io(kOwner, "rename", open_path_);
   }
   fsync_dir(options_.directory, kOwner);
   segment_bytes_written_ = 0;

@@ -22,6 +22,14 @@
 // newest segment, which recovery truncates back to the last valid
 // frame; damage anywhere else is quarantined under a unique name and
 // the scan keeps every record before the first corrupt frame.
+//
+// Durability contract: a record is durable once the epoch that holds it
+// is cut. Appends are plain writes; seal() is the only point that syncs
+// frames, and the epoch loop seals before it saves the epoch's cut, so
+// a cut never covers an unsynced record. A process kill loses nothing
+// (the page cache survives it); a power cut can lose the unsynced tail
+// of the open segment, which recovery truncates like any torn tail and
+// the regenerated stream re-appends.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +53,6 @@ struct WalOptions {
   /// Rotation threshold: the open segment is sealed once its size
   /// reaches this many bytes. Small values in tests force rotations.
   std::uint64_t segment_bytes = 1u << 20;
-  /// fsync after every appended frame (durability-first default); when
-  /// false, only sync()/seal() are durability points and a crash can
-  /// cost the frames since the last one — which recovery handles as a
-  /// torn tail.
-  bool sync_every_append = true;
   /// Test seam: simulate a crash mid-rotation — the Nth seal of this
   /// writer's lifetime (1-based) renames the segment but dies before a
   /// new open segment exists (0 = never).
@@ -96,9 +99,9 @@ struct RecoveredWal {
                                        std::uint64_t fingerprint,
                                        IngestReport& report);
 
-/// Appender positioned after a recovery. Appends are synchronous and
-/// sequential; rotation happens transparently once the open segment
-/// crosses the size threshold.
+/// Appender positioned after a recovery. Appends are sequential and
+/// unsynced; rotation happens transparently once the open segment
+/// crosses the size threshold, and seals it.
 class WalWriter {
  public:
   WalWriter(WalOptions options, std::uint64_t fingerprint,
@@ -107,17 +110,14 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Durably appends the next record (record indices continue from the
-  /// recovered prefix).
+  /// Appends the next record (record indices continue from the
+  /// recovered prefix). The frame is written, not synced: it becomes
+  /// durable when its segment is sealed.
   void append(std::span<const std::uint8_t> payload);
 
-  /// fsyncs the open segment — the epoch-batch durability point when
-  /// sync_every_append is off.
-  void sync();
-
   /// Seals the open segment (fsync + rename + directory fsync) so the
-  /// next append starts a fresh one. No-op when the open segment holds
-  /// no frames yet.
+  /// next append starts a fresh one. The writer's only durability
+  /// point. No-op when the open segment holds no frames yet.
   void seal();
 
   [[nodiscard]] std::uint64_t next_record_index() const noexcept {
@@ -135,11 +135,15 @@ class WalWriter {
  private:
   void open_segment();
   void close_fd() noexcept;
+  /// Path of the current segment, open or sealed.
+  [[nodiscard]] std::string segment_path(bool open) const;
 
   WalOptions options_;
   std::uint64_t fingerprint_ = 0;
   IngestReport* report_ = nullptr;
   int fd_ = -1;
+  /// Path of the open segment while fd_ is open.
+  std::string open_path_;
   std::uint64_t segment_index_ = 1;
   std::uint64_t segment_bytes_written_ = 0;
   std::uint64_t next_record_ = 0;

@@ -216,15 +216,22 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   // fresh from the regenerated stream past it. Recovered payloads are
   // CRC-framed and fingerprint-checked, so both sources yield the same
   // bytes for the same index — which is also why a lost WAL never
-  // strands a cut.
+  // strands a cut. A slot holds its record only until the record has
+  // been replayed and is in the WAL: then it is freed, or moved into the
+  // ingest queue. An empty slot (no record is empty) is encoded
+  // again on demand, e.g. when a cut is declined after its prefix was
+  // replayed.
   std::vector<std::vector<std::uint8_t>> records = std::move(recovered.records);
+  records.resize(total);  // salvaged records past the stream are never read
   auto record_bytes =
       [&](std::uint64_t index) -> const std::vector<std::uint8_t>& {
-    while (records.size() <= index) {
-      records.push_back(
-          encode_record(gen_db.events()[records.size()], gen_db));
-    }
-    return records[static_cast<std::size_t>(index)];
+    std::vector<std::uint8_t>& slot = records[static_cast<std::size_t>(index)];
+    if (slot.empty()) slot = encode_record(gen_db.events()[index], gen_db);
+    return slot;
+  };
+  // Moves a record out of its slot; dropping the result frees it.
+  auto take = [&](std::uint64_t index) {
+    return std::exchange(records[static_cast<std::size_t>(index)], {});
   };
 
   // Incremental clustering engines: counting state per EPM dimension,
@@ -246,6 +253,8 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     // and the engines' recount agreed with its E/P/M results.
     for (std::uint64_t i = 0; i < restored->wal_records; ++i) {
       replay_record(record_bytes(i), db);
+      // Records the WAL lacks stay held for the heal below.
+      if (i < writer.next_record_index()) (void)take(i);
     }
     const auto prime = [&](const honeypot::EventDatabase& replayed) {
       ingest::IngestReport totals = report;
@@ -300,7 +309,9 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   // replayed them, so they are re-appended verbatim — no delivery
   // simulation, no second replay.
   while (writer.next_record_index() < done) {
-    writer.append(record_bytes(writer.next_record_index()));
+    const std::uint64_t i = writer.next_record_index();
+    writer.append(record_bytes(i));
+    (void)take(i);
     ++appended_this_run;
     if (stream.after_append) stream.after_append(appended_this_run);
   }
@@ -329,32 +340,29 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
       for (std::uint64_t i = done; i < target; ++i) {
         const std::vector<std::uint8_t>& rec = record_bytes(i);
         // Delivery simulation runs for every record past the last cut,
-        // including records already durable in the WAL: the run that
-        // appended those died before checkpointing its counters, and
-        // the decisions are pure in (plan, key), so re-rolling them
-        // here restores exactly the counts it lost.
+        // including records already in the WAL: the run that appended
+        // those died before checkpointing its counters, and the
+        // decisions are pure in (plan, key), so re-rolling them here
+        // restores exactly the counts it lost.
         (void)ingest::deliver_record(stream.retry, i, gen_db.events()[i].time,
                                      injector);
         bytes_delta += rec.size() + ingest::kWalFrameHeaderBytes;
-        if (i >= writer.next_record_index()) {
-          // Fresh record: through the bounded queue into the WAL. The
-          // queue is drained only when full, so backpressure genuinely
-          // engages (and is counted) instead of the queue idling at
-          // depth one.
-          // A rejected offer leaves `item` with us, so the record is
-          // copied once however the queue answers.
-          std::vector<std::uint8_t> item = rec;
+        replay_record(rec, db);
+        std::vector<std::uint8_t> item = take(i);
+        if (i < writer.next_record_index()) continue;
+        // Fresh record: moved through the bounded queue into the WAL.
+        // The queue is drained only when full, so backpressure
+        // genuinely engages (and is counted) instead of the queue
+        // idling at depth one. A rejected offer leaves `item` with us.
+        if (!queue.offer(std::move(item))) {
+          drain_queue();
           if (!queue.offer(std::move(item))) {
-            drain_queue();
-            if (!queue.offer(std::move(item))) {
-              throw IoError("ingest queue rejected a record after drain");
-            }
+            throw IoError("ingest queue rejected a record after drain");
           }
         }
-        replay_record(rec, db);
       }
       drain_queue();
-      writer.sync();
+      // Sealing syncs the epoch's frames: it must precede the cut.
       writer.seal();
     }
 

@@ -5,14 +5,16 @@
 // there the way a live deployment would: every attack event becomes a
 // WAL record that is delivered (with deterministic retry/backoff under
 // injected faults), buffered through a bounded backpressure queue, and
-// durably appended to the crash-safe WAL in src/ingest. The stream is
-// split into N epochs; each epoch replays its record delta into the
+// appended to the crash-safe WAL in src/ingest. The stream is split
+// into N epochs; each epoch replays its record delta into the
 // event database, enriches the delta, advances the E/P/M/B clusterings
 // incrementally (delta counting + flip-triggered reclassification for
 // EPM, cached MinHash signatures for B, plus prior-partition seeding
 // when the backend is single-linkage — byte-identical to a full
-// recompute, which StreamOptions::verify_incremental cross-checks) and
-// cuts an epoch checkpoint. A run killed at any point — mid-epoch,
+// recompute, which StreamOptions::verify_incremental cross-checks),
+// seals the WAL segment that holds the delta (the epoch's one WAL
+// sync: a record is durable once its epoch is cut) and cuts an epoch
+// checkpoint. A run killed at any point — mid-epoch,
 // mid-append, mid-segment-rotation, mid-checkpoint-write — resumes
 // from the newest valid epoch cut plus the recovered WAL tail and
 // finishes with byte-identical output, which is the contract pinned by
@@ -48,7 +50,7 @@ struct StreamOptions {
   /// Test seam, forwarded to WalOptions::fail_after_seal: simulated
   /// crash between sealing a segment and opening the next one.
   std::uint64_t fail_after_seal = 0;
-  /// Crash seam: called after every durable append with the number of
+  /// Crash seam: called after every WAL append with the number of
   /// records this process run has appended so far. The CLI uses it to
   /// SIGKILL itself at a seeded point; tests throw
   /// snapshot::CheckpointInterrupted from it.

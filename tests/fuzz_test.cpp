@@ -8,6 +8,9 @@
 
 #include <filesystem>
 #include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "ingest/report.hpp"
 #include "io/csv_import.hpp"
@@ -17,6 +20,7 @@
 #include "proto/gamma.hpp"
 #include "proto/region.hpp"
 #include "scenario/paper.hpp"
+#include "serve/protocol.hpp"
 #include "shellcode/analyzer.hpp"
 #include "shellcode/builder.hpp"
 #include "snapshot/checkpoint.hpp"
@@ -244,6 +248,70 @@ TEST_P(FuzzSeed, EpochCutSectionsSurviveMutations) {
   EXPECT_GT(rejected, 0u);
   EXPECT_EQ(loaded + rejected, kTrials * cut.sections.size());
   fs::remove_all(dir);
+}
+
+TEST_P(FuzzSeed, RequestLineSurvivesMutations) {
+  // bench_serve's query script (with a fixed md5 and cluster id where it
+  // picks them from a built dataset) plus the debug verb. A request line
+  // comes straight off a client socket: parse_request must answer every
+  // mutation, random byte string and over-long line with a Request or a
+  // ParseError, and nothing else.
+  const std::vector<std::string> script = {
+      "health",
+      "stats",
+      "ccmap",
+      "lookup 0123456789abcdef0123456789abcdef",
+      "lookup ffffffffffffffffffffffffffffffff",
+      "cluster 7",
+      "cluster 999999",
+      "slow 5",
+  };
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  const auto check = [&](std::string_view line) {
+    try {
+      const serve::Request request = serve::parse_request(line);
+      ++parsed;
+      if (request.kind == serve::RequestKind::kLookup) {
+        EXPECT_EQ(request.md5.size(), 32u);
+      }
+      if (request.kind == serve::RequestKind::kSlow) {
+        EXPECT_GE(request.slow_ms, 0);
+      }
+    } catch (const ParseError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "non-ParseError exception: " << e.what();
+    }
+  };
+  const auto to_line = [](const std::vector<std::uint8_t>& bytes) {
+    return std::string{bytes.begin(), bytes.end()};
+  };
+
+  for (const std::string& line : script) {
+    ASSERT_NO_THROW((void)serve::parse_request(line)) << line;
+  }
+  Rng rng{static_cast<std::uint64_t>(GetParam()) * 389 + 17};
+  for (const std::string& line : script) {
+    const std::vector<std::uint8_t> valid{line.begin(), line.end()};
+    for (int trial = 0; trial < 40; ++trial) {
+      check(to_line(mutate(valid, rng, 1 + static_cast<int>(rng.index(6)))));
+    }
+  }
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<std::uint8_t> junk(rng.index(80));
+    rng.fill(junk);
+    check(to_line(junk));
+  }
+  // Over-long lines: far past the server's line bound, in each verb's
+  // argument position and with no verb at all.
+  for (const std::string_view verb : {"lookup ", "cluster ", "slow ", ""}) {
+    std::string line{verb};
+    line.append(8192 + rng.index(8192), verb == "lookup " ? 'a' : '9');
+    check(line);
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeed, ::testing::Range(0, 8));

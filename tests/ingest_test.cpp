@@ -140,6 +140,34 @@ TEST(Wal, ResumesOpenTailAcrossWriters) {
   }
 }
 
+TEST(Wal, UnsealedFramesSurviveAProcessKill) {
+  // Appends are not synced until their segment is sealed, but a killed
+  // process leaves its writes in the page cache: a writer that dies
+  // without ever sealing must still recover every frame it appended.
+  const fs::path dir = fresh_dir("unsealed");
+  IngestReport report;
+  {
+    RecoveredWal empty = recover_wal(small_wal(dir), kFp, report);
+    WalWriter writer{small_wal(dir), kFp, empty, &report};
+    append_all(writer, 50);
+  }
+  EXPECT_EQ(report.segments_sealed, 0u);
+  const std::vector<fs::path> files = wal_files(dir);
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files.front().extension(), ".open");
+
+  IngestReport scan;
+  const RecoveredWal recovered = recover_wal(small_wal(dir), kFp, scan);
+  ASSERT_EQ(recovered.records.size(), 50u);
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    EXPECT_EQ(recovered.records[i], payload(i)) << "record " << i;
+  }
+  EXPECT_TRUE(recovered.open_tail);
+  EXPECT_EQ(scan.torn_tails, 0u);
+  EXPECT_EQ(scan.corrupt_frames, 0u);
+  EXPECT_EQ(scan.bytes_dropped, 0u);
+}
+
 // --- WAL torture corpus -----------------------------------------------------
 
 /// Builds a multi-segment WAL (several sealed segments plus an open

@@ -219,8 +219,10 @@ int run(int argc, char** argv) {
     const std::uint64_t at = cli.kill_after_records;
     cli.stream.after_append = [at](std::uint64_t appended) {
       if (appended >= at) {
-        // The whole point: die without unwinding, exactly as a power
-        // cut would. The WAL append before us is already durable.
+        // The whole point: die without unwinding. The WAL append
+        // before us is in the page cache, which a process kill keeps
+        // (a power cut would not: tools/crash_loop_stress.sh simulates
+        // that by truncating the open segment).
         ::kill(::getpid(), SIGKILL);
         ::_exit(137);  // unreachable unless SIGKILL is blocked
       }

@@ -12,6 +12,11 @@
 # same directories and one rerun with the WAL directory deleted must
 # export the same bytes: both resume from the newest epoch cut by
 # replaying its WAL prefix (recovered, or regenerated when lost).
+# Last, a power cut: one fresh run is SIGKILLed a few appends into its
+# last epoch, every open WAL segment is truncated to its 36-byte
+# header (the WAL syncs a segment only when it seals it, so that is
+# all a power cut is sure to leave of it), and the rerun must export
+# the same bytes again.
 #
 # The run that finishes the kill chain must also publish the same
 # kill-invariant counters (the pipeline.*, enrich.*, fault.*, cluster.*
@@ -186,3 +191,62 @@ rm -rf "$work/wal"
 rerun_stream nowal
 expect_batch_identical nowal
 echo "== rerun with the WAL directory removed: byte-identical"
+
+# Power cut mid-epoch: a SIGKILL keeps every append in the page cache,
+# so drop what a power cut may lose on top of it, the unsynced frames of
+# the open segment. The cuts cover only sealed (synced) segments, so the
+# rerun restores the newest one and re-appends the rest.
+records=$(grep -E '"ingest\.wal\.records_appended"' "$work/ref-metrics.json" |
+          grep -oE '[0-9]+' | tail -1)
+# The newest cut at the kill is epoch EPOCHS-1's, at record $covered.
+# Dying three appends past it leaves the open segment holding just
+# those, unless the epoch boundary failed to seal the segment before.
+covered=$(((EPOCHS - 1) * records / EPOCHS))
+cut_at=$((covered + 3))
+rm -rf "$work/wal" "$work/ckpt"
+# shellcheck disable=SC2086  # intentional: empty TIMEOUT_CMD vanishes
+$TIMEOUT_CMD ${TIMEOUT_CMD:+-k 10 "$ROUND_TIMEOUT"} \
+   sh -c '"$@" >/dev/null 2>&1' crash-loop \
+   "$BIN" --seed "$SEED" --scale "$SCALE" --faults "$FAULTS" \
+   --epochs "$EPOCHS" \
+   --wal-dir "$work/wal" --checkpoint-dir "$work/ckpt" \
+   --kill-after-records "$cut_at" 2>/dev/null
+rc=$?
+if [ "$rc" -ne 137 ]; then
+  echo "crash_loop_stress: power-cut run exited $rc (expected 137 from" \
+       "SIGKILL at record $cut_at of $records)" >&2
+  exit 1
+fi
+truncated=0
+for segment in "$work"/wal/*.seg.open; do
+  [ -f "$segment" ] || continue
+  if [ "$(wc -c < "$segment")" -gt 36 ]; then
+    truncated=$((truncated + 1))
+  fi
+  truncate -s 36 "$segment"
+done
+if [ "$truncated" -eq 0 ]; then
+  echo "crash_loop_stress: no open WAL segment held frames at record" \
+       "$cut_at; the power-cut step would check nothing" >&2
+  exit 1
+fi
+"$BIN" --seed "$SEED" --scale "$SCALE" --faults "$FAULTS" \
+       --epochs "$EPOCHS" \
+       --wal-dir "$work/wal" --checkpoint-dir "$work/ckpt" \
+       --metrics-out "$work/powercut-metrics.json" \
+       --export-dir "$work/powercut" >/dev/null || {
+  echo "crash_loop_stress: power-cut rerun failed" >&2
+  exit 1
+}
+expect_batch_identical powercut
+# The WAL seals before every cut, so what the truncation dropped lies
+# past the newest cut.
+recovered=$(grep -E '"ingest\.wal\.records_recovered"' \
+              "$work/powercut-metrics.json" | grep -oE '[0-9]+' | tail -1)
+if [ "$recovered" -lt "$covered" ]; then
+  echo "crash_loop_stress: the power cut dropped records a cut covers" \
+       "($recovered recovered, the newest cut holds $covered)" >&2
+  exit 1
+fi
+echo "== power cut after $cut_at of $records appends (open segment cut to" \
+     "its header, $recovered records kept): byte-identical"
