@@ -15,7 +15,15 @@ EventId EventDatabase::add_event(AttackEvent event) {
 SampleId EventDatabase::add_sample(std::vector<std::uint8_t> content,
                                    SimTime seen, bool truncated,
                                    malware::VariantId truth_variant) {
-  const std::string md5 = Md5::hex_digest(content);
+  std::string md5 = Md5::hex_digest(content);
+  return add_sample(std::move(md5), std::move(content), seen, truncated,
+                    truth_variant);
+}
+
+SampleId EventDatabase::add_sample(std::string md5,
+                                   std::vector<std::uint8_t> content,
+                                   SimTime seen, bool truncated,
+                                   malware::VariantId truth_variant) {
   const auto it = md5_index_.find(md5);
   if (it != md5_index_.end()) {
     MalwareSample& existing = samples_[it->second];
@@ -31,7 +39,7 @@ SampleId EventDatabase::add_sample(std::vector<std::uint8_t> content,
   sample.truncated = truncated;
   sample.event_count = 1;
   sample.truth_variant = truth_variant;
-  md5_index_.emplace(md5, sample.id);
+  md5_index_.emplace(std::move(md5), sample.id);
   samples_.push_back(std::move(sample));
   return samples_.back().id;
 }

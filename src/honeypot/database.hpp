@@ -22,6 +22,13 @@ class EventDatabase {
   SampleId add_sample(std::vector<std::uint8_t> content, SimTime seen,
                       bool truncated, malware::VariantId truth_variant);
 
+  /// add_sample for a binary whose MD5 (32 lowercase hex characters) is
+  /// already known, e.g. carried in a WAL record: the digest is trusted,
+  /// not re-derived. On a duplicate digest `content` is ignored.
+  SampleId add_sample(std::string md5, std::vector<std::uint8_t> content,
+                      SimTime seen, bool truncated,
+                      malware::VariantId truth_variant);
+
   [[nodiscard]] const std::vector<AttackEvent>& events() const noexcept {
     return events_;
   }

@@ -43,7 +43,7 @@ namespace repro::ingest {
 
 inline constexpr std::uint32_t kWalSegmentMagic = 0x47'45'53'57;  // "WSEG"
 inline constexpr std::uint32_t kWalFrameMagic = 0x4d'52'46'57;    // "WFRM"
-inline constexpr std::uint32_t kWalVersion = 1;
+inline constexpr std::uint32_t kWalVersion = 2;
 inline constexpr std::size_t kWalSegmentHeaderBytes = 36;
 inline constexpr std::size_t kWalFrameHeaderBytes = 24;
 

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -13,6 +12,7 @@
 #include "ingest/wal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "scenario/wal_record.hpp"
 #include "snapshot/codec.hpp"
 #include "util/byteio.hpp"
 #include "util/error.hpp"
@@ -23,73 +23,12 @@ namespace repro::scenario {
 
 namespace {
 
-/// WAL record payload layout (version 1):
-///
-///   [u8 version][attack event, snapshot codec, id=0, no sample ref]
-///   [u8 has_sample][u64 content size][content bytes]
-///   [u8 truncated][u8 corrupted]            (sample block only)
-///
-/// One record per attack event, in event order. The sample block
-/// carries the event's *own* download (content + flags) rather than a
-/// database sample id, so a record is replayable into any database
-/// state; replaying the full sequence re-runs the md5 dedup in the
-/// original order and therefore reproduces the batch database
-/// byte-for-byte (same sample ids, same first_seen, same event counts).
-constexpr std::uint8_t kRecordVersion = 1;
-
 /// Bounded ingest queue capacity. The epoch driver always uses the
 /// kBlock overflow policy: a full queue stalls the producer and is
 /// drained to the WAL, so no record is ever shed (shedding would break
 /// the byte-identity guarantee; the kShedOldest policy is for lossy
 /// sensor-side buffers and is exercised by the ingest tests).
 constexpr std::size_t kQueueCapacity = 64;
-
-[[nodiscard]] std::vector<std::uint8_t> encode_record(
-    const honeypot::AttackEvent& event,
-    const honeypot::EventDatabase& gen_db) {
-  ByteWriter writer;
-  writer.u8(kRecordVersion);
-  honeypot::AttackEvent copy = event;
-  copy.id = 0;          // replay reassigns ids in order
-  copy.sample.reset();  // the sample travels by content, not by id
-  snapshot::write_attack_event(writer, copy);
-  writer.u8(event.sample.has_value() ? 1 : 0);
-  if (event.sample.has_value()) {
-    // Distinct download contents always hash to distinct MD5s, so the
-    // deduplicated sample's content and flags are exactly what this
-    // event's own download carried.
-    const honeypot::MalwareSample& sample = gen_db.sample(*event.sample);
-    writer.u64(sample.content.size());
-    writer.bytes(sample.content);
-    writer.u8(sample.truncated ? 1 : 0);
-    writer.u8(sample.corrupted ? 1 : 0);
-  }
-  return writer.take();
-}
-
-void replay_record(std::span<const std::uint8_t> payload,
-                   honeypot::EventDatabase& db) {
-  ByteReader reader{payload};
-  if (reader.u8() != kRecordVersion) {
-    throw ParseError("WAL record: unsupported version");
-  }
-  honeypot::AttackEvent event = snapshot::read_attack_event(reader);
-  if (reader.u8() != 0) {
-    const std::uint64_t content_size = reader.u64();
-    std::vector<std::uint8_t> content =
-        reader.bytes(static_cast<std::size_t>(content_size));
-    const bool truncated = reader.u8() != 0;
-    const bool corrupted = reader.u8() != 0;
-    const honeypot::SampleId id = db.add_sample(
-        std::move(content), event.time, truncated, event.truth_variant);
-    if (corrupted) db.sample_mutable(id).corrupted = true;
-    event.sample = id;
-  }
-  if (reader.remaining() != 0) {
-    throw ParseError("WAL record: trailing bytes");
-  }
-  (void)db.add_event(std::move(event));
-}
 
 void accumulate(honeypot::EnrichmentStats& total,
                 const honeypot::EnrichmentStats& delta) {
@@ -161,12 +100,13 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   dataset.environment = make_paper_environment(dataset.landscape);
 
   // Sensor side: regenerate the full event sequence. Generation is
-  // deterministic and cheap relative to enrichment + clustering, so a
-  // resumed run recomputes it instead of persisting it; `baseline`
-  // captures the injector right afterwards so the per-epoch slices
-  // below contain only post-generation activity (which is what the
-  // epoch checkpoints carry — generation's share is reproduced
-  // identically by every run).
+  // deterministic, so a resumed run recomputes it instead of persisting
+  // it, although it is the stream's largest layer; `baseline` captures
+  // the injector right afterwards so the per-epoch slices below contain
+  // only post-generation activity (which is what the epoch checkpoints
+  // carry — generation's share is reproduced identically by every run).
+  // Generation hashes every download once; the digest then travels in
+  // the WAL record, so replay never hashes.
   fault::FaultInjector injector{options.faults};
   fault::FaultInjector* faults =
       options.faults.pipeline_empty() ? nullptr : &injector;
@@ -181,6 +121,7 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   }
   const fault::FaultReport baseline = injector.report();
   const std::uint64_t total = gen_db.events().size();
+  const std::vector<bool> carriers = content_carriers(gen_db);
 
   // Collector side: recover the WAL, then resume from the newest epoch
   // cut. The two are independent durability layers — either may be
@@ -226,7 +167,9 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   auto record_bytes =
       [&](std::uint64_t index) -> const std::vector<std::uint8_t>& {
     std::vector<std::uint8_t>& slot = records[static_cast<std::size_t>(index)];
-    if (slot.empty()) slot = encode_record(gen_db.events()[index], gen_db);
+    if (slot.empty()) {
+      slot = encode_record(gen_db.events()[index], carriers[index], gen_db);
+    }
     return slot;
   };
   // Moves a record out of its slot; dropping the result frees it.
@@ -252,7 +195,7 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     // replay reproduced exactly its samples, its stream totals decoded
     // and the engines' recount agreed with its E/P/M results.
     for (std::uint64_t i = 0; i < restored->wal_records; ++i) {
-      replay_record(record_bytes(i), db);
+      replay_record(record_bytes(i), db, stream.verify_incremental);
       // Records the WAL lacks stay held for the heal below.
       if (i < writer.next_record_index()) (void)take(i);
     }
@@ -347,7 +290,7 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
         (void)ingest::deliver_record(stream.retry, i, gen_db.events()[i].time,
                                      injector);
         bytes_delta += rec.size() + ingest::kWalFrameHeaderBytes;
-        replay_record(rec, db);
+        replay_record(rec, db, stream.verify_incremental);
         std::vector<std::uint8_t> item = take(i);
         if (i < writer.next_record_index()) continue;
         // Fresh record: moved through the bounded queue into the WAL.

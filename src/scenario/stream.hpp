@@ -43,9 +43,11 @@ struct StreamOptions {
   ingest::RetryPolicy retry;
   /// Cross-check mode: every computed epoch also runs the full batch
   /// clustering and byte-compares it against the incremental results,
-  /// throwing ConfigError on the first divergence. Costs both paths per
-  /// epoch — a test/CI mode, not a production one. The incremental
-  /// results are still the ones published and checkpointed.
+  /// and every replayed content record has its carried digest
+  /// re-derived from its bytes; the first divergence throws
+  /// ConfigError. Costs both paths per epoch — a test/CI mode, not a
+  /// production one. The incremental results are still the ones
+  /// published and checkpointed.
   bool verify_incremental = false;
   /// Test seam, forwarded to WalOptions::fail_after_seal: simulated
   /// crash between sealing a segment and opening the next one.

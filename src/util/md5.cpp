@@ -11,31 +11,36 @@ namespace {
 constexpr std::uint32_t kInit[4] = {0x67452301u, 0xefcdab89u, 0x98badcfeu,
                                     0x10325476u};
 
-// Per-round shift amounts.
-constexpr int kShift[64] = {
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-    5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
-
-// Binary integer parts of abs(sin(i + 1)) * 2^32.
-constexpr std::uint32_t kSine[64] = {
-    0xd76aa478u, 0xe8c7b756u, 0x242070dbu, 0xc1bdceeeu, 0xf57c0fafu,
-    0x4787c62au, 0xa8304613u, 0xfd469501u, 0x698098d8u, 0x8b44f7afu,
-    0xffff5bb1u, 0x895cd7beu, 0x6b901122u, 0xfd987193u, 0xa679438eu,
-    0x49b40821u, 0xf61e2562u, 0xc040b340u, 0x265e5a51u, 0xe9b6c7aau,
-    0xd62f105du, 0x02441453u, 0xd8a1e681u, 0xe7d3fbc8u, 0x21e1cde6u,
-    0xc33707d6u, 0xf4d50d87u, 0x455a14edu, 0xa9e3e905u, 0xfcefa3f8u,
-    0x676f02d9u, 0x8d2a4c8au, 0xfffa3942u, 0x8771f681u, 0x6d9d6122u,
-    0xfde5380cu, 0xa4beea44u, 0x4bdecfa9u, 0xf6bb4b60u, 0xbebfbc70u,
-    0x289b7ec6u, 0xeaa127fau, 0xd4ef3085u, 0x04881d05u, 0xd9d4d039u,
-    0xe6db99e5u, 0x1fa27cf8u, 0xc4ac5665u, 0xf4292244u, 0x432aff97u,
-    0xab9423a7u, 0xfc93a039u, 0x655b59c3u, 0x8f0ccc92u, 0xffeff47du,
-    0x85845dd1u, 0x6fa87e4fu, 0xfe2ce6e0u, 0xa3014314u, 0x4e0811a1u,
-    0xf7537e82u, 0xbd3af235u, 0x2ad7d2bbu, 0xeb86d391u};
-
 constexpr std::uint32_t rotl32(std::uint32_t x, int k) noexcept {
   return (x << k) | (x >> (32 - k));
+}
+
+// One step per round function: a = b + ((a + f(b, c, d) + x + t) <<< s),
+// where x is a message word and t the integer part of
+// abs(sin(i + 1)) * 2^32 for step i. f and g use the equivalent
+// select forms of RFC 1321's (b & c) | (~b & d) and (b & d) | (c & ~d).
+template <int S>
+inline void step_f(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+                   std::uint32_t d, std::uint32_t x, std::uint32_t t) noexcept {
+  a = b + rotl32(a + (d ^ (b & (c ^ d))) + x + t, S);
+}
+
+template <int S>
+inline void step_g(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+                   std::uint32_t d, std::uint32_t x, std::uint32_t t) noexcept {
+  a = b + rotl32(a + (c ^ (d & (b ^ c))) + x + t, S);
+}
+
+template <int S>
+inline void step_h(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+                   std::uint32_t d, std::uint32_t x, std::uint32_t t) noexcept {
+  a = b + rotl32(a + (b ^ c ^ d) + x + t, S);
+}
+
+template <int S>
+inline void step_i(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+                   std::uint32_t d, std::uint32_t x, std::uint32_t t) noexcept {
+  a = b + rotl32(a + (c ^ (b | ~d)) + x + t, S);
 }
 
 }  // namespace
@@ -56,28 +61,74 @@ void Md5::process_block(const std::uint8_t* block) noexcept {
   std::uint32_t b = state_[1];
   std::uint32_t c = state_[2];
   std::uint32_t d = state_[3];
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f = 0;
-    int g = 0;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
-    const std::uint32_t temp = d;
-    d = c;
-    c = b;
-    b = b + rotl32(a + f + kSine[i] + m[g], kShift[i]);
-    a = temp;
-  }
+  // Round 1: message words in order.
+  step_f<7>(a, b, c, d, m[0], 0xd76aa478u);
+  step_f<12>(d, a, b, c, m[1], 0xe8c7b756u);
+  step_f<17>(c, d, a, b, m[2], 0x242070dbu);
+  step_f<22>(b, c, d, a, m[3], 0xc1bdceeeu);
+  step_f<7>(a, b, c, d, m[4], 0xf57c0fafu);
+  step_f<12>(d, a, b, c, m[5], 0x4787c62au);
+  step_f<17>(c, d, a, b, m[6], 0xa8304613u);
+  step_f<22>(b, c, d, a, m[7], 0xfd469501u);
+  step_f<7>(a, b, c, d, m[8], 0x698098d8u);
+  step_f<12>(d, a, b, c, m[9], 0x8b44f7afu);
+  step_f<17>(c, d, a, b, m[10], 0xffff5bb1u);
+  step_f<22>(b, c, d, a, m[11], 0x895cd7beu);
+  step_f<7>(a, b, c, d, m[12], 0x6b901122u);
+  step_f<12>(d, a, b, c, m[13], 0xfd987193u);
+  step_f<17>(c, d, a, b, m[14], 0xa679438eu);
+  step_f<22>(b, c, d, a, m[15], 0x49b40821u);
+  // Round 2: word (5i + 1) mod 16.
+  step_g<5>(a, b, c, d, m[1], 0xf61e2562u);
+  step_g<9>(d, a, b, c, m[6], 0xc040b340u);
+  step_g<14>(c, d, a, b, m[11], 0x265e5a51u);
+  step_g<20>(b, c, d, a, m[0], 0xe9b6c7aau);
+  step_g<5>(a, b, c, d, m[5], 0xd62f105du);
+  step_g<9>(d, a, b, c, m[10], 0x02441453u);
+  step_g<14>(c, d, a, b, m[15], 0xd8a1e681u);
+  step_g<20>(b, c, d, a, m[4], 0xe7d3fbc8u);
+  step_g<5>(a, b, c, d, m[9], 0x21e1cde6u);
+  step_g<9>(d, a, b, c, m[14], 0xc33707d6u);
+  step_g<14>(c, d, a, b, m[3], 0xf4d50d87u);
+  step_g<20>(b, c, d, a, m[8], 0x455a14edu);
+  step_g<5>(a, b, c, d, m[13], 0xa9e3e905u);
+  step_g<9>(d, a, b, c, m[2], 0xfcefa3f8u);
+  step_g<14>(c, d, a, b, m[7], 0x676f02d9u);
+  step_g<20>(b, c, d, a, m[12], 0x8d2a4c8au);
+  // Round 3: word (3i + 5) mod 16.
+  step_h<4>(a, b, c, d, m[5], 0xfffa3942u);
+  step_h<11>(d, a, b, c, m[8], 0x8771f681u);
+  step_h<16>(c, d, a, b, m[11], 0x6d9d6122u);
+  step_h<23>(b, c, d, a, m[14], 0xfde5380cu);
+  step_h<4>(a, b, c, d, m[1], 0xa4beea44u);
+  step_h<11>(d, a, b, c, m[4], 0x4bdecfa9u);
+  step_h<16>(c, d, a, b, m[7], 0xf6bb4b60u);
+  step_h<23>(b, c, d, a, m[10], 0xbebfbc70u);
+  step_h<4>(a, b, c, d, m[13], 0x289b7ec6u);
+  step_h<11>(d, a, b, c, m[0], 0xeaa127fau);
+  step_h<16>(c, d, a, b, m[3], 0xd4ef3085u);
+  step_h<23>(b, c, d, a, m[6], 0x04881d05u);
+  step_h<4>(a, b, c, d, m[9], 0xd9d4d039u);
+  step_h<11>(d, a, b, c, m[12], 0xe6db99e5u);
+  step_h<16>(c, d, a, b, m[15], 0x1fa27cf8u);
+  step_h<23>(b, c, d, a, m[2], 0xc4ac5665u);
+  // Round 4: word 7i mod 16.
+  step_i<6>(a, b, c, d, m[0], 0xf4292244u);
+  step_i<10>(d, a, b, c, m[7], 0x432aff97u);
+  step_i<15>(c, d, a, b, m[14], 0xab9423a7u);
+  step_i<21>(b, c, d, a, m[5], 0xfc93a039u);
+  step_i<6>(a, b, c, d, m[12], 0x655b59c3u);
+  step_i<10>(d, a, b, c, m[3], 0x8f0ccc92u);
+  step_i<15>(c, d, a, b, m[10], 0xffeff47du);
+  step_i<21>(b, c, d, a, m[1], 0x85845dd1u);
+  step_i<6>(a, b, c, d, m[8], 0x6fa87e4fu);
+  step_i<10>(d, a, b, c, m[15], 0xfe2ce6e0u);
+  step_i<15>(c, d, a, b, m[6], 0xa3014314u);
+  step_i<21>(b, c, d, a, m[13], 0x4e0811a1u);
+  step_i<6>(a, b, c, d, m[4], 0xf7537e82u);
+  step_i<10>(d, a, b, c, m[11], 0xbd3af235u);
+  step_i<15>(c, d, a, b, m[2], 0x2ad7d2bbu);
+  step_i<21>(b, c, d, a, m[9], 0xeb86d391u);
   state_[0] += a;
   state_[1] += b;
   state_[2] += c;

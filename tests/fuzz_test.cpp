@@ -6,6 +6,7 @@
 // boundary.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "ingest/report.hpp"
+#include "honeypot/database.hpp"
 #include "io/csv_import.hpp"
 #include "pe/builder.hpp"
 #include "pe/filetype.hpp"
@@ -20,11 +22,14 @@
 #include "proto/gamma.hpp"
 #include "proto/region.hpp"
 #include "scenario/paper.hpp"
+#include "scenario/wal_record.hpp"
 #include "serve/protocol.hpp"
 #include "shellcode/analyzer.hpp"
 #include "shellcode/builder.hpp"
 #include "snapshot/checkpoint.hpp"
+#include "snapshot/codec.hpp"
 #include "snapshot/durable_file.hpp"
+#include "util/byteio.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
 #include "util/rng.hpp"
@@ -311,6 +316,89 @@ TEST_P(FuzzSeed, RequestLineSurvivesMutations) {
     check(line);
   }
   EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST_P(FuzzSeed, RecordPayloadSurvivesMutations) {
+  // A three-event stream: a sample's first event (content record), a
+  // second event of that sample (reference record) and an event with no
+  // download (no-sample record). A WAL record reaches replay only past
+  // its frame CRC, so this is the decoder behind a forged or buggy
+  // payload: every mutation must decode to a valid event or throw
+  // ParseError with the database untouched.
+  Rng rng{static_cast<std::uint64_t>(GetParam()) * 661 + 19};
+  honeypot::EventDatabase gen_db;
+  std::vector<std::uint8_t> binary(48);
+  rng.fill(binary);
+  for (int i = 0; i < 3; ++i) {
+    honeypot::AttackEvent event;
+    event.time = SimTime{100 + i};
+    event.epsilon.fsm_path = "smb/" + std::to_string(i);
+    event.epsilon.dst_port = 445;
+    event.pi = honeypot::PiObservation{"http", "x.exe", 80, "PULL"};
+    if (i < 2) event.sample = gen_db.add_sample(binary, event.time, i == 0, 7);
+    (void)gen_db.add_event(std::move(event));
+  }
+  const std::vector<bool> carriers = scenario::content_carriers(gen_db);
+  ASSERT_EQ(carriers, (std::vector<bool>{true, false, false}));
+  std::vector<std::vector<std::uint8_t>> records;
+  for (std::size_t i = 0; i < carriers.size(); ++i) {
+    records.push_back(
+        scenario::encode_record(gen_db.events()[i], carriers[i], gen_db));
+  }
+
+  // `stored` already holds the sample, so its reference record decodes.
+  const honeypot::EventDatabase empty;
+  honeypot::EventDatabase stored;
+  scenario::replay_record(records[0], stored);
+  ASSERT_EQ(stored.sample(0).md5, gen_db.sample(0).md5);
+  {
+    honeypot::EventDatabase db = stored;
+    EXPECT_THROW(scenario::replay_record(records[0], db), ParseError)
+        << "content for a digest already stored";
+    EXPECT_EQ(db.events().size(), 1u);
+    db = empty;
+    EXPECT_THROW(scenario::replay_record(records[1], db), ParseError)
+        << "reference to an unknown digest";
+    EXPECT_TRUE(db.events().empty());
+    // A sample travels by digest, never as a database id in the event.
+    ByteWriter forged;
+    forged.u8(scenario::kRecordVersion);
+    honeypot::AttackEvent event = gen_db.events()[2];
+    event.sample = 0;
+    snapshot::write_attack_event(forged, event);
+    forged.u8(0);  // no sample block
+    db = stored;
+    EXPECT_THROW(scenario::replay_record(forged.data(), db), ParseError)
+        << "event carrying a sample id";
+    EXPECT_EQ(db.events().size(), 1u);
+  }
+
+  const std::array<const honeypot::EventDatabase*, 2> bases{&empty, &stored};
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (const std::vector<std::uint8_t>& valid : records) {
+    for (const honeypot::EventDatabase* base : bases) {
+      for (int trial = 0; trial < 25; ++trial) {
+        const std::vector<std::uint8_t> mutated =
+            mutate(valid, rng, 1 + static_cast<int>(rng.index(6)));
+        honeypot::EventDatabase db = *base;
+        try {
+          scenario::replay_record(mutated, db);
+          ++decoded;
+          EXPECT_EQ(db.events().size(), base->events().size() + 1);
+          EXPECT_NO_THROW(db.check_consistency());
+        } catch (const ParseError&) {
+          ++rejected;
+          EXPECT_EQ(db.events().size(), base->events().size());
+          EXPECT_EQ(db.samples().size(), base->samples().size());
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "non-ParseError exception: " << e.what();
+        }
+      }
+    }
+  }
+  EXPECT_GT(decoded, 0u);
   EXPECT_GT(rejected, 0u);
 }
 

@@ -203,6 +203,13 @@ struct TypeCase {
   const char* expected;
 };
 
+// Names each case after its expected type. gtest would otherwise print the
+// two pointers' bytes, and the discovered test names would change with
+// every load address.
+void PrintTo(const TypeCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.expected);
+}
+
 class FileTypeSignatures : public ::testing::TestWithParam<TypeCase> {};
 
 TEST_P(FileTypeSignatures, Detects) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <span>
 #include <sstream>
@@ -25,12 +26,15 @@
 #include "obs/metrics.hpp"
 #include "scenario/paper.hpp"
 #include "scenario/stream.hpp"
+#include "scenario/wal_record.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/codec.hpp"
 #include "snapshot/crc32.hpp"
 #include "snapshot/durable_file.hpp"
 #include "util/byteio.hpp"
 #include "util/error.hpp"
+#include "util/hex.hpp"
+#include "util/md5.hpp"
 
 namespace repro::scenario {
 namespace {
@@ -598,16 +602,16 @@ TEST(Stream, ForeignCutDoesNotShadowTheBackendsOwnCuts) {
   EXPECT_EQ(all_csv(second), expected);
 }
 
+std::uint64_t counter_of(const obs::MetricsRegistry& metrics,
+                         const std::string& name, obs::Channel channel) {
+  for (const auto& [counter, value] : metrics.counter_values(channel)) {
+    if (counter == name) return value;
+  }
+  ADD_FAILURE() << "missing counter " << name;
+  return 0;
+}
+
 TEST(Stream, IncrementalCountersAreKillInvariant) {
-  const auto counter_of = [](const obs::MetricsRegistry& metrics,
-                             const std::string& name,
-                             obs::Channel channel) -> std::uint64_t {
-    for (const auto& [counter, value] : metrics.counter_values(channel)) {
-      if (counter == name) return value;
-    }
-    ADD_FAILURE() << "missing counter " << name;
-    return 0;
-  };
   constexpr std::size_t kEpochs = 4;
 
   // B's item count after each epoch of an uninterrupted run.
@@ -897,6 +901,173 @@ TEST(Stream, LostWalDirectoryHealsFromTheRegeneratedStream) {
   EXPECT_EQ(all_csv(third), batch_csv(true));
   EXPECT_EQ(third.ingest.records_recovered, third.db.events().size());
   EXPECT_EQ(third.ingest.epochs_restored, 1u);
+}
+
+// --- WAL records -------------------------------------------------------------
+
+ingest::WalOptions wal_at(const StreamOptions& stream) {
+  ingest::WalOptions wal;
+  wal.directory = stream.wal_dir;
+  wal.segment_bytes = stream.segment_bytes;
+  return wal;
+}
+
+/// Every record payload of the WAL under `stream`, in record order.
+std::vector<std::vector<std::uint8_t>> wal_records(
+    const ScenarioOptions& options, const StreamOptions& stream) {
+  ingest::IngestReport report;
+  return ingest::recover_wal(wal_at(stream), scenario_fingerprint(options),
+                             report)
+      .records;
+}
+
+/// A record's sample block, parsed independently of replay_record.
+struct RecordSample {
+  std::uint8_t kind = 0;  // 0 none / 1 content / 2 reference
+  std::size_t digest_offset = 0;
+  std::string md5;
+  std::vector<std::uint8_t> content;
+};
+
+RecordSample parse_record_sample(std::span<const std::uint8_t> payload) {
+  ByteReader reader{payload};
+  EXPECT_EQ(reader.u8(), kRecordVersion);
+  (void)snapshot::read_attack_event(reader);
+  RecordSample sample;
+  sample.kind = reader.u8();
+  if (sample.kind == 0) return sample;
+  sample.digest_offset = reader.offset();
+  sample.md5 = hex_encode(reader.bytes(16));
+  if (sample.kind == 1) {
+    sample.content = reader.bytes(static_cast<std::size_t>(reader.u64()));
+  }
+  return sample;
+}
+
+TEST(Stream, EveryRecordCarriesTheDigestOfItsSampleAndContentOnce) {
+  ScenarioOptions options = small_options(true);
+  options.scale = 0.05;
+  const fs::path root = fresh_dir("record-sweep");
+  const StreamOptions stream = stream_under(root, options);
+  const Dataset ds = build_streaming_dataset(options, stream);
+  const std::vector<std::vector<std::uint8_t>> records =
+      wal_records(options, stream);
+  ASSERT_EQ(records.size(), ds.db.events().size());
+
+  std::set<std::string> logged;
+  std::size_t content_records = 0;
+  std::size_t reference_records = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const RecordSample sample = parse_record_sample(records[i]);
+    const honeypot::AttackEvent& event = ds.db.events()[i];
+    if (sample.kind == 0) {
+      EXPECT_FALSE(event.sample.has_value()) << "record " << i;
+      continue;
+    }
+    ASSERT_TRUE(event.sample.has_value()) << "record " << i;
+    EXPECT_EQ(sample.md5, ds.db.sample(*event.sample).md5) << "record " << i;
+    if (sample.kind == 1) {
+      EXPECT_EQ(Md5::hex_digest(sample.content), sample.md5) << "record " << i;
+      EXPECT_TRUE(logged.insert(sample.md5).second)
+          << "record " << i << " logs a sample's content twice";
+      ++content_records;
+    } else {
+      ASSERT_EQ(sample.kind, 2) << "record " << i;
+      EXPECT_TRUE(logged.contains(sample.md5))
+          << "record " << i << " references a sample no earlier record holds";
+      ++reference_records;
+    }
+  }
+  EXPECT_EQ(content_records, ds.db.samples().size());
+  EXPECT_GT(reference_records, 0u);
+}
+
+TEST(Stream, VerifyIncrementalCatchesAForgedRecordDigest) {
+  ScenarioOptions options = small_options(true);
+  const fs::path root = fresh_dir("forged-digest");
+  StreamOptions stream = stream_under(root, options);
+  const Dataset clean = build_streaming_dataset(options, stream);
+  std::vector<std::vector<std::uint8_t>> records = wal_records(options, stream);
+  ASSERT_EQ(records.size(), clean.db.events().size());
+
+  // Flip one bit of the first content record's digest, then write the
+  // whole WAL again through a fresh writer so every frame CRC is valid:
+  // only the record payload lies.
+  bool forged = false;
+  for (std::vector<std::uint8_t>& record : records) {
+    const RecordSample sample = parse_record_sample(record);
+    if (sample.kind != 1) continue;
+    record[sample.digest_offset] ^= 0x01;
+    forged = true;
+    break;
+  }
+  ASSERT_TRUE(forged);
+  fs::remove_all(stream.wal_dir);
+  {
+    ingest::IngestReport report;
+    const ingest::WalOptions wal = wal_at(stream);
+    const std::uint64_t fingerprint = scenario_fingerprint(options);
+    const ingest::RecoveredWal empty =
+        ingest::recover_wal(wal, fingerprint, report);
+    ingest::WalWriter writer{wal, fingerprint, empty, nullptr};
+    for (const std::vector<std::uint8_t>& record : records) {
+      writer.append(record);
+    }
+    writer.seal();
+  }
+  ASSERT_EQ(wal_records(options, stream), records);
+
+  // Replay from record 0, so the forged record is replayed, not healed.
+  fs::remove_all(options.checkpoint.directory);
+  stream.verify_incremental = true;
+  EXPECT_THROW((void)build_streaming_dataset(options, stream), ConfigError);
+}
+
+TEST(Stream, PreviousWalVersionIsQuarantinedAndRegenerated) {
+  ScenarioOptions options = small_options(true);  // no cuts: replay it all
+  const fs::path root = fresh_dir("old-wal");
+  StreamOptions stream;
+  stream.wal_dir = (root / "wal").string();
+  stream.segment_bytes = 64u << 10;  // several segments
+  (void)build_streaming_dataset(options, stream);
+
+  // Rewrite every segment header as the previous WAL version with a
+  // valid header CRC: what a WAL written by the previous release looks
+  // like to this one.
+  std::size_t patched = 0;
+  for (const auto& entry : fs::directory_iterator(stream.wal_dir)) {
+    std::optional<std::vector<std::uint8_t>> bytes =
+        snapshot::read_whole_file(entry.path().string());
+    ASSERT_TRUE(bytes.has_value()) << entry.path();
+    ASSERT_GE(bytes->size(), ingest::kWalSegmentHeaderBytes);
+    for (int i = 0; i < 4; ++i) {
+      (*bytes)[4 + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(
+          (ingest::kWalVersion - 1) >> (8 * i));
+    }
+    const std::uint32_t crc = snapshot::crc32(std::span{*bytes}.first(32));
+    for (int i = 0; i < 4; ++i) {
+      (*bytes)[32 + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(crc >> (8 * i));
+    }
+    std::ofstream out{entry.path(), std::ios::binary | std::ios::trunc};
+    out.write(reinterpret_cast<const char*>(bytes->data()),
+              static_cast<std::streamsize>(bytes->size()));
+    ASSERT_TRUE(out.flush()) << entry.path();
+    ++patched;
+  }
+  ASSERT_GT(patched, 1u);
+
+  // Every old segment is set aside, none of its records is replayed,
+  // and the regenerated stream writes the WAL again.
+  obs::MetricsRegistry metrics;
+  options.metrics = &metrics;
+  const Dataset upgraded = build_streaming_dataset(options, stream);
+  EXPECT_EQ(all_csv(upgraded), batch_csv(true));
+  EXPECT_EQ(upgraded.ingest.records_recovered, 0u);
+  EXPECT_EQ(counter_of(metrics, "ingest.wal.quarantined",
+                       obs::Channel::kDeterministic),
+            patched);
+  EXPECT_EQ(wal_records(options, stream).size(), upgraded.db.events().size());
 }
 
 // --- Metrics ----------------------------------------------------------------

@@ -283,6 +283,13 @@ struct Md5Vector {
   const char* digest;
 };
 
+// Names each vector after its digest, not its pointers' bytes, so the
+// discovered test names stay the same from one load address to the next
+// and short whatever the input's length.
+void PrintTo(const Md5Vector& v, std::ostream* os) {
+  *os << ::testing::PrintToString(v.digest);
+}
+
 class Md5Rfc : public ::testing::TestWithParam<Md5Vector> {};
 
 TEST_P(Md5Rfc, MatchesReferenceDigest) {
@@ -323,6 +330,114 @@ TEST(Md5, IncrementalMatchesOneShot) {
   }
   ASSERT_EQ(offset, data.size());
   EXPECT_EQ(ctx.finish(), Md5::digest(data));
+}
+
+// Digests of the first n bytes of a fixed pattern for every n in
+// 0..130: every padding edge (55/56 and 119/120 bytes, where the length
+// field no longer fits the last block, and 63/64/65 around one block)
+// plus the lengths between. Pinned from the table-driven block function
+// before it was unrolled; the digests agree with RFC 1321.
+constexpr const char* kPatternDigests[131] = {
+    "d41d8cd98f00b204e9800998ecf8427e", "13c8ffd977013703a701cf8e11deac65",
+    "a22664edce89fafc28f264d313c39d51", "876d16c575f9d3d7f51f12fef37237eb",
+    "8fafec3f63fff3c667f522a464ff0b10", "ab0d81a93adb4de000327a84e462d9e9",
+    "2c43ac382a0ad2a1d6657e2c2b4d6fba", "b30f114de808d724f9fae7700f68c4ba",
+    "2b8a86f29b92e531d94623c7843bed1a", "95c2ed65ca29e1b982021cedc5654f6c",
+    "99d6be027b5eca48fc2eeaf1412b8268", "2de797b36b7546c5d6e83d8a1d203e38",
+    "90d36c8b9478fe6d846fbe5536267e63", "72b725910ba0b281512cec0deda317de",
+    "5aa3e22a002e4300b0e7791a9e51ceb3", "d58e0093dcb633d2398902489f1da5b7",
+    "887b610071c85b140d8615f5cec4875e", "e7765f3b25ce638ea7a2ace6a6cfcbfb",
+    "58fc5081241047b0a3704c13908dcb26", "a9c4f199c4044a0093cece2e1824deed",
+    "e3dcda38f7df3562170040f5a0e54f3f", "71f81e17b6ba77b2c06253cb077f4720",
+    "888cae7d247433a476d3e7d2d78487ca", "3b76b80a7fe2cbd10768754c18a66c4e",
+    "643a40836fd0c8e8bc4def49bf49d69f", "5e9d0715149cc5a1b5b4b454acf318bb",
+    "af4f91fd528337ffa4b4219bb96b1733", "529ec2cb68b6ba664d2995de62bf5feb",
+    "85fb24ec1fbc2c5b57ffd8a1db41dda4", "832c3de6a6fb13020b514b6fc3bb2f00",
+    "4abe60ea68bc263e62f28e6a56c4aca3", "3657c259aba7eedfaf3957b2d5e2cc1f",
+    "8e2c0cba10572c7b479aca4e43974fb4", "3959458490195df012beb252137ae32d",
+    "e30fa5a136b629a6acde4f465019a7bf", "253e04f646ee661614430e1faf5b80e5",
+    "e691ba3cc6a848b17bf543a32011f9a7", "1762a8d30a4889479b2a50c0da1fd8b7",
+    "167b49a741a9706c94087a3a07cf2bd5", "055290dd1977289cb13e2b125b25f9c4",
+    "cc93b85051cd0b9d0a5d27171e36c8bc", "4c5abcfcb9498bfe71d9137522a26845",
+    "ac4578723a613841b01ae2335b676878", "714195b35c6b5362cc57acf5ffc11717",
+    "ca1701ff6867a4284ed6c97baea7e37d", "8be72a1b3c794ce583062ec08b95662e",
+    "c2b009db00ccc18ef61ef96ef92485ae", "78b7deb364dd67acc8754997e9de2583",
+    "d51c4c4dfde1ef449674d4c68ecc0015", "91154209668205198bd622e1a62ec59c",
+    "a6a4a198732007a71146105fa4853ab2", "8732f6f5df6b46df1a0204a408828fb6",
+    "af632f5c0676f00a47b305d1a013807d", "e192cfa09a29ccb8522cf4c67e3f3943",
+    "5e5534f470ef1d65657807ed96610693", "d872aa0473a24da995ce4ac518ade767",
+    "e23567645846677c205de80f9779081b", "1fe5e4a27e12484d7203d0b60c21c51f",
+    "496c1fa53bb99ae398aa131ced2180d9", "3788ef2f95eee1791e29c134589d25a7",
+    "4ac2483217717835220f6aeef7fb9c71", "377169c1005e5304bbb6b4f3213324c4",
+    "fb973e262a6b29c6569aacf1f7fbc798", "4775b66278a8fc132ff80923378216cd",
+    "71e123b70c7aa64826fcfe472694cd1c", "5949948f26e35203661075214faa3966",
+    "a98798c0bd6121b8600eb7f3585bd13f", "c230bf3134e7e7331a0cdbaf31e4e6ee",
+    "147a846b45ebf9ff8e6fd7d3c2384bed", "9c41aa150a7586ab06e7368aee11b3fe",
+    "b13441584b79a54d081a208931c0bc14", "6cab733ac73421d082d01d26c3870913",
+    "a6d36774de81858e2bbe7fd11c17aa94", "ce95231d6fb384a4b144857c98eb3c98",
+    "c2d2d34718bb004253cebe00ba073ba2", "faa88ec878827a894ea202233edce128",
+    "a54ae5f7b2a39be44caef08edd12801f", "abdd17232601abceafd22bf266aa1c56",
+    "8b5cb9494fc08143c22002153eece7e2", "5038b320bed7f61080e4472eb3fecb5c",
+    "69f249d7115e9edb365803fa6afde291", "16608662c506dab8d1fc477a1954ba4d",
+    "063fd9337677ca2753e140abea796918", "61230e707babd3898ce271b83d6ba0e4",
+    "a1897a9e715b085468b2eaad74538dc3", "8cf49daffcf9fbc95d5596d3c39a1fc0",
+    "6bd4835b64c08520ba65a7a189c72db5", "c2121987aefc1290a1cd5a714268ea9d",
+    "5786abe8f4efe4731b4a3bc51b3602c6", "8b3280ef2ec53f608f8e6485e6303506",
+    "d0685c7539cbdb036e84e4cab7335c7f", "30390813653a730977f2b159a33b3b40",
+    "ffc7e3dbe1cbc77d035fc6fc4d75ba06", "d5d01e5afe3b0dfda70b3aa9ce33a2b1",
+    "c7c7a13f7c51cad673dbfc6cf8631065", "fecf4d2d23a8cb13b4923de5558b0abd",
+    "a1e1b33d2f30960725706d3bf80a2af3", "6b18b53325c59261e6ada45150896416",
+    "7afa7019a64ad5f020f4428f28d762d3", "1f9afafca086827122ccea8b27158799",
+    "5b9c57d4cba3367b9c65b22a80e88bca", "6ed76ad5ab24b053bdd2bb8e84b5ab8f",
+    "3d2601b39fe07c1fb1157f74ffcc1070", "249885d39069e13c1573aaa3511ed050",
+    "cccc0e6cc65f97ea23ee201d7dc2aa47", "971cf68e9eb427bfaf17ad6027e3aa0f",
+    "7386af36aa00839fa82d65f4393b3ac2", "c6ee1ef61c9e3f61e6893ba1639be269",
+    "41e6975bd6425cc1d81b0235480ad1db", "2e3ed0913028fcad6bb314cd65d5d380",
+    "5a642a6688a5111f902c07d24d917435", "971d0e793c1b82b4ade7bd998916b4da",
+    "0940460d6eb047e4dc1442f81f696669", "71b58eb1aebe1c7a4fbe1dca809939bd",
+    "6e7a4735ebbc4441b88a786072bb2e23", "94f9a3589d0eeb04b8d76175a28ec139",
+    "401ed53da8486f08925598a75e15019c", "60641004c92d3fd724ce329b86b692ea",
+    "b8eb7b96d9672e6200a4abf511457282", "87f72c7241c5fe218bb4df8c0aba3232",
+    "bf240b8b7407fba3805adeec63a03b77", "c51004ed1ef4271c82106468a13fe8cf",
+    "e3c630417415f51588089c65aab9c5ad", "d2968ad8dfc3c448319c3f416d6355e1",
+    "a6f820c06167fbcfc5632d376c7f9cbd", "a268e9c5fca2f6424f919af519dbae1e",
+    "f7c3825a26578ffba075a8bd6b0239e0", "520bdc2dbab7c25d64263ffb242d9e98",
+    "3e93b378458b77da96b2357c3bda8cc2", "d1ae06bbf9128955a34bedb6231eee62",
+    "8a2682a4b1a920cccc7c09422b233d76",
+};
+
+std::vector<std::uint8_t> md5_pattern(std::size_t size) {
+  std::vector<std::uint8_t> data(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  return data;
+}
+
+TEST(Md5, PinnedDigestsAtEveryLengthThrough130) {
+  const std::vector<std::uint8_t> data = md5_pattern(130);
+  for (std::size_t n = 0; n <= data.size(); ++n) {
+    EXPECT_EQ(Md5::hex_digest(std::span<const std::uint8_t>{data.data(), n}),
+              kPatternDigests[n])
+        << "length " << n;
+  }
+}
+
+TEST(Md5, MillionAs) {
+  const std::vector<std::uint8_t> data(1'000'000, 'a');
+  EXPECT_EQ(Md5::hex_digest(data), "7707d6ae4e027c70eea2a935c2296f21");
+}
+
+TEST(Md5, EverySplitPointMatchesOneShot) {
+  const std::vector<std::uint8_t> data = md5_pattern(200);
+  const Md5Digest expected = Md5::digest(data);
+  const std::span<const std::uint8_t> all{data};
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    Md5 ctx;
+    ctx.update(all.first(split));
+    ctx.update(all.subspan(split));
+    EXPECT_EQ(ctx.finish(), expected) << "split " << split;
+  }
 }
 
 TEST(Md5, DifferentInputsDifferentDigests) {

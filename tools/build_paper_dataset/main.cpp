@@ -71,7 +71,9 @@ void usage(std::ostream& os) {
         " recompute\n"
         "                         per epoch and byte-diff it against the"
         " incremental\n"
-        "                         results (fails loudly)\n"
+        "                         results, and re-derive the MD5 of"
+        " every\n"
+        "                         replayed sample (fails loudly)\n"
         "  --kill-after-records N SIGKILL self after Nth WAL append"
         " (crash harness)\n"
         "  --export-dir DIR       write events/samples/clusters/profiles\n"
