@@ -116,8 +116,9 @@ struct Dataset {
   analysis::BehavioralView b;
   /// Per-stage fault counters accumulated while building the dataset;
   /// all-zero when `ScenarioOptions::faults` is empty. A streaming
-  /// resume restores the post-generation share from the epoch cut (the
-  /// injector is not re-exercised for restored epochs).
+  /// resume restores the cumulative report from the epoch cut (the
+  /// injector is not re-exercised for restored epochs, nor for
+  /// generation when the resume does not regenerate the stream).
   fault::FaultReport fault_report;
   /// What epoch checkpointing did during this build (all-zero for the
   /// batch build and when disabled).

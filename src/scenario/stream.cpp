@@ -99,29 +99,34 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   }
   dataset.environment = make_paper_environment(dataset.landscape);
 
-  // Sensor side: regenerate the full event sequence. Generation is
-  // deterministic, so a resumed run recomputes it instead of persisting
-  // it, although it is the stream's largest layer; `baseline` captures
-  // the injector right afterwards so the per-epoch slices below contain
-  // only post-generation activity (which is what the epoch checkpoints
-  // carry — generation's share is reproduced identically by every run).
+  // Sensor side, generated lazily and at most once: the full event
+  // sequence is rebuilt only when some record is actually missing — no
+  // cut restores, the cut leaves epochs to run, the WAL lacks a record
+  // the cut covers, or the cut is declined. Recovery, replay and
+  // apply_epoch never touch the injector, so whichever of those points
+  // triggers generation, it starts from a fresh injector and every
+  // fault counter comes out the same. `baseline` captures the injector
+  // right afterwards; a cut's fault report already includes that share.
   // Generation hashes every download once; the digest then travels in
   // the WAL record, so replay never hashes.
   fault::FaultInjector injector{options.faults};
   fault::FaultInjector* faults =
       options.faults.pipeline_empty() ? nullptr : &injector;
-  honeypot::EventDatabase gen_db;
-  {
-    const obs::TraceRecorder::Scoped span{options.trace, "stream.generate",
-                                          pipeline_span.id()};
-    honeypot::Deployment deployment{dataset.landscape,
-                                    make_paper_deployment_config(options,
-                                                                 faults)};
-    gen_db = deployment.run();
-  }
-  const fault::FaultReport baseline = injector.report();
-  const std::uint64_t total = gen_db.events().size();
-  const std::vector<bool> carriers = content_carriers(gen_db);
+  std::optional<honeypot::EventDatabase> gen_db;
+  std::vector<bool> carriers;
+  fault::FaultReport baseline;  // generation's counters, zero until it runs
+  auto generated = [&]() -> const honeypot::EventDatabase& {
+    if (!gen_db) {
+      const obs::TraceRecorder::Scoped span{options.trace, "stream.generate",
+                                            pipeline_span.id()};
+      honeypot::Deployment deployment{
+          dataset.landscape, make_paper_deployment_config(options, faults)};
+      gen_db = deployment.run();
+      baseline = injector.report();
+      carriers = content_carriers(*gen_db);
+    }
+    return *gen_db;
+  };
 
   // Collector side: recover the WAL, then resume from the newest epoch
   // cut. The two are independent durability layers — either may be
@@ -138,20 +143,29 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     recovered = ingest::recover_wal(wal_options, fingerprint, report);
   }
 
-  std::optional<snapshot::EpochStage> restored = store.load_latest_epoch();
-  if (restored && restored->wal_records > total) {
-    // Decline the cut and replay from record 0. A matching fingerprint
-    // can never produce more records than the regenerated stream (never
-    // trust disk anyway).
-    restored.reset();
-  }
-
   // The writer must size itself from the recovery result *before* the
   // records are moved out below — a moved-from list would reset its
   // next-record index to zero and every resume would re-append the
   // whole stream as duplicate frames.
   ingest::WalWriter writer{wal_options, fingerprint, recovered,
                            /*report=*/nullptr};
+
+  // Generate up front when the replay or the epochs below will read a
+  // record the WAL lacks; a cut covering the whole stream over a WAL
+  // that holds it is restored from disk alone.
+  std::optional<snapshot::EpochStage> restored = store.load_latest_epoch();
+  if (!restored || restored->wal_records < restored->event_total ||
+      writer.next_record_index() < restored->wal_records) {
+    const std::uint64_t generated_total = generated().events().size();
+    if (restored && restored->event_total != generated_total) {
+      // A cut under this fingerprint cannot describe another stream:
+      // decline it and replay from record 0 (never trust disk).
+      store.decline_epoch(*restored);
+      restored.reset();
+    }
+  }
+  std::uint64_t total =
+      restored ? restored->event_total : generated().events().size();
 
   // Unified record source: the recovered prefix as salvaged, encoded
   // fresh from the regenerated stream past it. Recovered payloads are
@@ -168,7 +182,9 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
       [&](std::uint64_t index) -> const std::vector<std::uint8_t>& {
     std::vector<std::uint8_t>& slot = records[static_cast<std::size_t>(index)];
     if (slot.empty()) {
-      slot = encode_record(gen_db.events()[index], carriers[index], gen_db);
+      const honeypot::EventDatabase& stream_db = generated();
+      slot = encode_record(stream_db.events()[index], carriers[index],
+                           stream_db);
     }
     return slot;
   };
@@ -189,7 +205,7 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   honeypot::EventDatabase db;
   if (restored) {
     // A cut holds no database: rebuild it by replaying the prefix the
-    // cut covers. The cut's fault slice and stream totals already
+    // cut covers. The cut's fault report and stream totals already
     // account for these records, so there is no delivery simulation
     // and nothing is appended here. The cut is trusted only once the
     // replay reproduced exactly its samples, its stream totals decoded
@@ -216,18 +232,19 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
       inc_e = cluster::IncrementalEpm{cluster::Dimension::kEpsilon};
       inc_p = cluster::IncrementalEpm{cluster::Dimension::kPi};
       inc_m = cluster::IncrementalEpm{cluster::Dimension::kMu};
+      // The declined cut's event total is not trusted either.
+      total = generated().events().size();
+      records.resize(total);
     }
   }
 
   honeypot::EnrichmentStats enrich_totals;
-  fault::FaultReport restored_slice;
   snapshot::EpmStage epm_stage;
   analysis::BehavioralView bview;
   bool have_results = false;
   if (restored) {
     done = restored->wal_records;
     enrich_totals = restored->enrichment;
-    restored_slice = restored->fault_report;
     epm_stage = std::move(restored->epm);
     bview = std::move(restored->behavioral);
     have_results = true;
@@ -259,7 +276,14 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     if (stream.after_append) stream.after_append(appended_this_run);
   }
 
-  fault::FaultReport final_slice = restored_slice;
+  // Every fault counter so far. A restored cut's report already holds
+  // generation's share and that of the records it covers, so only what
+  // this run did past generation is added to it.
+  const auto faults_so_far = [&] {
+    return restored ? fault::add(restored->fault_report,
+                                 fault::subtract(injector.report(), baseline))
+                    : injector.report();
+  };
   std::uint64_t bytes_delta = 0;
   for (std::size_t k = 0; k < stream.epochs; ++k) {
     // Epoch boundaries are record counts, independent of the split a
@@ -277,6 +301,7 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     const obs::TraceRecorder::Scoped epoch_span{options.trace, "stream.epoch",
                                                 pipeline_span.id()};
     const std::size_t first_sample = db.samples().size();
+    const honeypot::EventDatabase& stream_db = generated();
     {
       const obs::TraceRecorder::Scoped span{options.trace, "epoch.replay",
                                             epoch_span.id()};
@@ -287,8 +312,8 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
         // those died before checkpointing its counters, and the
         // decisions are pure in (plan, key), so re-rolling them here
         // restores exactly the counts it lost.
-        (void)ingest::deliver_record(stream.retry, i, gen_db.events()[i].time,
-                                     injector);
+        (void)ingest::deliver_record(stream.retry, i,
+                                     stream_db.events()[i].time, injector);
         bytes_delta += rec.size() + ingest::kWalFrameHeaderBytes;
         replay_record(rec, db, stream.verify_incremental);
         std::vector<std::uint8_t> item = take(i);
@@ -367,14 +392,12 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     }
     have_results = true;
 
-    // Cut the epoch: state + the post-generation fault slice + stream
+    // Cut the epoch: state + the cumulative fault report + stream
     // totals, all in one durable snapshot. The totals are recomputed
     // from the record sequence (not from what this process happened to
     // append), so they are identical however many times the run was
     // killed on the way here.
-    final_slice =
-        fault::add(restored_slice, fault::subtract(injector.report(),
-                                                   baseline));
+    const fault::FaultReport fault_report = faults_so_far();
     ++report.epochs_run;
     report.records_appended = target;
     report.bytes_appended += bytes_delta;
@@ -388,9 +411,10 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
                                             epoch_span.id()};
       store.save_epoch(snapshot::EpochCut{.epoch = k,
                                           .wal_records = target,
+                                          .event_total = total,
                                           .db = db,
                                           .enrichment = enrich_totals,
-                                          .fault_report = final_slice,
+                                          .fault_report = fault_report,
                                           .epm = epm_stage,
                                           .behavioral = bview,
                                           .ingest_blob = ingest_blob,
@@ -408,7 +432,7 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
 
   dataset.db = std::move(db);
   dataset.enrichment = enrich_totals;
-  dataset.fault_report = fault::add(baseline, final_slice);
+  dataset.fault_report = faults_so_far();
   dataset.e = std::move(epm_stage.e);
   dataset.p = std::move(epm_stage.p);
   dataset.m = std::move(epm_stage.m);
@@ -437,6 +461,12 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
                          inc_m.instances_reclassified());
     obs::add_counter(options.metrics, "cluster.signatures_reused",
                      signatures.reused, obs::Channel::kRuntime);
+    // Zero on a resume whose WAL and cut already hold every record, the
+    // stream's event count whenever generation ran: per-process, so
+    // runtime telemetry.
+    obs::add_counter(options.metrics, "stream.events_generated",
+                     gen_db ? gen_db->events().size() : 0,
+                     obs::Channel::kRuntime);
     publish_pool_metrics(*options.metrics, pool, pool_metrics);
   }
   return dataset;

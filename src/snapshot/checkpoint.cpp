@@ -161,6 +161,7 @@ void CheckpointStore::save_epoch(const EpochCut& cut) {
   ByteWriter meta_writer;
   meta_writer.u64(cut.epoch);
   meta_writer.u64(cut.wal_records);
+  meta_writer.u64(cut.event_total);
   meta_writer.u64(cut.db.samples().size());
   for (const std::uint64_t reclassified : cut.epm_reclassified) {
     meta_writer.u64(reclassified);
@@ -245,6 +246,7 @@ std::optional<EpochStage> CheckpointStore::load_latest_epoch() {
       decode_section(decoded.sections, "epoch-meta", [&](ByteReader& reader) {
         stage.epoch = reader.u64();
         stage.wal_records = reader.u64();
+        stage.event_total = reader.u64();
         stage.sample_count = reader.u64();
         for (std::uint64_t& reclassified : stage.epm_reclassified) {
           reclassified = reader.u64();
@@ -254,6 +256,13 @@ std::optional<EpochStage> CheckpointStore::load_latest_epoch() {
       if (stage.epoch != index) {
         throw ParseError("snapshot: epoch file " + path +
                          " holds epoch " + std::to_string(stage.epoch));
+      }
+      if (stage.wal_records > stage.event_total) {
+        throw ParseError("snapshot: epoch file " + path + " covers " +
+                         std::to_string(stage.wal_records) +
+                         " records of a " +
+                         std::to_string(stage.event_total) +
+                         "-record stream");
       }
       stage.samples =
           decode_section(decoded.sections, "samples", read_enrichment_column);
@@ -301,10 +310,14 @@ bool CheckpointStore::apply_epoch(
     } catch (const ConfigError&) {
     }
   }
+  decline_epoch(stage);
+  return false;
+}
+
+void CheckpointStore::decline_epoch(const EpochStage& stage) {
   quarantine(
       (fs::path{options_.directory} / epoch_filename(stage.epoch)).string(),
       /*stale=*/false);
-  return false;
 }
 
 }  // namespace repro::snapshot

@@ -63,9 +63,13 @@ inline constexpr std::uint32_t kSnapshotEndMagic = 0x44'4e'45'53;  // "SEND"
 // from the replayed prefix); the meta carries the three EPM
 // reclassification totals instead of the backend tag, and the backend
 // is mixed into the fingerprint.
+// Version 9: the meta carries the stream's event total, and the fault
+// report is cumulative (generation's counters included), so a resume
+// whose WAL holds every record the cut covers never regenerates the
+// stream.
 // Older files are quarantined as unreadable and their epochs
 // recomputed — the normal graceful-degradation path, not an error.
-inline constexpr std::uint32_t kSnapshotVersion = 8;
+inline constexpr std::uint32_t kSnapshotVersion = 9;
 
 /// Snapshot file name for a streaming epoch cut, e.g. "epoch-0003.snap".
 [[nodiscard]] std::string epoch_filename(std::uint64_t epoch);
@@ -129,14 +133,24 @@ using EpmReclassified = std::array<std::uint64_t, 3>;
 /// `wal_records` — not the epoch index — is what resume keys on, so a
 /// cut stays usable even if the run is restarted with a different
 /// `--epochs` split.
+///
+/// The cut also carries what a resume would otherwise have to
+/// regenerate the stream for: its event total and the cumulative fault
+/// report, generation's counters included. A resume whose recovered WAL
+/// holds the cut's whole prefix, and whose cut covers the whole stream,
+/// therefore never runs the sensor simulation. A cut claiming more
+/// records than its own total does not decode.
 struct EpochStage {
   std::uint64_t epoch = 0;        // 0-based epoch index that was cut
   std::uint64_t wal_records = 0;  // records covered by this state
+  std::uint64_t event_total = 0;  // records in the whole stream
   /// Samples the replayed prefix must produce, and their enrichment
   /// outputs in sample-id order.
   std::uint64_t sample_count = 0;
   std::vector<SampleEnrichment> samples;
   honeypot::EnrichmentStats enrichment;
+  /// Every fault counter of the run up to this cut: generation's plus
+  /// the delivery and enrichment activity of the covered records.
   fault::FaultReport fault_report;
   EpmStage epm;
   analysis::BehavioralView behavioral;
@@ -155,6 +169,7 @@ struct EpochStage {
 struct EpochCut {
   std::uint64_t epoch = 0;
   std::uint64_t wal_records = 0;
+  std::uint64_t event_total = 0;
   const honeypot::EventDatabase& db;
   const honeypot::EnrichmentStats& enrichment;
   const fault::FaultReport& fault_report;
@@ -192,6 +207,10 @@ class CheckpointStore {
   [[nodiscard]] bool apply_epoch(
       const EpochStage& stage, honeypot::EventDatabase& db,
       const std::function<void(const honeypot::EventDatabase&)>& prime);
+  /// Quarantines a loaded cut the caller found wrong on its own terms
+  /// (its event total disagrees with the regenerated stream), so no
+  /// later run loads it either.
+  void decline_epoch(const EpochStage& stage);
 
   /// What the store did this run — lets callers (and tests) see whether
   /// a cut was restored, and whether files were thrown out.

@@ -205,6 +205,7 @@ TEST_P(FuzzSeed, EpochCutSectionsSurviveMutations) {
                                    kFingerprint};
   writer.save_epoch(snapshot::EpochCut{.epoch = 0,
                                        .wal_records = ds.db.events().size(),
+                                       .event_total = ds.db.events().size(),
                                        .db = ds.db,
                                        .enrichment = ds.enrichment,
                                        .fault_report = ds.fault_report,

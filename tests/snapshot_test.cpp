@@ -403,9 +403,10 @@ TEST(Container, EverySingleBitFlipIsRejected) {
 TEST(Container, RejectsWrongVersion) {
   std::vector<std::uint8_t> bytes =
       encode_snapshot(7, sample_sections());
-  // Bump the version field (offset 4) and fix up the trailer CRC so
-  // only the version check can object.
-  bytes[4] = 9;
+  // Bump the version field (offset 4) to the next, not yet written
+  // version and fix up the trailer CRC so only the version check can
+  // object.
+  bytes[4] = static_cast<std::uint8_t>(kSnapshotVersion + 1);
   const std::uint32_t fixed =
       crc32(std::span{bytes}.first(bytes.size() - 8));
   for (int i = 0; i < 4; ++i) {
@@ -487,6 +488,7 @@ EpochCut dataset_cut() {
   const scenario::Dataset& ds = dataset();
   return EpochCut{.epoch = 2,
                   .wal_records = ds.db.events().size(),
+                  .event_total = ds.db.events().size(),
                   .db = ds.db,
                   .enrichment = ds.enrichment,
                   .fault_report = ds.fault_report,

@@ -24,6 +24,7 @@
 #include "ingest/wal.hpp"
 #include "io/csv_export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "scenario/paper.hpp"
 #include "scenario/stream.hpp"
 #include "scenario/wal_record.hpp"
@@ -611,6 +612,55 @@ std::uint64_t counter_of(const obs::MetricsRegistry& metrics,
   return 0;
 }
 
+/// The kill-invariant deterministic counters (the pipeline, enrich,
+/// fault, cluster and epm families): what every run of one stream must
+/// publish however it got there. The per-run families — snapshot.*,
+/// ingest.epochs.*, ingest.queue.* and the WAL recovery counters — are
+/// left out.
+std::vector<std::pair<std::string, std::uint64_t>> kill_invariant_counters(
+    const obs::MetricsRegistry& metrics) {
+  std::vector<std::pair<std::string, std::uint64_t>> kept;
+  for (const auto& [name, value] :
+       metrics.counter_values(obs::Channel::kDeterministic)) {
+    for (const std::string_view family :
+         {"pipeline.", "enrich.", "fault.", "cluster.", "epm."}) {
+      if (name.starts_with(family)) kept.emplace_back(name, value);
+    }
+  }
+  return kept;
+}
+
+/// Every FaultReport field of `actual` equals `expected`'s.
+void expect_same_fault_report(const fault::FaultReport& actual,
+                              const fault::FaultReport& expected) {
+#define REPRO_EXPECT_FIELD(field) \
+  EXPECT_EQ(actual.field, expected.field) << #field
+  REPRO_EXPECT_FIELD(attacks_lost_to_outage);
+  REPRO_EXPECT_FIELD(sensor_checks);
+  REPRO_EXPECT_FIELD(proxy_attempts);
+  REPRO_EXPECT_FIELD(proxy_failures);
+  REPRO_EXPECT_FIELD(proxy_retries);
+  REPRO_EXPECT_FIELD(refinements_abandoned);
+  REPRO_EXPECT_FIELD(proxy_backoff_seconds);
+  REPRO_EXPECT_FIELD(download_checks);
+  REPRO_EXPECT_FIELD(downloads_refused);
+  REPRO_EXPECT_FIELD(downloads_corrupted);
+  REPRO_EXPECT_FIELD(sandbox_checks);
+  REPRO_EXPECT_FIELD(sandbox_failures);
+  REPRO_EXPECT_FIELD(av_label_checks);
+  REPRO_EXPECT_FIELD(av_label_gaps);
+  REPRO_EXPECT_FIELD(delivery_checks);
+  REPRO_EXPECT_FIELD(delivery_failures);
+  REPRO_EXPECT_FIELD(delivery_retries);
+  REPRO_EXPECT_FIELD(delivery_retry_exhausted);
+  REPRO_EXPECT_FIELD(delivery_backoff_seconds);
+  REPRO_EXPECT_FIELD(serve_checks);
+  REPRO_EXPECT_FIELD(serve_slow_clients);
+  REPRO_EXPECT_FIELD(serve_disconnects);
+  REPRO_EXPECT_FIELD(serve_accept_failures);
+#undef REPRO_EXPECT_FIELD
+}
+
 TEST(Stream, IncrementalCountersAreKillInvariant) {
   constexpr std::size_t kEpochs = 4;
 
@@ -807,10 +857,10 @@ TEST(Stream, CutThatDisagreesWithTheReplayIsNeverTrusted) {
     auto& [path, cut] = cuts.front();
     for (snapshot::Section& section : cut.sections) {
       if (rewrite_count && section.name == "epoch-meta") {
-        // [epoch u64][wal_records u64][sample count u64]
-        // [reclassified u64 x3]
-        ASSERT_EQ(section.payload.size(), 48u);
-        ++section.payload[16];
+        // [epoch u64][wal_records u64][event total u64]
+        // [sample count u64][reclassified u64 x3]
+        ASSERT_EQ(section.payload.size(), 56u);
+        ++section.payload[24];
       }
       if (!rewrite_count && section.name == "samples") {
         // [count u64][md5 length u32][md5 ...] — flip the first md5.
@@ -887,20 +937,131 @@ TEST(Stream, LostWalDirectoryHealsFromTheRegeneratedStream) {
   ScenarioOptions options = small_options(true);
   const fs::path root = fresh_dir("lost-wal");
   const StreamOptions stream = stream_under(root, options);
-  (void)build_streaming_dataset(options, stream);
+  const Dataset first = build_streaming_dataset(options, stream);
   fs::remove_all(root / "wal");
 
   // The cut still restores: its prefix is replayed from the
   // deterministic regenerated stream and re-appended to a fresh WAL.
+  obs::MetricsRegistry healed_metrics;
+  options.metrics = &healed_metrics;
   const Dataset healed = build_streaming_dataset(options, stream);
   EXPECT_EQ(all_csv(healed), batch_csv(true));
   EXPECT_EQ(healed.ingest.epochs_restored, 1u);
   EXPECT_EQ(healed.ingest.epochs_run, 0u);
+  // The lost records had to come from somewhere: generation ran, once,
+  // and its fault counters were not counted twice.
+  EXPECT_EQ(counter_of(healed_metrics, "stream.events_generated",
+                       obs::Channel::kRuntime),
+            healed.db.events().size());
+  expect_same_fault_report(healed.fault_report, first.fault_report);
 
+  obs::MetricsRegistry third_metrics;
+  options.metrics = &third_metrics;
   const Dataset third = build_streaming_dataset(options, stream);
   EXPECT_EQ(all_csv(third), batch_csv(true));
   EXPECT_EQ(third.ingest.records_recovered, third.db.events().size());
   EXPECT_EQ(third.ingest.epochs_restored, 1u);
+  EXPECT_EQ(counter_of(third_metrics, "stream.events_generated",
+                       obs::Channel::kRuntime),
+            0u);
+}
+
+TEST(Stream, ResumeOverCompleteWalGeneratesNothing) {
+  // The WAL holds every record and the final cut covers them all, with
+  // the stream's event total and generation's fault counters: the rerun
+  // must rebuild everything from disk without running the sensor
+  // simulation, and still report exactly what the run that generated
+  // the stream reported.
+  ScenarioOptions options = small_options(true);
+  const fs::path root = fresh_dir("resume-no-generation");
+  const StreamOptions stream = stream_under(root, options);
+  obs::MetricsRegistry first_metrics;
+  options.metrics = &first_metrics;
+  const Dataset first = build_streaming_dataset(options, stream);
+  EXPECT_EQ(counter_of(first_metrics, "stream.events_generated",
+                       obs::Channel::kRuntime),
+            counter_of(first_metrics, "pipeline.events",
+                       obs::Channel::kDeterministic));
+
+  obs::MetricsRegistry metrics;
+  obs::TraceRecorder trace;
+  options.metrics = &metrics;
+  options.trace = &trace;
+  const Dataset resumed = build_streaming_dataset(options, stream);
+  EXPECT_EQ(all_csv(resumed), all_csv(first));
+  EXPECT_EQ(resumed.ingest.epochs_restored, 1u);
+  EXPECT_EQ(resumed.ingest.epochs_run, 0u);
+  expect_same_fault_report(resumed.fault_report, first.fault_report);
+  EXPECT_TRUE(resumed.fault_report.any());
+  EXPECT_EQ(kill_invariant_counters(metrics),
+            kill_invariant_counters(first_metrics));
+  EXPECT_EQ(counter_of(metrics, "stream.events_generated",
+                       obs::Channel::kRuntime),
+            0u);
+  for (const obs::TraceRecorder::Span& span : trace.spans()) {
+    EXPECT_NE(span.name, "stream.generate");
+  }
+}
+
+/// Rewrites the event total in the epoch-meta section of `cut`, leaving
+/// every other byte as it was.
+void forge_event_total(snapshot::DecodedSnapshot& cut, std::uint64_t total) {
+  for (snapshot::Section& section : cut.sections) {
+    if (section.name != "epoch-meta") continue;
+    // [epoch u64][wal_records u64][event total u64]...
+    ASSERT_GE(section.payload.size(), 24u);
+    for (std::size_t i = 0; i < 8; ++i) {
+      section.payload[16 + i] = static_cast<std::uint8_t>(total >> (8 * i));
+    }
+    return;
+  }
+  ADD_FAILURE() << "cut has no epoch-meta section";
+}
+
+TEST(Stream, CutWithAWrongEventTotalIsNeverTrusted) {
+  // Re-seal the final cut with a forged event total: CRCs and
+  // fingerprint stay valid, so only the total lies. A total below the
+  // records the cut covers never decodes; a total the regenerated stream
+  // contradicts declines the cut. Either way the cut is set aside and
+  // the export stays what batch exports.
+  for (const bool below : {true, false}) {
+    ScenarioOptions options = small_options(true);
+    const fs::path root =
+        fresh_dir(below ? "forged-total-below" : "forged-total-above");
+    const StreamOptions stream = stream_under(root, options);
+    const Dataset first = build_streaming_dataset(options, stream);
+    const std::uint64_t records = first.db.events().size();
+
+    auto cuts = epoch_cuts(options.checkpoint.directory);
+    ASSERT_EQ(cuts.size(), 3u);
+    auto& [path, cut] = cuts.back();
+    forge_event_total(cut, below ? records - 1 : records + 1);
+    write_cut(path, cut);
+    if (!below) fs::remove_all(root / "wal");
+
+    obs::MetricsRegistry metrics;
+    options.metrics = &metrics;
+    const Dataset resumed = build_streaming_dataset(options, stream);
+    EXPECT_EQ(all_csv(resumed), batch_csv(true)) << "below=" << below;
+    expect_same_fault_report(resumed.fault_report, first.fault_report);
+    EXPECT_EQ(resumed.checkpoint_activity.quarantined, 1u) << "below=" << below;
+    EXPECT_TRUE(fs::exists(path.string() + ".quarantined"))
+        << "below=" << below;
+    if (below) {
+      // Quarantined at load: the scan moves on to epoch 2's cut.
+      EXPECT_EQ(resumed.ingest.epochs_restored, 1u);
+      EXPECT_EQ(resumed.ingest.epochs_run, 1u);
+    } else {
+      // Declined once generation contradicted it: replay from record 0.
+      EXPECT_EQ(resumed.ingest.epochs_restored, 0u);
+      EXPECT_EQ(resumed.checkpoint_activity.restored, 0u);
+      EXPECT_EQ(resumed.ingest.epochs_run, 3u);
+    }
+    EXPECT_EQ(counter_of(metrics, "stream.events_generated",
+                         obs::Channel::kRuntime),
+              records)
+        << "below=" << below;
+  }
 }
 
 // --- WAL records -------------------------------------------------------------

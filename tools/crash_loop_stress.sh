@@ -11,7 +11,12 @@
 # exception seams. After the clean completion, one warm rerun over the
 # same directories and one rerun with the WAL directory deleted must
 # export the same bytes: both resume from the newest epoch cut by
-# replaying its WAL prefix (recovered, or regenerated when lost).
+# replaying its WAL prefix (recovered, or regenerated when lost). Both
+# must also publish the uninterrupted stream's kill-invariant counters
+# (below); the warm rerun must generate no event (the WAL and the cut
+# hold them all, and the cut carries generation's fault counters), the
+# lost-WAL rerun must generate the stream again (the runtime counter
+# stream.events_generated in the --trace-out file).
 # Last, a power cut: one fresh run is SIGKILLed a few appends into its
 # last epoch, every open WAL segment is truncated to its 36-byte
 # header (the WAL syncs a segment only when it seals it, so that is
@@ -147,11 +152,14 @@ expect_batch_identical() {
   fi
 }
 
-# One more streaming run over the same directories (no kill point).
+# One more streaming run over the same directories (no kill point),
+# writing its metrics to $1-metrics.json and its trace to $1-trace.json.
 rerun_stream() {
   "$BIN" --seed "$SEED" --scale "$SCALE" --faults "$FAULTS" \
          --epochs "$EPOCHS" \
          --wal-dir "$work/wal" --checkpoint-dir "$work/ckpt" \
+         --metrics-out "$work/$1-metrics.json" \
+         --trace-out "$work/$1-trace.json" \
          --export-dir "$work/$1" >/dev/null || {
     echo "crash_loop_stress: $1 rerun failed" >&2
     exit 1
@@ -167,30 +175,55 @@ echo "== exports byte-identical to the batch build after $round runs" \
 kill_invariant_metrics() {
   grep -E '^ *"(pipeline|enrich|fault|cluster|epm)\.' "$1"
 }
-if ! diff <(kill_invariant_metrics "$work/ref-metrics.json") \
-          <(kill_invariant_metrics "$work/final-metrics.json") >/dev/null
-then
-  echo "crash_loop_stress: kill-invariant counters differ from the" \
-       "uninterrupted stream:" >&2
-  diff <(kill_invariant_metrics "$work/ref-metrics.json") \
-       <(kill_invariant_metrics "$work/final-metrics.json") >&2
-  exit 1
-fi
+# Diffs the kill-invariant counters of $1 against the uninterrupted
+# stream's; exits on a mismatch.
+expect_reference_counters() {
+  if ! diff <(kill_invariant_metrics "$work/ref-metrics.json") \
+            <(kill_invariant_metrics "$1") >/dev/null
+  then
+    echo "crash_loop_stress: kill-invariant counters of $1 differ from" \
+         "the uninterrupted stream:" >&2
+    diff <(kill_invariant_metrics "$work/ref-metrics.json") \
+         <(kill_invariant_metrics "$1") >&2
+    exit 1
+  fi
+}
+# The stream.events_generated runtime counter of one trace JSON file.
+events_generated() {
+  grep -E '"stream\.events_generated"' "$1" | grep -oE '[0-9]+' | tail -1
+}
+expect_reference_counters "$work/final-metrics.json"
 echo "== $(kill_invariant_metrics "$work/final-metrics.json" | wc -l)" \
      "kill-invariant counters match the uninterrupted stream"
 
 # Warm rerun: epoch cuts hold derived state only, so resume rebuilds
-# the database by replaying the WAL prefix the newest cut covers.
+# the database by replaying the WAL prefix the newest cut covers. The
+# WAL holds every record, so nothing is generated.
 rerun_stream warm
 expect_batch_identical warm
-echo "== warm rerun over the same directories: byte-identical"
+expect_reference_counters "$work/warm-metrics.json"
+generated=$(events_generated "$work/warm-trace.json")
+if [ "${generated:-missing}" != 0 ]; then
+  echo "crash_loop_stress: the warm rerun generated ${generated:-an" \
+       "unknown number of} events; the WAL holds them all" >&2
+  exit 1
+fi
+echo "== warm rerun over the same directories: byte-identical, same" \
+     "counters, no event generated"
 
 # Lost WAL: the cut's prefix is replayed from the deterministic
 # regenerated stream instead, and re-appended to a fresh WAL.
 rm -rf "$work/wal"
 rerun_stream nowal
 expect_batch_identical nowal
-echo "== rerun with the WAL directory removed: byte-identical"
+expect_reference_counters "$work/nowal-metrics.json"
+generated=$(events_generated "$work/nowal-trace.json")
+if [ "${generated:-0}" -eq 0 ]; then
+  echo "crash_loop_stress: the rerun without a WAL generated no event" >&2
+  exit 1
+fi
+echo "== rerun with the WAL directory removed: byte-identical, same" \
+     "counters, $generated events generated"
 
 # Power cut mid-epoch: a SIGKILL keeps every append in the page cache,
 # so drop what a power cut may lose on top of it, the unsynced frames of
