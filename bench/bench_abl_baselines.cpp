@@ -16,6 +16,18 @@ int main() {
   using namespace repro;
   const scenario::Dataset ds =
       bench::build_dataset("ABL-3: EPM vs peHash vs MD5-only baselines");
+  // peHash reads the bytes, which the dataset does not keep: run the
+  // same deployment again and take them from what it collected (the
+  // sequence is deterministic, so sample ids line up with ds.db).
+  const scenario::ScenarioOptions options = bench::options_from_env();
+  fault::FaultInjector injector{options.faults};
+  const std::vector<std::vector<std::uint8_t>> contents =
+      honeypot::Deployment{
+          ds.landscape,
+          scenario::make_paper_deployment_config(
+              options, options.faults.pipeline_empty() ? nullptr : &injector)}
+          .run()
+          .contents;
 
   // Work per event (as EPM does), with ground truth labels.
   const auto mu_data = cluster::build_mu_data(ds.db);
@@ -48,7 +60,7 @@ int main() {
     std::unordered_map<std::string, int> hash_cluster;
     int next = 0;
     for (const auto& sample : ds.db.samples()) {
-      const auto hash = cluster::pehash(sample.content);
+      const auto hash = cluster::pehash(contents.at(sample.id));
       if (hash.has_value()) {
         const auto [it, inserted] = hash_cluster.emplace(*hash, next);
         if (inserted) ++next;

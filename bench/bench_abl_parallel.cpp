@@ -73,7 +73,7 @@ int main() {
   config.seed = options.seed;
   config.download.truncation_probability = 0.14;  // paper calibration
   honeypot::Deployment deployment{landscape, config};
-  const honeypot::EventDatabase pristine = deployment.run();
+  const honeypot::EventDatabase pristine = deployment.run().db;
   std::cout << "deployment done: " << pristine.samples().size()
             << " samples, " << pristine.events().size() << " events\n\n";
 

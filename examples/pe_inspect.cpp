@@ -67,7 +67,7 @@ int main() {
 
   std::cout << "\n== EPM mu features (Table 1) ==\n";
   honeypot::MalwareSample sample;
-  sample.content = binary;
+  sample.facts = honeypot::SampleFacts::of(binary);
   sample.md5 = Md5::hex_digest(binary);
   const auto features = cluster::extract_mu(sample);
   const auto schema = cluster::mu_schema();

@@ -41,7 +41,7 @@ int main() {
   honeypot::DeploymentConfig config;
   config.seed = options.seed;
   honeypot::Deployment deployment{landscape, config};
-  honeypot::EventDatabase db = deployment.run();
+  honeypot::EventDatabase db = deployment.run().db;
   std::cout << "observed " << db.events().size() << " code-injection attacks"
             << ", collected " << db.samples().size() << " distinct binaries\n";
 

@@ -1,35 +1,15 @@
 #include "analysis/healing.hpp"
 
-#include "pe/parser.hpp"
 #include "sandbox/anubis.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace repro::analysis {
-
-namespace {
-
-/// A suspect can be (re-)executed iff its stored image is intact and
-/// still parses. Truncated/corrupted downloads stay unrunnable forever;
-/// samples that merely hit a sandbox fault at enrichment time pass and
-/// get their first profile through the healing retry.
-bool runnable(const honeypot::MalwareSample& sample) {
-  if (!sample.intact() || !pe::looks_like_pe(sample.content)) return false;
-  try {
-    (void)pe::parse_pe(sample.content);
-  } catch (const ParseError&) {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 std::vector<honeypot::SampleId> unenriched_executable_samples(
     const honeypot::EventDatabase& db) {
   std::vector<honeypot::SampleId> out;
   for (const honeypot::MalwareSample& sample : db.samples()) {
-    if (!sample.profile.has_value() && runnable(sample)) {
+    if (!sample.profile.has_value() && sample.runnable()) {
       out.push_back(sample.id);
     }
   }
@@ -53,7 +33,7 @@ HealingOutcome heal_by_reexecution(
     // Samples whose bytes cannot execute are skipped; samples that are
     // runnable but never got a profile (sandbox fault during
     // enrichment) are recovered here with their first execution.
-    if (!runnable(sample)) {
+    if (!sample.runnable()) {
       ++outcome.report.unrunnable;
       continue;
     }

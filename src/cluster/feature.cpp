@@ -4,9 +4,6 @@
 
 #include <cstdio>
 
-#include "pe/filetype.hpp"
-#include "pe/parser.hpp"
-#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace repro::cluster {
@@ -77,35 +74,31 @@ FeatureVector extract_pi(const honeypot::AttackEvent& event) {
 }
 
 FeatureVector extract_mu(const honeypot::MalwareSample& sample) {
+  const honeypot::SampleFacts& facts = sample.facts;
   FeatureVector out;
   out.values.reserve(11);
   out.values.push_back(sample.md5);
-  out.values.push_back(std::to_string(sample.content.size()));
-  out.values.push_back(pe::detect_file_type(sample.content));
-  try {
-    const pe::PeInfo info = pe::parse_pe(sample.content);
-    out.values.push_back(std::to_string(info.machine));
-    out.values.push_back(std::to_string(info.sections.size()));
-    out.values.push_back(std::to_string(info.dll_count()));
-    out.values.push_back(std::to_string(info.os_version()));
-    out.values.push_back(std::to_string(info.linker_version()));
-    std::vector<std::string> section_names;
-    section_names.reserve(info.sections.size());
-    for (const pe::SectionInfo& section : info.sections) {
-      section_names.push_back(escape_bytes(section.raw_name));
-    }
-    out.values.push_back(join(section_names, ","));
-    std::vector<std::string> dlls;
-    dlls.reserve(info.imports.size());
-    for (const pe::ImportInfo& import : info.imports) {
-      dlls.push_back(import.dll);
-    }
-    out.values.push_back(join(dlls, ","));
-    out.values.push_back(join(info.kernel32_symbols(), ","));
-  } catch (const ParseError&) {
+  out.values.push_back(std::to_string(facts.size));
+  out.values.push_back(facts.file_type);
+  if (!facts.pe.has_value()) {
     // Truncated/corrupted image: PE fields are unobservable.
     while (out.values.size() < 11) out.values.emplace_back(kNotAvailable);
+    return out;
   }
+  const honeypot::PeHeaderFacts& pe = *facts.pe;
+  out.values.push_back(std::to_string(pe.machine));
+  out.values.push_back(std::to_string(pe.section_names.size()));
+  out.values.push_back(std::to_string(pe.dlls.size()));
+  out.values.push_back(std::to_string(pe.os_version));
+  out.values.push_back(std::to_string(pe.linker_version));
+  std::vector<std::string> section_names;
+  section_names.reserve(pe.section_names.size());
+  for (const std::string& name : pe.section_names) {
+    section_names.push_back(escape_bytes(name));
+  }
+  out.values.push_back(join(section_names, ","));
+  out.values.push_back(join(pe.dlls, ","));
+  out.values.push_back(join(pe.kernel32_symbols, ","));
   return out;
 }
 

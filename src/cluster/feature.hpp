@@ -2,8 +2,9 @@
 //
 // Table 1 of the paper defines the features characterizing each
 // dimension of the epsilon-pi-mu space. Feature values are canonical
-// strings; every mu value is re-derived from the sample's bytes with
-// the PE parser and libmagic-style detector (never from ground truth).
+// strings; every mu value is rendered from the sample's facts, which the
+// PE parser and libmagic-style detector derived from its bytes when the
+// sample was stored (never from ground truth).
 #pragma once
 
 #include <cstdint>
@@ -53,7 +54,7 @@ inline constexpr const char* kNotAvailable = "(n/a)";
 [[nodiscard]] FeatureVector extract_epsilon(const honeypot::AttackEvent& event);
 [[nodiscard]] FeatureVector extract_gamma(const honeypot::AttackEvent& event);
 [[nodiscard]] FeatureVector extract_pi(const honeypot::AttackEvent& event);
-/// Parses the sample bytes; unparsable images yield "(n/a)" PE fields
+/// Renders the sample's facts; unparsable images yield "(n/a)" PE fields
 /// but still expose md5/size/file type.
 [[nodiscard]] FeatureVector extract_mu(const honeypot::MalwareSample& sample);
 

@@ -1,5 +1,7 @@
 #include "honeypot/database.hpp"
 
+#include "pe/filetype.hpp"
+#include "pe/parser.hpp"
 #include "util/error.hpp"
 #include "util/md5.hpp"
 
@@ -12,16 +14,42 @@ EventId EventDatabase::add_event(AttackEvent event) {
   return id;
 }
 
-SampleId EventDatabase::add_sample(std::vector<std::uint8_t> content,
+SampleFacts SampleFacts::of(std::span<const std::uint8_t> bytes) {
+  SampleFacts facts;
+  facts.size = bytes.size();
+  facts.file_type = pe::detect_file_type(bytes);
+  facts.looks_like_pe = pe::looks_like_pe(bytes);
+  try {
+    const pe::PeInfo info = pe::parse_pe(bytes);
+    PeHeaderFacts header;
+    header.machine = info.machine;
+    header.os_version = info.os_version();
+    header.linker_version = info.linker_version();
+    header.section_names.reserve(info.sections.size());
+    for (const pe::SectionInfo& section : info.sections) {
+      header.section_names.push_back(section.raw_name);
+    }
+    header.dlls.reserve(info.imports.size());
+    for (const pe::ImportInfo& import : info.imports) {
+      header.dlls.push_back(import.dll);
+    }
+    header.kernel32_symbols = info.kernel32_symbols();
+    facts.pe = std::move(header);
+  } catch (const ParseError&) {
+    // Truncated/corrupted image: no PE field is observable.
+  }
+  return facts;
+}
+
+SampleId EventDatabase::add_sample(std::span<const std::uint8_t> content,
                                    SimTime seen, bool truncated,
                                    malware::VariantId truth_variant) {
-  std::string md5 = Md5::hex_digest(content);
-  return add_sample(std::move(md5), std::move(content), seen, truncated,
+  return add_sample(Md5::hex_digest(content), content, seen, truncated,
                     truth_variant);
 }
 
 SampleId EventDatabase::add_sample(std::string md5,
-                                   std::vector<std::uint8_t> content,
+                                   std::span<const std::uint8_t> content,
                                    SimTime seen, bool truncated,
                                    malware::VariantId truth_variant) {
   const auto it = md5_index_.find(md5);
@@ -34,7 +62,7 @@ SampleId EventDatabase::add_sample(std::string md5,
   MalwareSample sample;
   sample.id = static_cast<SampleId>(samples_.size());
   sample.md5 = md5;
-  sample.content = std::move(content);
+  sample.facts = SampleFacts::of(content);
   sample.first_seen = seen;
   sample.truncated = truncated;
   sample.event_count = 1;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -18,14 +19,15 @@ class EventDatabase {
 
   /// Stores a collected binary, deduplicating by MD5. Returns the
   /// sample id and bumps its event count; first_seen keeps the earliest
-  /// time.
-  SampleId add_sample(std::vector<std::uint8_t> content, SimTime seen,
+  /// time. A new sample's facts are derived from `content` here, once;
+  /// the bytes themselves are not kept.
+  SampleId add_sample(std::span<const std::uint8_t> content, SimTime seen,
                       bool truncated, malware::VariantId truth_variant);
 
   /// add_sample for a binary whose MD5 (32 lowercase hex characters) is
   /// already known, e.g. carried in a WAL record: the digest is trusted,
-  /// not re-derived. On a duplicate digest `content` is ignored.
-  SampleId add_sample(std::string md5, std::vector<std::uint8_t> content,
+  /// not re-derived. On a duplicate digest `content` is not read.
+  SampleId add_sample(std::string md5, std::span<const std::uint8_t> content,
                       SimTime seen, bool truncated,
                       malware::VariantId truth_variant);
 

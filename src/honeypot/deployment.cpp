@@ -53,8 +53,9 @@ Deployment::Deployment(const malware::Landscape& landscape,
   }
 }
 
-EventDatabase Deployment::run() {
-  EventDatabase db;
+Collection Deployment::run() {
+  Collection collected;
+  EventDatabase& db = collected.db;
   Rng driver_rng{mix64(config_.seed ^ 0xdeb1'0000'0000'0000ULL)};
 
   // Realize every variant's infected population once, deterministically.
@@ -193,9 +194,13 @@ EventDatabase Deployment::run() {
           if (download_fault == fault::DownloadFault::kCorrupted) {
             config_.faults->corrupt(download.content, nonce);
           }
-          event.sample = db.add_sample(std::move(download.content),
-                                       attack.time, download.truncated,
-                                       variant.id);
+          event.sample = db.add_sample(download.content, attack.time,
+                                       download.truncated, variant.id);
+          // Sample ids are dense in first-seen order: a new sample's id
+          // is the next slot of `contents`.
+          if (*event.sample == collected.contents.size()) {
+            collected.contents.push_back(std::move(download.content));
+          }
           if (download_fault == fault::DownloadFault::kCorrupted) {
             db.sample_mutable(*event.sample).corrupted = true;
           }
@@ -205,7 +210,7 @@ EventDatabase Deployment::run() {
       db.add_event(std::move(event));
     }
   }
-  return db;
+  return collected;
 }
 
 }  // namespace repro::honeypot

@@ -36,12 +36,21 @@ struct DeploymentConfig {
   fault::FaultInjector* faults = nullptr;
 };
 
+/// What the sensors collected: the event database plus every distinct
+/// sample's bytes, `contents[id]` for sample id `id`. The database keeps
+/// only facts about the bytes; the bytes are here for whoever logs them
+/// (the streaming loop's WAL records) and are dropped by everyone else.
+struct Collection {
+  EventDatabase db;
+  std::vector<std::vector<std::uint8_t>> contents;
+};
+
 class Deployment {
  public:
   Deployment(const malware::Landscape& landscape, DeploymentConfig config);
 
-  /// Runs the whole observation window and returns the dataset.
-  [[nodiscard]] EventDatabase run();
+  /// Runs the whole observation window and returns what it collected.
+  [[nodiscard]] Collection run();
 
   [[nodiscard]] const std::vector<net::Ipv4>& honeypots() const noexcept {
     return honeypots_;

@@ -3,9 +3,7 @@
 #include <vector>
 
 #include "honeypot/avlabels.hpp"
-#include "pe/parser.hpp"
 #include "sandbox/anubis.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -35,19 +33,13 @@ void enrich_sample(MalwareSample& sample, const malware::Landscape& landscape,
     sample.av_label = assign_av_label(variant, sample.md5, !sample.intact());
   }
 
-  // Dynamic analysis needs a complete, parseable executable. A
-  // bit-corrupted or otherwise undecodable image throws ParseError,
-  // which is recovered here and counted — never propagated.
-  bool executable = sample.intact() && pe::looks_like_pe(sample.content);
-  if (executable) {
-    try {
-      (void)pe::parse_pe(sample.content);
-    } catch (const ParseError&) {
-      executable = false;
-      ++stats.parse_failures;
-    }
+  // Dynamic analysis needs a complete, parseable executable. An intact
+  // PE-shaped image the parser rejected (its facts carry no PE header)
+  // is counted as a parse failure.
+  if (sample.intact() && sample.facts.looks_like_pe && !sample.facts.pe) {
+    ++stats.parse_failures;
   }
-  if (!executable) {
+  if (!sample.runnable()) {
     ++stats.failed;
     return;
   }

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,11 +91,45 @@ struct AttackEvent {
   }
 };
 
+/// PE header fields of an image that parses: the PE rows of the mu
+/// dimension (Table 1).
+struct PeHeaderFacts {
+  std::uint16_t machine = 0;
+  int os_version = 0;
+  int linker_version = 0;
+  /// Raw 8-byte section names, in section-table order.
+  std::vector<std::string> section_names;
+  /// Imported DLLs, in import-table order.
+  std::vector<std::string> dlls;
+  /// Symbols imported from KERNEL32.dll, sorted.
+  std::vector<std::string> kernel32_symbols;
+};
+
+/// Everything the pipeline reads of a sample's bytes, derived once when
+/// the sample is stored (the paper's mu dimension is defined over the
+/// MD5, the size and the PE header fields, not over raw bytes). Facts
+/// are a pure function of the bytes, so they are never persisted: a
+/// replay derives them again from the WAL record.
+struct SampleFacts {
+  std::uint64_t size = 0;
+  /// libmagic-style type string (pe::detect_file_type).
+  std::string file_type;
+  /// MZ header pointing at a "PE\0\0" signature (pe::looks_like_pe).
+  bool looks_like_pe = false;
+  /// Set when pe::parse_pe accepted the image; nullopt when it threw.
+  std::optional<PeHeaderFacts> pe;
+
+  /// Inspects `bytes` with the PE parser and the file-type detector.
+  [[nodiscard]] static SampleFacts of(std::span<const std::uint8_t> bytes);
+};
+
 /// One distinct collected binary (deduplicated by MD5) plus enrichment.
+/// The bytes themselves are not kept: they live in the WAL record of the
+/// sample's first event (and at the generator until it is encoded).
 struct MalwareSample {
   SampleId id = 0;
   std::string md5;
-  std::vector<std::uint8_t> content;
+  SampleFacts facts;
   SimTime first_seen{};
   /// True when the Nepenthes-style download was cut short and the
   /// binary is incomplete — such samples cannot run in the sandbox.
@@ -114,6 +149,11 @@ struct MalwareSample {
   /// complete, undamaged image.
   [[nodiscard]] bool intact() const noexcept {
     return !truncated && !corrupted;
+  }
+
+  /// Intact, PE-shaped and parseable: the sandbox can run it.
+  [[nodiscard]] bool runnable() const noexcept {
+    return intact() && facts.looks_like_pe && facts.pe.has_value();
   }
 
   /// Ground truth, for validation only.

@@ -1,7 +1,10 @@
 #include "ingest/wal.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
+
+#include <cerrno>
 
 #include <algorithm>
 #include <filesystem>
@@ -22,19 +25,12 @@ namespace fs = std::filesystem;
 
 using snapshot::fsync_dir;
 using snapshot::fsync_file;
-using snapshot::read_whole_file;
 using snapshot::throw_io;
 using snapshot::unique_quarantine_path;
 using snapshot::write_fully;
 
 /// Error-message prefix of every durable-file failure in this layer.
 constexpr std::string_view kOwner = "wal";
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::optional<std::vector<std::uint8_t>> bytes = read_whole_file(path);
-  if (!bytes.has_value()) throw IoError("wal: cannot read " + path);
-  return std::move(*bytes);
-}
 
 // Raw little-endian field reads; bounds are checked by the callers
 // before slicing, never by these.
@@ -76,15 +72,25 @@ bool parse_segment_name(const std::string& name, std::uint64_t& index,
   return true;
 }
 
-/// What a scan of one segment file found. `records` is the run of
-/// frames continuing the expected record sequence; `valid_prefix` is
-/// how many leading bytes of the file were structurally sound (header
-/// plus every frame processed before damage, including skipped
-/// duplicates, which stay on disk harmlessly).
+/// Reads of at least this many bytes refill a segment file's window.
+constexpr std::size_t kReadChunk = 256 * 1024;
+
+/// Intact frame header: its CRC covers the other 20 bytes, and the
+/// magic matches.
+bool frame_header_ok(std::span<const std::uint8_t> header) {
+  return get_u32(header, 20) == snapshot::crc32(header.first(20)) &&
+         get_u32(header, 0) == kWalFrameMagic;
+}
+
+/// What a scan of one segment file found. `frames` are the (offset,
+/// payload length) pairs of the frames continuing the expected record
+/// sequence; `valid_prefix` is how many leading bytes of the file were
+/// structurally sound (header plus every frame processed before damage,
+/// including skipped duplicates, which stay on disk harmlessly).
 struct SegmentScan {
-  std::vector<std::vector<std::uint8_t>> records;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> frames;
   std::uint64_t duplicates = 0;
-  std::size_t valid_prefix = 0;
+  std::uint64_t valid_prefix = 0;
   bool header_ok = false;
   bool stale = false;  // foreign fingerprint
   bool ahead = false;  // first record index past the contiguous prefix
@@ -92,28 +98,31 @@ struct SegmentScan {
   bool corrupt = false;  // checksum/structure damage mid-file
 };
 
-SegmentScan scan_segment(std::span<const std::uint8_t> bytes,
-                         std::uint64_t fingerprint,
+SegmentScan scan_segment(WalSegmentFile& file, std::uint64_t fingerprint,
                          std::uint64_t filename_index,
                          std::uint64_t expected_record) {
   SegmentScan scan;
-  if (bytes.size() < kWalSegmentHeaderBytes) {
+  const std::uint64_t size = file.size();
+  if (size < kWalSegmentHeaderBytes) {
     scan.torn = true;
     return scan;
   }
-  if (get_u32(bytes, 32) != snapshot::crc32(bytes.first(32)) ||
-      get_u32(bytes, 0) != kWalSegmentMagic ||
-      get_u32(bytes, 4) != kWalVersion ||
-      get_u64(bytes, 16) != filename_index) {
+  const std::span<const std::uint8_t> segment_header =
+      file.read(0, kWalSegmentHeaderBytes);
+  if (get_u32(segment_header, 32) !=
+          snapshot::crc32(segment_header.first(32)) ||
+      get_u32(segment_header, 0) != kWalSegmentMagic ||
+      get_u32(segment_header, 4) != kWalVersion ||
+      get_u64(segment_header, 16) != filename_index) {
     scan.corrupt = true;
     return scan;
   }
-  if (get_u64(bytes, 8) != fingerprint) {
+  if (get_u64(segment_header, 8) != fingerprint) {
     scan.stale = true;
     return scan;
   }
   scan.header_ok = true;
-  if (get_u64(bytes, 24) > expected_record) {
+  if (get_u64(segment_header, 24) > expected_record) {
     // Frames before this segment's first record are missing (an earlier
     // segment was lost or quarantined); nothing here can extend the
     // contiguous prefix.
@@ -121,32 +130,32 @@ SegmentScan scan_segment(std::span<const std::uint8_t> bytes,
     return scan;
   }
 
-  std::size_t off = kWalSegmentHeaderBytes;
+  std::uint64_t off = kWalSegmentHeaderBytes;
   std::uint64_t next = expected_record;
   scan.valid_prefix = off;
-  while (off < bytes.size()) {
-    const std::size_t remaining = bytes.size() - off;
+  while (off < size) {
+    const std::uint64_t remaining = size - off;
     if (remaining < kWalFrameHeaderBytes) {
       scan.torn = true;
       break;
     }
     const std::span<const std::uint8_t> header =
-        bytes.subspan(off, kWalFrameHeaderBytes);
-    if (get_u32(header, 20) != snapshot::crc32(header.first(20)) ||
-        get_u32(header, 0) != kWalFrameMagic) {
+        file.read(off, kWalFrameHeaderBytes);
+    if (!frame_header_ok(header)) {
       scan.corrupt = true;
       break;
     }
-    const std::size_t payload_length = get_u32(header, 4);
+    const std::uint32_t payload_length = get_u32(header, 4);
     const std::uint64_t record_index = get_u64(header, 8);
+    const std::uint32_t payload_crc = get_u32(header, 16);
     if (remaining - kWalFrameHeaderBytes < payload_length) {
-      // Header intact, payload cut off: the write died mid-frame.
+      // Header intact, payload cut off: the write died mid-frame. The
+      // declared length is never read, so never allocated.
       scan.torn = true;
       break;
     }
-    const std::span<const std::uint8_t> payload =
-        bytes.subspan(off + kWalFrameHeaderBytes, payload_length);
-    if (get_u32(header, 16) != snapshot::crc32(payload)) {
+    if (payload_crc != snapshot::crc32(file.read(
+                           off + kWalFrameHeaderBytes, payload_length))) {
       scan.corrupt = true;
       break;
     }
@@ -158,7 +167,7 @@ SegmentScan scan_segment(std::span<const std::uint8_t> bytes,
     if (record_index < next) {
       ++scan.duplicates;
     } else {
-      scan.records.emplace_back(payload.begin(), payload.end());
+      scan.frames.emplace_back(off, payload_length);
       ++next;
     }
     off += kWalFrameHeaderBytes + payload_length;
@@ -214,6 +223,122 @@ std::string segment_filename(std::uint64_t segment_index, bool open) {
   return name;
 }
 
+std::optional<WalSegmentFile> WalSegmentFile::open(std::string path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) return std::nullopt;
+    throw_io(kOwner, "open", path);
+  }
+  struct stat info {};
+  if (::fstat(fd, &info) != 0) {
+    ::close(fd);
+    throw_io(kOwner, "stat", path);
+  }
+  return WalSegmentFile{fd, std::move(path),
+                        static_cast<std::uint64_t>(info.st_size)};
+}
+
+WalSegmentFile::WalSegmentFile(int fd, std::string path,
+                               std::uint64_t size) noexcept
+    : fd_(fd), path_(std::move(path)), size_(size) {}
+
+WalSegmentFile::WalSegmentFile(WalSegmentFile&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)),
+      path_(std::move(other.path_)),
+      size_(other.size_),
+      window_(std::move(other.window_)),
+      window_offset_(other.window_offset_) {}
+
+WalSegmentFile& WalSegmentFile::operator=(WalSegmentFile&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = std::exchange(other.fd_, -1);
+    path_ = std::move(other.path_);
+    size_ = other.size_;
+    window_ = std::move(other.window_);
+    window_offset_ = other.window_offset_;
+  }
+  return *this;
+}
+
+WalSegmentFile::~WalSegmentFile() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+std::span<const std::uint8_t> WalSegmentFile::read(std::uint64_t offset,
+                                                   std::size_t n) {
+  if (offset < window_offset_ ||
+      offset + n > window_offset_ + window_.size()) {
+    if (offset > size_ || n > size_ - offset) {
+      throw IoError("wal: read past the end of " + path_);
+    }
+    window_.resize(std::max<std::size_t>(
+        n, static_cast<std::size_t>(
+               std::min<std::uint64_t>(kReadChunk, size_ - offset))));
+    window_offset_ = offset;
+    std::size_t filled = 0;
+    while (filled < window_.size()) {
+      const ::ssize_t got =
+          ::pread(fd_, window_.data() + filled, window_.size() - filled,
+                  static_cast<::off_t>(offset + filled));
+      if (got < 0 && errno == EINTR) continue;
+      if (got < 0) throw_io(kOwner, "read", path_);
+      if (got == 0) {
+        window_.clear();
+        throw IoError("wal: " + path_ + " shrank while being read");
+      }
+      filled += static_cast<std::size_t>(got);
+    }
+  }
+  return std::span<const std::uint8_t>{window_}.subspan(
+      static_cast<std::size_t>(offset - window_offset_), n);
+}
+
+std::span<const std::uint8_t> WalReader::read(std::uint64_t index) {
+  const WalRecords::Frame& frame = records_->frames_.at(index);
+  if (!file_ || segment_ != frame.segment) {
+    const WalRecords::Segment& segment = records_->segments_[frame.segment];
+    const fs::path directory{records_->directory_};
+    file_.reset();
+    file_ = WalSegmentFile::open(
+        (directory / segment_filename(segment.index, segment.open)).string());
+    if (!file_ && segment.open) {
+      // Sealed by the writer since recovery: same file, final name.
+      file_ = WalSegmentFile::open(
+          (directory / segment_filename(segment.index, false)).string());
+    }
+    if (!file_) {
+      throw IoError("wal: segment " + std::to_string(segment.index) +
+                    " vanished since recovery");
+    }
+    segment_ = frame.segment;
+  }
+  const std::span<const std::uint8_t> bytes =
+      file_->read(frame.offset, kWalFrameHeaderBytes + frame.length);
+  const std::span<const std::uint8_t> header =
+      bytes.first(kWalFrameHeaderBytes);
+  const std::span<const std::uint8_t> payload =
+      bytes.subspan(kWalFrameHeaderBytes);
+  if (!frame_header_ok(header) || get_u32(header, 4) != frame.length ||
+      get_u64(header, 8) != index ||
+      get_u32(header, 16) != snapshot::crc32(payload)) {
+    throw IoError("wal: record " + std::to_string(index) + " in " +
+                  file_->path() + " changed on disk since recovery");
+  }
+  return payload;
+}
+
+WalRecords::Iterator::Iterator(const WalRecords& records)
+    : reader_(std::make_shared<WalReader>(records)) {}
+
+std::span<const std::uint8_t> WalRecords::Iterator::operator*() const {
+  return reader_->read(index_);
+}
+
+bool WalRecords::Iterator::operator==(std::default_sentinel_t) const noexcept {
+  return index_ == reader_->size();
+}
+
 RecoveredWal recover_wal(const WalOptions& options, std::uint64_t fingerprint,
                          IngestReport& report) {
   options.validate();
@@ -257,6 +382,7 @@ RecoveredWal recover_wal(const WalOptions& options, std::uint64_t fingerprint,
   };
 
   RecoveredWal result;
+  result.records.directory_ = options.directory;
   std::uint64_t expected = 0;
   std::uint64_t max_index = 0;
   bool seen_open = false;
@@ -271,8 +397,10 @@ RecoveredWal recover_wal(const WalOptions& options, std::uint64_t fingerprint,
     }
     if (entry.open) seen_open = true;
 
-    const std::vector<std::uint8_t> bytes = read_file(entry.path);
-    SegmentScan scan = scan_segment(bytes, fingerprint, entry.index, expected);
+    std::optional<WalSegmentFile> file = WalSegmentFile::open(entry.path);
+    if (!file) throw IoError("wal: cannot read " + entry.path);
+    SegmentScan scan =
+        scan_segment(*file, fingerprint, entry.index, expected);
     report.duplicate_frames += scan.duplicates;
     if (scan.stale) {
       ++report.stale_segments;
@@ -293,13 +421,18 @@ RecoveredWal recover_wal(const WalOptions& options, std::uint64_t fingerprint,
       continue;
     }
 
-    expected += scan.records.size();
-    report.records_recovered += scan.records.size();
-    for (std::vector<std::uint8_t>& record : scan.records) {
-      result.records.push_back(std::move(record));
+    expected += scan.frames.size();
+    report.records_recovered += scan.frames.size();
+    if (!scan.frames.empty()) {
+      WalRecords& records = result.records;
+      const auto segment = static_cast<std::uint32_t>(records.segments_.size());
+      records.segments_.push_back({entry.index, entry.open});
+      for (const auto& [offset, length] : scan.frames) {
+        records.frames_.push_back({segment, length, offset});
+      }
     }
     if (scan.torn || scan.corrupt) {
-      report.bytes_dropped += bytes.size() - scan.valid_prefix;
+      report.bytes_dropped += file->size() - scan.valid_prefix;
       if (scan.torn) ++report.torn_tails;
       if (scan.corrupt) {
         ++report.corrupt_frames;
@@ -319,6 +452,7 @@ RecoveredWal recover_wal(const WalOptions& options, std::uint64_t fingerprint,
       result.open_tail_index = entry.index;
     }
   }
+  result.record_count = expected;
   result.next_segment_index = std::max<std::uint64_t>(max_index + 1, 1);
   return result;
 }
@@ -328,7 +462,7 @@ WalWriter::WalWriter(WalOptions options, std::uint64_t fingerprint,
     : options_(std::move(options)), fingerprint_(fingerprint), report_(report) {
   options_.validate();
   fs::create_directories(options_.directory);
-  next_record_ = recovered.records.size();
+  next_record_ = recovered.record_count;
   segment_index_ = recovered.next_segment_index;
   if (recovered.open_tail) {
     segment_index_ = recovered.open_tail_index;

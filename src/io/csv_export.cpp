@@ -49,7 +49,7 @@ void write_samples_csv(std::ostream& os, const honeypot::EventDatabase& db,
   for (const honeypot::MalwareSample& sample : db.samples()) {
     const int b_cluster = b.cluster_of_sample(sample.id);
     os << to_csv_row({std::to_string(sample.id), sample.md5,
-                      std::to_string(sample.content.size()),
+                      std::to_string(sample.facts.size),
                       format_date(sample.first_seen),
                       sample.truncated ? "1" : "0",
                       std::to_string(sample.event_count), sample.av_label,

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -112,20 +113,26 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   fault::FaultInjector injector{options.faults};
   fault::FaultInjector* faults =
       options.faults.pipeline_empty() ? nullptr : &injector;
-  std::optional<honeypot::EventDatabase> gen_db;
+  std::optional<honeypot::Collection> gen;
   std::vector<bool> carriers;
   fault::FaultReport baseline;  // generation's counters, zero until it runs
-  auto generated = [&]() -> const honeypot::EventDatabase& {
-    if (!gen_db) {
+  auto generated = [&]() -> const honeypot::Collection& {
+    if (!gen) {
       const obs::TraceRecorder::Scoped span{options.trace, "stream.generate",
                                             pipeline_span.id()};
       honeypot::Deployment deployment{
           dataset.landscape, make_paper_deployment_config(options, faults)};
-      gen_db = deployment.run();
+      gen = deployment.run();
       baseline = injector.report();
-      carriers = content_carriers(*gen_db);
+      carriers = content_carriers(gen->db);
     }
-    return *gen_db;
+    return *gen;
+  };
+  // Record `index` encoded fresh from the generated stream.
+  auto encode = [&](std::uint64_t index) {
+    const honeypot::Collection& stream_gen = generated();
+    return encode_record(stream_gen.db.events()[index], carriers[index],
+                         stream_gen);
   };
 
   // Collector side: recover the WAL, then resume from the newest epoch
@@ -143,10 +150,6 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     recovered = ingest::recover_wal(wal_options, fingerprint, report);
   }
 
-  // The writer must size itself from the recovery result *before* the
-  // records are moved out below — a moved-from list would reset its
-  // next-record index to zero and every resume would re-append the
-  // whole stream as duplicate frames.
   ingest::WalWriter writer{wal_options, fingerprint, recovered,
                            /*report=*/nullptr};
 
@@ -156,7 +159,7 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   std::optional<snapshot::EpochStage> restored = store.load_latest_epoch();
   if (!restored || restored->wal_records < restored->event_total ||
       writer.next_record_index() < restored->wal_records) {
-    const std::uint64_t generated_total = generated().events().size();
+    const std::uint64_t generated_total = generated().db.events().size();
     if (restored && restored->event_total != generated_total) {
       // A cut under this fingerprint cannot describe another stream:
       // decline it and replay from record 0 (never trust disk).
@@ -165,32 +168,24 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     }
   }
   std::uint64_t total =
-      restored ? restored->event_total : generated().events().size();
+      restored ? restored->event_total : generated().db.events().size();
 
-  // Unified record source: the recovered prefix as salvaged, encoded
-  // fresh from the regenerated stream past it. Recovered payloads are
-  // CRC-framed and fingerprint-checked, so both sources yield the same
+  // Unified record source: record i is read back from the WAL below the
+  // recovered count and encoded fresh from the regenerated stream past
+  // it. Recovered payloads are CRC-framed and fingerprint-checked (and
+  // checked again as they are read), so both sources yield the same
   // bytes for the same index — which is also why a lost WAL never
-  // strands a cut. A slot holds its record only until the record has
-  // been replayed and is in the WAL: then it is freed, or moved into the
-  // ingest queue. An empty slot (no record is empty) is encoded
-  // again on demand, e.g. when a cut is declined after its prefix was
-  // replayed.
-  std::vector<std::vector<std::uint8_t>> records = std::move(recovered.records);
-  records.resize(total);  // salvaged records past the stream are never read
+  // strands a cut. Neither source holds more than the record in hand: a
+  // WAL record lives in the reader's window, a fresh one is encoded on
+  // demand and moved into the ingest queue.
+  const std::uint64_t recovered_count = recovered.record_count;
+  ingest::WalReader wal{recovered.records};
+  std::vector<std::uint8_t> fresh;
   auto record_bytes =
-      [&](std::uint64_t index) -> const std::vector<std::uint8_t>& {
-    std::vector<std::uint8_t>& slot = records[static_cast<std::size_t>(index)];
-    if (slot.empty()) {
-      const honeypot::EventDatabase& stream_db = generated();
-      slot = encode_record(stream_db.events()[index], carriers[index],
-                           stream_db);
-    }
-    return slot;
-  };
-  // Moves a record out of its slot; dropping the result frees it.
-  auto take = [&](std::uint64_t index) {
-    return std::exchange(records[static_cast<std::size_t>(index)], {});
+      [&](std::uint64_t index) -> std::span<const std::uint8_t> {
+    if (index < recovered_count) return wal.read(index);
+    fresh = encode(index);
+    return fresh;
   };
 
   // Incremental clustering engines: counting state per EPM dimension,
@@ -212,8 +207,6 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     // and the engines' recount agreed with its E/P/M results.
     for (std::uint64_t i = 0; i < restored->wal_records; ++i) {
       replay_record(record_bytes(i), db, stream.verify_incremental);
-      // Records the WAL lacks stay held for the heal below.
-      if (i < writer.next_record_index()) (void)take(i);
     }
     const auto prime = [&](const honeypot::EventDatabase& replayed) {
       ingest::IngestReport totals = report;
@@ -233,8 +226,7 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
       inc_p = cluster::IncrementalEpm{cluster::Dimension::kPi};
       inc_m = cluster::IncrementalEpm{cluster::Dimension::kMu};
       // The declined cut's event total is not trusted either.
-      total = generated().events().size();
-      records.resize(total);
+      total = generated().db.events().size();
     }
   }
 
@@ -266,12 +258,10 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   // durable but before the damaged tail segment was, or a quarantined
   // segment, or a WAL directory lost outright). The checkpoint already
   // covers these records' fault counters and the restore above already
-  // replayed them, so they are re-appended verbatim — no delivery
-  // simulation, no second replay.
+  // replayed them, so they are encoded again (the same bytes) and
+  // appended — no delivery simulation, no second replay.
   while (writer.next_record_index() < done) {
-    const std::uint64_t i = writer.next_record_index();
-    writer.append(record_bytes(i));
-    (void)take(i);
+    writer.append(encode(writer.next_record_index()));
     ++appended_this_run;
     if (stream.after_append) stream.after_append(appended_this_run);
   }
@@ -301,12 +291,12 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     const obs::TraceRecorder::Scoped epoch_span{options.trace, "stream.epoch",
                                                 pipeline_span.id()};
     const std::size_t first_sample = db.samples().size();
-    const honeypot::EventDatabase& stream_db = generated();
+    const honeypot::EventDatabase& stream_db = generated().db;
     {
       const obs::TraceRecorder::Scoped span{options.trace, "epoch.replay",
                                             epoch_span.id()};
       for (std::uint64_t i = done; i < target; ++i) {
-        const std::vector<std::uint8_t>& rec = record_bytes(i);
+        const std::span<const std::uint8_t> rec = record_bytes(i);
         // Delivery simulation runs for every record past the last cut,
         // including records already in the WAL: the run that appended
         // those died before checkpointing its counters, and the
@@ -316,12 +306,12 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
                                      stream_db.events()[i].time, injector);
         bytes_delta += rec.size() + ingest::kWalFrameHeaderBytes;
         replay_record(rec, db, stream.verify_incremental);
-        std::vector<std::uint8_t> item = take(i);
-        if (i < writer.next_record_index()) continue;
+        if (i < recovered_count) continue;
         // Fresh record: moved through the bounded queue into the WAL.
         // The queue is drained only when full, so backpressure
         // genuinely engages (and is counted) instead of the queue
         // idling at depth one. A rejected offer leaves `item` with us.
+        std::vector<std::uint8_t> item = std::move(fresh);
         if (!queue.offer(std::move(item))) {
           drain_queue();
           if (!queue.offer(std::move(item))) {
@@ -465,7 +455,7 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     // stream's event count whenever generation ran: per-process, so
     // runtime telemetry.
     obs::add_counter(options.metrics, "stream.events_generated",
-                     gen_db ? gen_db->events().size() : 0,
+                     gen ? gen->db.events().size() : 0,
                      obs::Channel::kRuntime);
     publish_pool_metrics(*options.metrics, pool, pool_metrics);
   }

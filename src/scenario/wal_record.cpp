@@ -40,7 +40,7 @@ std::vector<bool> content_carriers(const honeypot::EventDatabase& gen_db) {
 
 std::vector<std::uint8_t> encode_record(const honeypot::AttackEvent& event,
                                         bool carries_content,
-                                        const honeypot::EventDatabase& gen_db) {
+                                        const honeypot::Collection& generated) {
   ByteWriter writer;
   writer.u8(kRecordVersion);
   honeypot::AttackEvent copy = event;
@@ -54,13 +54,15 @@ std::vector<std::uint8_t> encode_record(const honeypot::AttackEvent& event,
   // Distinct download contents always hash to distinct MD5s, so the
   // deduplicated sample's content and flags are exactly what this
   // event's own download carried.
-  const honeypot::MalwareSample& sample = gen_db.sample(*event.sample);
+  const honeypot::MalwareSample& sample = generated.db.sample(*event.sample);
   writer.u8(static_cast<std::uint8_t>(carries_content ? SampleKind::kContent
                                                       : SampleKind::kReference));
   writer.bytes(hex_decode(sample.md5));
   if (carries_content) {
-    writer.u64(sample.content.size());
-    writer.bytes(sample.content);
+    const std::vector<std::uint8_t>& content =
+        generated.contents.at(*event.sample);
+    writer.u64(content.size());
+    writer.bytes(content);
     writer.u8(sample.truncated ? 1 : 0);
     writer.u8(sample.corrupted ? 1 : 0);
   }
@@ -83,7 +85,7 @@ void replay_record(std::span<const std::uint8_t> payload,
   }
   const auto kind = static_cast<SampleKind>(kind_byte);
   std::string md5;
-  std::vector<std::uint8_t> content;
+  std::span<const std::uint8_t> content;
   bool truncated = false;
   bool corrupted = false;
   if (kind != SampleKind::kNone) {
@@ -91,7 +93,7 @@ void replay_record(std::span<const std::uint8_t> payload,
     const bool stored = db.find_by_md5(md5).has_value();
     if (kind == SampleKind::kContent) {
       if (stored) throw ParseError("WAL record: content for a stored sample");
-      content = reader.bytes(static_cast<std::size_t>(reader.u64()));
+      content = reader.view(static_cast<std::size_t>(reader.u64()));
       truncated = read_flag(reader);
       corrupted = read_flag(reader);
     } else if (!stored) {
@@ -109,8 +111,8 @@ void replay_record(std::span<const std::uint8_t> payload,
 
   if (kind != SampleKind::kNone) {
     const honeypot::SampleId id =
-        db.add_sample(std::move(md5), std::move(content), event.time,
-                      truncated, event.truth_variant);
+        db.add_sample(std::move(md5), content, event.time, truncated,
+                      event.truth_variant);
     if (corrupted) db.sample_mutable(id).corrupted = true;
     event.sample = id;
   }

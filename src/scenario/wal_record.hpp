@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "honeypot/database.hpp"
+#include "honeypot/deployment.hpp"
 
 namespace repro::scenario {
 
@@ -35,14 +36,16 @@ inline constexpr std::uint8_t kRecordVersion = 2;
 [[nodiscard]] std::vector<bool> content_carriers(
     const honeypot::EventDatabase& gen_db);
 
-/// Record payload of `event`, an event of `gen_db`; `carries_content` is
-/// its entry in content_carriers(gen_db).
+/// Record payload of `event`, an event of `generated.db`;
+/// `carries_content` is its entry in content_carriers(generated.db), and
+/// a content record takes the sample's bytes from `generated.contents`.
 [[nodiscard]] std::vector<std::uint8_t> encode_record(
     const honeypot::AttackEvent& event, bool carries_content,
-    const honeypot::EventDatabase& gen_db);
+    const honeypot::Collection& generated);
 
 /// Decodes one record payload and appends its event to `db`: a content
-/// record stores a new sample under the carried digest, a reference
+/// record stores a new sample under the carried digest (deriving its
+/// facts from the carried bytes, which are not kept), a reference
 /// record counts one more event of a stored sample (exactly as a
 /// duplicate add_sample does). `db` is untouched when this throws.
 /// Throws ParseError on a malformed payload, a reference to a digest

@@ -39,7 +39,7 @@ void write_fault_report(ByteWriter& writer, const fault::FaultReport& report);
 [[nodiscard]] fault::FaultReport read_fault_report(ByteReader& reader);
 
 /// One sample's enrichment outputs: all that an epoch cut keeps of the
-/// sample store. Everything else about a sample (content, flags,
+/// sample store. Everything else about a sample (facts, flags,
 /// first_seen, event count) is rebuilt by replaying the WAL prefix the
 /// cut covers; `md5` ties each entry to its replayed row.
 struct SampleEnrichment {

@@ -3,6 +3,10 @@
 #include <array>
 #include <cstddef>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace repro::snapshot {
 
 namespace {
@@ -41,6 +45,74 @@ std::uint32_t load_le32(const std::uint8_t* p) noexcept {
          static_cast<std::uint32_t>(p[3]) << 24;
 }
 
+#if defined(__x86_64__)
+
+/// One fold step: carries `lane` 128 bits forward by the distance `k`
+/// encodes and adds `next`.
+__attribute__((target("pclmul"))) __m128i fold(__m128i lane, __m128i k,
+                                               __m128i next) noexcept {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(lane, k, 0x11),
+                                     _mm_clmulepi64_si128(lane, k, 0x00)),
+                       next);
+}
+
+__m128i load(const std::uint8_t* at) noexcept {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+}
+
+/// Folds `n` bytes (at least 64, a multiple of 16) into the running
+/// (pre-inverted) CRC state `c` with carry-less multiplication: four
+/// 128-bit lanes fold 64 bytes per step, then fold into one lane, and a
+/// Barrett reduction yields the 32-bit state. This is the method of
+/// Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+/// PCLMULQDQ Instruction" (Intel, 2009), with the bit-reflected
+/// constants of the IEEE polynomial; it runs several times faster than
+/// slicing-by-8 and agrees with it bit for bit.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t fold_clmul(
+    const std::uint8_t* p, std::size_t n, std::uint32_t c) noexcept {
+  // Each constant pair packs (low, high) 64-bit lanes.
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5k0 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+
+  __m128i x1 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x2 = load(p + 16);
+  __m128i x3 = load(p + 32);
+  __m128i x4 = load(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x1 = fold(x1, k1k2, load(p));
+    x2 = fold(x2, k1k2, load(p + 16));
+    x3 = fold(x3, k1k2, load(p + 32));
+    x4 = fold(x4, k1k2, load(p + 48));
+  }
+  x1 = fold(x1, k3k4, x2);
+  x1 = fold(x1, k3k4, x3);
+  x1 = fold(x1, k3k4, x4);
+  for (; n >= 16; p += 16, n -= 16) x1 = fold(x1, k3k4, load(p));
+
+  // 128 -> 64 bits, then 64 -> 32 by Barrett reduction.
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(
+      _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5k0, 0x00),
+      _mm_srli_si128(x1, 4));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+
+bool clmul_supported() noexcept {
+  static const bool supported =
+      __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  return supported;
+}
+
+#endif
+
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data,
@@ -48,6 +120,14 @@ std::uint32_t crc32(std::span<const std::uint8_t> data,
   std::uint32_t c = crc ^ 0xffff'ffffu;
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
+#if defined(__x86_64__)
+  if (n >= 64 && clmul_supported()) {
+    const std::size_t folded = n & ~std::size_t{15};
+    c = fold_clmul(p, folded, c);
+    p += folded;
+    n -= folded;
+  }
+#endif
   for (; n >= 8; n -= 8, p += 8) {
     const std::uint32_t lo = c ^ load_le32(p);
     const std::uint32_t hi = load_le32(p + 4);

@@ -103,6 +103,13 @@ std::vector<std::uint8_t> ByteReader::bytes(std::size_t count) {
   return out;
 }
 
+std::span<const std::uint8_t> ByteReader::view(std::size_t count) {
+  require(count);
+  const std::span<const std::uint8_t> out = data_.subspan(offset_, count);
+  offset_ += count;
+  return out;
+}
+
 std::string ByteReader::fixed_text(std::size_t width) {
   require(width);
   std::string out{reinterpret_cast<const char*>(data_.data() + offset_), width};

@@ -54,6 +54,9 @@ class ByteReader {
   [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] std::vector<std::uint8_t> bytes(std::size_t count);
+  /// Like bytes(), without the copy: the next `count` bytes of the
+  /// source, valid as long as the source is.
+  [[nodiscard]] std::span<const std::uint8_t> view(std::size_t count);
   /// Read a fixed-width field; returns the raw bytes including any NULs.
   [[nodiscard]] std::string fixed_text(std::size_t width);
   /// Read a NUL-terminated string at an absolute offset (does not move

@@ -656,13 +656,14 @@ TEST(Features, MuExtractionFromRealPe) {
   tmpl.linker_major = 9;
   tmpl.linker_minor = 2;
 
+  const std::vector<std::uint8_t> image = pe::build_pe(tmpl);
   honeypot::MalwareSample sample;
-  sample.content = pe::build_pe(tmpl);
+  sample.facts = honeypot::SampleFacts::of(image);
   sample.md5 = "dummy";
   const auto features = extract_mu(sample);
   ASSERT_EQ(features.values.size(), 11u);
   EXPECT_EQ(features.values[0], "dummy");
-  EXPECT_EQ(features.values[1], std::to_string(sample.content.size()));
+  EXPECT_EQ(features.values[1], std::to_string(image.size()));
   EXPECT_EQ(features.values[3], "332");   // machine
   EXPECT_EQ(features.values[4], "2");     // nsections
   EXPECT_EQ(features.values[5], "1");     // ndlls
@@ -675,7 +676,8 @@ TEST(Features, MuExtractionFromRealPe) {
 
 TEST(Features, MuExtractionFromTruncatedSample) {
   honeypot::MalwareSample sample;
-  sample.content = {0x4d, 0x5a, 0x00, 0x01};  // MZ stub only
+  sample.facts = honeypot::SampleFacts::of(
+      std::vector<std::uint8_t>{0x4d, 0x5a, 0x00, 0x01});  // MZ stub only
   sample.md5 = "t";
   const auto features = extract_mu(sample);
   ASSERT_EQ(features.values.size(), 11u);

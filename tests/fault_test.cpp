@@ -331,6 +331,8 @@ sandbox::Environment chaos_environment(const malware::Landscape& landscape) {
 
 struct PipelineRun {
   honeypot::EventDatabase db;
+  /// The collected bytes, by sample id (the database keeps only facts).
+  std::vector<std::vector<std::uint8_t>> contents;
   honeypot::EnrichmentStats enrichment;
   cluster::EpmResult e;
   cluster::EpmResult g;
@@ -347,7 +349,10 @@ PipelineRun run_pipeline(const malware::Landscape& landscape,
   config.seed = seed;
   config.download.truncation_probability = 0.14;
   config.faults = faults;
-  run.db = honeypot::Deployment{landscape, config}.run();
+  honeypot::Collection collected =
+      honeypot::Deployment{landscape, config}.run();
+  run.db = std::move(collected.db);
+  run.contents = std::move(collected.contents);
   run.enrichment =
       honeypot::enrich_database(run.db, landscape, environment, faults);
   run.e = cluster::epm_cluster(cluster::build_epsilon_data(run.db));
@@ -390,7 +395,7 @@ TEST(FaultIdentity, EmptyPlanInjectorIsBitIdenticalToNoInjector) {
     const honeypot::MalwareSample& a = without.db.samples()[i];
     const honeypot::MalwareSample& b = with.db.samples()[i];
     EXPECT_EQ(a.md5, b.md5);
-    EXPECT_EQ(a.content, b.content);
+    EXPECT_EQ(without.contents.at(i), with.contents.at(i));
     EXPECT_EQ(a.truncated, b.truncated);
     EXPECT_FALSE(b.corrupted);
     EXPECT_FALSE(b.label_missing);
@@ -431,10 +436,11 @@ TEST(FaultEnrichment, RecoversParseErrorsInsteadOfPropagating) {
   ASSERT_TRUE(pe::looks_like_pe(cut));
   ASSERT_THROW((void)pe::parse_pe(cut), ParseError);
   const honeypot::SampleId parse_victim =
-      db.add_sample(std::move(cut), SimTime{100}, false, 0);
+      db.add_sample(cut, SimTime{100}, false, 0);
   // 2. Undecodable junk bytes: not even MZ.
   const honeypot::SampleId junk =
-      db.add_sample({0xde, 0xad, 0xbe, 0xef}, SimTime{100}, false, 1);
+      db.add_sample(std::vector<std::uint8_t>{0xde, 0xad, 0xbe, 0xef},
+                    SimTime{100}, false, 1);
   // 3. A healthy image for contrast.
   const honeypot::SampleId healthy =
       db.add_sample(image, SimTime{100}, false, 1);

@@ -328,7 +328,7 @@ TEST_P(FuzzSeed, RecordPayloadSurvivesMutations) {
   // payload: every mutation must decode to a valid event or throw
   // ParseError with the database untouched.
   Rng rng{static_cast<std::uint64_t>(GetParam()) * 661 + 19};
-  honeypot::EventDatabase gen_db;
+  honeypot::Collection gen;
   std::vector<std::uint8_t> binary(48);
   rng.fill(binary);
   for (int i = 0; i < 3; ++i) {
@@ -337,22 +337,25 @@ TEST_P(FuzzSeed, RecordPayloadSurvivesMutations) {
     event.epsilon.fsm_path = "smb/" + std::to_string(i);
     event.epsilon.dst_port = 445;
     event.pi = honeypot::PiObservation{"http", "x.exe", 80, "PULL"};
-    if (i < 2) event.sample = gen_db.add_sample(binary, event.time, i == 0, 7);
-    (void)gen_db.add_event(std::move(event));
+    if (i < 2) {
+      event.sample = gen.db.add_sample(binary, event.time, i == 0, 7);
+      if (*event.sample == gen.contents.size()) gen.contents.push_back(binary);
+    }
+    (void)gen.db.add_event(std::move(event));
   }
-  const std::vector<bool> carriers = scenario::content_carriers(gen_db);
+  const std::vector<bool> carriers = scenario::content_carriers(gen.db);
   ASSERT_EQ(carriers, (std::vector<bool>{true, false, false}));
   std::vector<std::vector<std::uint8_t>> records;
   for (std::size_t i = 0; i < carriers.size(); ++i) {
     records.push_back(
-        scenario::encode_record(gen_db.events()[i], carriers[i], gen_db));
+        scenario::encode_record(gen.db.events()[i], carriers[i], gen));
   }
 
   // `stored` already holds the sample, so its reference record decodes.
   const honeypot::EventDatabase empty;
   honeypot::EventDatabase stored;
   scenario::replay_record(records[0], stored);
-  ASSERT_EQ(stored.sample(0).md5, gen_db.sample(0).md5);
+  ASSERT_EQ(stored.sample(0).md5, gen.db.sample(0).md5);
   {
     honeypot::EventDatabase db = stored;
     EXPECT_THROW(scenario::replay_record(records[0], db), ParseError)
@@ -365,7 +368,7 @@ TEST_P(FuzzSeed, RecordPayloadSurvivesMutations) {
     // A sample travels by digest, never as a database id in the event.
     ByteWriter forged;
     forged.u8(scenario::kRecordVersion);
-    honeypot::AttackEvent event = gen_db.events()[2];
+    honeypot::AttackEvent event = gen.db.events()[2];
     event.sample = 0;
     snapshot::write_attack_event(forged, event);
     forged.u8(0);  // no sample block

@@ -34,8 +34,10 @@ TEST(Database, DeduplicatesByMd5) {
 
 TEST(Database, DistinctContentDistinctSamples) {
   EventDatabase db;
-  const SampleId a = db.add_sample({1, 2, 3}, SimTime{1}, false, 0);
-  const SampleId b = db.add_sample({1, 2, 4}, SimTime{1}, false, 1);
+  const SampleId a =
+      db.add_sample(std::vector<std::uint8_t>{1, 2, 3}, SimTime{1}, false, 0);
+  const SampleId b =
+      db.add_sample(std::vector<std::uint8_t>{1, 2, 4}, SimTime{1}, false, 1);
   EXPECT_NE(a, b);
   EXPECT_EQ(db.samples().size(), 2u);
 }
@@ -58,7 +60,8 @@ TEST(Database, EventIdsAreSequential) {
 
 TEST(Database, EventsOfSample) {
   EventDatabase db;
-  const SampleId sample = db.add_sample({1}, SimTime{1}, false, 0);
+  const SampleId sample =
+      db.add_sample(std::vector<std::uint8_t>{1}, SimTime{1}, false, 0);
   AttackEvent with;
   with.sample = sample;
   AttackEvent without;
@@ -274,7 +277,7 @@ TEST(Deployment, GeneratesEventsThroughFullPipeline) {
   Deployment deployment{landscape, config};
   EXPECT_EQ(deployment.honeypots().size(), 150u);
 
-  const EventDatabase db = Deployment{landscape, config}.run();
+  const EventDatabase db = Deployment{landscape, config}.run().db;
   EXPECT_GT(db.events().size(), 100u);
   EXPECT_GT(db.samples().size(), 20u);
 
@@ -299,7 +302,7 @@ TEST(Deployment, EventsAreChronologicalPerWeekAndGatewayMatures) {
   DeploymentConfig config;
   config.seed = 10;
   Deployment deployment{landscape, config};
-  const EventDatabase db = deployment.run();
+  const EventDatabase db = deployment.run().db;
   // After the run most events were matched by mature FSM models: only
   // a few early ones carry unknown-path markers.
   std::size_t unknown = 0;
@@ -314,8 +317,8 @@ TEST(Deployment, DeterministicForSeed) {
   const auto landscape = tiny_landscape();
   DeploymentConfig config;
   config.seed = 11;
-  const EventDatabase a = Deployment{landscape, config}.run();
-  const EventDatabase b = Deployment{landscape, config}.run();
+  const EventDatabase a = Deployment{landscape, config}.run().db;
+  const EventDatabase b = Deployment{landscape, config}.run().db;
   ASSERT_EQ(a.events().size(), b.events().size());
   ASSERT_EQ(a.samples().size(), b.samples().size());
   for (std::size_t i = 0; i < a.samples().size(); ++i) {
@@ -333,8 +336,8 @@ TEST(Deployment, DifferentSeedsDifferentData) {
   config_a.seed = 12;
   DeploymentConfig config_b;
   config_b.seed = 13;
-  const EventDatabase a = Deployment{landscape, config_a}.run();
-  const EventDatabase b = Deployment{landscape, config_b}.run();
+  const EventDatabase a = Deployment{landscape, config_a}.run().db;
+  const EventDatabase b = Deployment{landscape, config_b}.run().db;
   EXPECT_NE(a.events().size(), b.events().size());
 }
 
@@ -343,7 +346,7 @@ TEST(Deployment, PolymorphicVariantYieldsUniqueSamples) {
   DeploymentConfig config;
   config.seed = 14;
   config.download.truncation_probability = 0.0;
-  const EventDatabase db = Deployment{landscape, config}.run();
+  const EventDatabase db = Deployment{landscape, config}.run().db;
   // Count samples per variant: the per-instance variant produces ~one
   // sample per event, the stable variant exactly one.
   std::size_t poly_samples = 0;
@@ -373,7 +376,7 @@ TEST(Enrichment, ProfilesForExecutableSamplesOnly) {
   DeploymentConfig config;
   config.seed = 15;
   config.download.truncation_probability = 0.3;
-  EventDatabase db = Deployment{landscape, config}.run();
+  EventDatabase db = Deployment{landscape, config}.run().db;
   const sandbox::Environment environment;
   const EnrichmentStats stats = enrich_database(db, landscape, environment);
   EXPECT_EQ(stats.submitted, db.samples().size());

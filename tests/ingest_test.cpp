@@ -5,11 +5,14 @@
 // and the deterministic delivery retry/backoff layer.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -23,6 +26,7 @@
 #include "ingest/wal.hpp"
 #include "obs/metrics.hpp"
 #include "snapshot/checkpoint.hpp"
+#include "snapshot/crc32.hpp"
 #include "util/error.hpp"
 #include "util/simtime.hpp"
 
@@ -58,6 +62,14 @@ std::vector<std::uint8_t> payload(std::uint64_t i) {
   return bytes;
 }
 
+/// Recovered record `i`, read back from its segment file.
+std::vector<std::uint8_t> record_at(const RecoveredWal& recovered,
+                                    std::uint64_t i) {
+  WalReader reader{recovered.records};
+  const std::span<const std::uint8_t> bytes = reader.read(i);
+  return {bytes.begin(), bytes.end()};
+}
+
 void append_all(WalWriter& writer, std::uint64_t count) {
   for (std::uint64_t i = writer.next_record_index(); i < count; ++i) {
     writer.append(payload(i));
@@ -88,7 +100,7 @@ TEST(Wal, RoundTripsRecordsInOrder) {
   const RecoveredWal recovered = recover_wal(small_wal(dir), kFp, scan);
   ASSERT_EQ(recovered.records.size(), 40u);
   for (std::uint64_t i = 0; i < 40; ++i) {
-    EXPECT_EQ(recovered.records[i], payload(i)) << "record " << i;
+    EXPECT_EQ(record_at(recovered, i), payload(i)) << "record " << i;
   }
   EXPECT_EQ(scan.records_recovered, 40u);
   EXPECT_EQ(scan.torn_tails, 0u);
@@ -136,7 +148,7 @@ TEST(Wal, ResumesOpenTailAcrossWriters) {
   const RecoveredWal all = recover_wal(small_wal(dir), kFp, scan);
   ASSERT_EQ(all.records.size(), 7u);
   for (std::uint64_t i = 0; i < 7; ++i) {
-    EXPECT_EQ(all.records[i], payload(i)) << "record " << i;
+    EXPECT_EQ(record_at(all, i), payload(i)) << "record " << i;
   }
 }
 
@@ -160,7 +172,7 @@ TEST(Wal, UnsealedFramesSurviveAProcessKill) {
   const RecoveredWal recovered = recover_wal(small_wal(dir), kFp, scan);
   ASSERT_EQ(recovered.records.size(), 50u);
   for (std::uint64_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(recovered.records[i], payload(i)) << "record " << i;
+    EXPECT_EQ(record_at(recovered, i), payload(i)) << "record " << i;
   }
   EXPECT_TRUE(recovered.open_tail);
   EXPECT_EQ(scan.torn_tails, 0u);
@@ -203,7 +215,7 @@ TEST(Wal, EveryTruncationOfTheTailRecoversACleanPrefix) {
     const RecoveredWal recovered = recover_wal(small_wal(dir, 160), kFp, scan);
     ASSERT_LE(recovered.records.size(), total) << "cut at " << cut;
     for (std::size_t i = 0; i < recovered.records.size(); ++i) {
-      ASSERT_EQ(recovered.records[i], payload(i))
+      ASSERT_EQ(record_at(recovered, i), payload(i))
           << "cut at " << cut << ", record " << i;
     }
     // Longer prefixes of the file can only yield >= as many records.
@@ -248,7 +260,7 @@ TEST(Wal, EveryByteCorruptionKeepsAValidatedPrefix) {
       const RecoveredWal recovered =
           recover_wal(small_wal(dir, 160), kFp, scan);
       for (std::size_t i = 0; i < recovered.records.size(); ++i) {
-        ASSERT_EQ(recovered.records[i], payload(i))
+        ASSERT_EQ(record_at(recovered, i), payload(i))
             << victim.filename() << " flipped at " << at << ", record " << i;
       }
     }
@@ -276,10 +288,149 @@ TEST(Wal, DuplicateFramesAreSkippedOnce) {
   const RecoveredWal recovered = recover_wal(small_wal(dir), kFp, scan);
   ASSERT_EQ(recovered.records.size(), 3u);
   for (std::uint64_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(recovered.records[i], payload(i));
+    EXPECT_EQ(record_at(recovered, i), payload(i));
   }
   EXPECT_EQ(scan.duplicate_frames, 1u);
   EXPECT_TRUE(recovered.open_tail);
+}
+
+/// Writes `bytes` as the file `path`, replacing it.
+void write_bytes(const fs::path& path, const std::vector<std::uint8_t>& bytes) {
+  std::ofstream{path, std::ios::binary | std::ios::trunc}.write(
+      reinterpret_cast<const char*>(bytes.data()),
+      static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(Wal, HostileFrameLengthIsATornTailAndNeverAllocated) {
+  // A frame header whose CRC is valid but which declares a payload far
+  // larger than the file: the shape of a write that died after its
+  // header, or of a forged header. It is a torn tail, truncated back to
+  // the frame before it, and nothing of the declared size is allocated.
+  constexpr std::uint32_t kDeclared = 256u << 20;
+  const fs::path dir = fresh_dir("hostile-length");
+  std::vector<std::uint8_t> file = encode_segment_header(kFp, 1, 0);
+  const std::vector<std::uint8_t> first = encode_frame(0, payload(3));
+  file.insert(file.end(), first.begin(), first.end());
+  const std::size_t clean = file.size();
+  std::vector<std::uint8_t> hostile = encode_frame(1, payload(1));
+  hostile.resize(kWalFrameHeaderBytes);
+  hostile[4] = static_cast<std::uint8_t>(kDeclared);
+  hostile[5] = static_cast<std::uint8_t>(kDeclared >> 8);
+  hostile[6] = static_cast<std::uint8_t>(kDeclared >> 16);
+  hostile[7] = static_cast<std::uint8_t>(kDeclared >> 24);
+  const std::uint32_t header_crc =
+      snapshot::crc32(std::span<const std::uint8_t>{hostile}.first(20));
+  for (int b = 0; b < 4; ++b) {
+    hostile[20 + static_cast<std::size_t>(b)] =
+        static_cast<std::uint8_t>(header_crc >> (8 * b));
+  }
+  file.insert(file.end(), hostile.begin(), hostile.end());
+  file.resize(file.size() + 100, 0xab);  // a little of the "payload"
+  const fs::path segment = dir / segment_filename(1, /*open=*/true);
+  write_bytes(segment, file);
+
+  rusage before{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+  IngestReport scan;
+  const RecoveredWal recovered = recover_wal(small_wal(dir), kFp, scan);
+  ASSERT_EQ(recovered.records.size(), 1u);
+  EXPECT_EQ(record_at(recovered, 0), payload(3));
+  rusage after{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+
+  EXPECT_EQ(scan.torn_tails, 1u);
+  EXPECT_EQ(scan.corrupt_frames, 0u);
+  EXPECT_EQ(fs::file_size(segment), clean);
+  // ru_maxrss is in KiB: had the declared 256 MiB been allocated (and
+  // zero-filled), the peak would have grown by all of it.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);
+}
+
+TEST(Wal, BytesChangedAfterRecoveryThrowOnRead) {
+  // Recovery validated every frame, but the reader goes back to disk:
+  // a payload byte flipped in between must throw IoError when its record
+  // is read, never come back as a record.
+  const fs::path dir = fresh_dir("flip-after-recovery");
+  {
+    IngestReport report;
+    RecoveredWal empty = recover_wal(small_wal(dir, 128), kFp, report);
+    WalWriter writer{small_wal(dir, 128), kFp, empty, &report};
+    append_all(writer, 30);
+    writer.seal();
+  }
+  IngestReport scan;
+  const RecoveredWal recovered = recover_wal(small_wal(dir, 128), kFp, scan);
+  ASSERT_EQ(recovered.records.size(), 30u);
+
+  // Record 2 is the first non-empty payload of segment 1 (sealed): flip
+  // its first byte.
+  const fs::path sealed = dir / segment_filename(1, /*open=*/false);
+  ASSERT_TRUE(fs::exists(sealed));
+  std::uint64_t at = kWalSegmentHeaderBytes;
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    at += kWalFrameHeaderBytes + payload(i).size();
+  }
+  ASSERT_FALSE(payload(2).empty());
+  {
+    std::fstream fio{sealed, std::ios::in | std::ios::out | std::ios::binary};
+    fio.seekg(static_cast<std::streamoff>(at + kWalFrameHeaderBytes));
+    char byte = 0;
+    fio.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x01);
+    fio.seekp(static_cast<std::streamoff>(at + kWalFrameHeaderBytes));
+    fio.write(&byte, 1);
+  }
+
+  std::vector<std::vector<std::uint8_t>> read;
+  EXPECT_THROW(
+      {
+        for (const std::span<const std::uint8_t> record : recovered.records) {
+          read.emplace_back(record.begin(), record.end());
+        }
+      },
+      IoError);
+  ASSERT_EQ(read.size(), 2u);
+  for (std::uint64_t i = 0; i < read.size(); ++i) {
+    EXPECT_EQ(read[i], payload(i)) << "record " << i;
+  }
+  // Records past the damage are still served, each checked on its own.
+  EXPECT_EQ(record_at(recovered, 29), payload(29));
+}
+
+TEST(Wal, ReaderFollowsTheOpenTailWhenTheWriterSealsIt) {
+  // The recovered open tail is indexed under its ".open" name; a writer
+  // that keeps appending seals (renames) it. Reading the recovered
+  // records afterwards must still work, from the sealed file.
+  const fs::path dir = fresh_dir("reader-rotation");
+  {
+    IngestReport report;
+    RecoveredWal empty = recover_wal(small_wal(dir), kFp, report);
+    WalWriter writer{small_wal(dir), kFp, empty, &report};
+    append_all(writer, 10);
+    // No seal: the ten records stay in the open tail.
+  }
+  IngestReport scan;
+  const RecoveredWal tail = recover_wal(small_wal(dir, 128), kFp, scan);
+  ASSERT_EQ(tail.records.size(), 10u);
+  ASSERT_TRUE(tail.open_tail);
+  {
+    WalWriter writer{small_wal(dir, 128), kFp, tail, nullptr};
+    append_all(writer, 40);
+    writer.seal();
+  }
+  EXPECT_FALSE(fs::exists(dir / segment_filename(1, /*open=*/true)));
+  std::uint64_t i = 0;
+  for (const std::span<const std::uint8_t> record : tail.records) {
+    EXPECT_EQ(std::vector<std::uint8_t>(record.begin(), record.end()),
+              payload(i))
+        << "record " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, 10u);
+  IngestReport rescan;
+  const RecoveredWal all = recover_wal(small_wal(dir, 128), kFp, rescan);
+  EXPECT_EQ(all.records.size(), 40u);
+  EXPECT_EQ(rescan.duplicate_frames, 0u);
 }
 
 TEST(Wal, ForeignFingerprintIsQuarantinedWholesale) {
@@ -340,7 +491,7 @@ TEST(Wal, KillDuringRotationResumesWithoutLossOrDuplication) {
   const RecoveredWal all = recover_wal(clean, kFp, scan);
   ASSERT_EQ(all.records.size(), 60u);
   for (std::uint64_t i = 0; i < 60; ++i) {
-    ASSERT_EQ(all.records[i], payload(i)) << "record " << i;
+    ASSERT_EQ(record_at(all, i), payload(i)) << "record " << i;
   }
   EXPECT_EQ(scan.duplicate_frames, 0u);
 }

@@ -2,13 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <span>
 #include <sstream>
+#include <string>
 
 #include "io/csv_export.hpp"
 #include "io/csv_import.hpp"
 #include "util/table.hpp"
 #include "scenario/paper.hpp"
 #include "util/error.hpp"
+#include "util/md5.hpp"
 
 namespace repro::io {
 namespace {
@@ -164,6 +168,66 @@ TEST(Export, JsonEscape) {
   EXPECT_EQ(json_escape("back\\slash"), "back\\\\slash");
   EXPECT_EQ(json_escape("line\nfeed"), "line\\nfeed");
   EXPECT_EQ(json_escape(std::string{"\x01", 1}), "\\u0001");
+}
+
+/// MD5 of every file the batch build's export directory holds, keyed by
+/// file name (build_paper_dataset --export-dir writes these six).
+std::map<std::string, std::string> export_digests(
+    const scenario::Dataset& ds) {
+  const auto digest = [](const std::ostringstream& out) {
+    const std::string bytes = out.str();
+    return Md5::hex_digest(std::span{
+        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
+  };
+  std::map<std::string, std::string> digests;
+  std::ostringstream events, samples, e, p, m, profiles;
+  write_events_csv(events, ds.db, ds.e, ds.p, ds.m, ds.b);
+  write_samples_csv(samples, ds.db, ds.b);
+  write_clusters_csv(e, ds.e);
+  write_clusters_csv(p, ds.p);
+  write_clusters_csv(m, ds.m);
+  write_profiles_jsonl(profiles, ds.db);
+  digests["events.csv"] = digest(events);
+  digests["samples.csv"] = digest(samples);
+  digests["clusters_e.csv"] = digest(e);
+  digests["clusters_p.csv"] = digest(p);
+  digests["clusters_m.csv"] = digest(m);
+  digests["profiles.jsonl"] = digest(profiles);
+  return digests;
+}
+
+// The batch export pinned outside the code: a refactor of how samples,
+// features or clusters are held must leave every exported byte alone.
+// Seed 2008 (the benches' default) at scale 0.05, LSH B backend.
+TEST(ExportOracle, BatchExportDigestsArePinned) {
+  for (const bool faults : {false, true}) {
+    scenario::ScenarioOptions options;
+    options.scale = 0.05;
+    options.seed = 2008;
+    options.b_backend = cluster::BackendKind::kLsh;
+    if (faults) options.faults = fault::FaultPlan::paper_calibrated();
+    const std::map<std::string, std::string> expected =
+        faults ? std::map<std::string, std::string>{
+                     {"events.csv", "ed48726ec2b7ee9c8f76275c82ee9332"},
+                     {"samples.csv", "023357c63109ed5d547ff037ebdf64ca"},
+                     {"clusters_e.csv", "a18ce9d32c75ced7114f10e57a00b3fe"},
+                     {"clusters_p.csv", "53c67fbf8d7c7f2ab8ab88651898a5e2"},
+                     {"clusters_m.csv", "5d5e04fb9e7c8a259c9b68541301bf2e"},
+                     {"profiles.jsonl", "a035799673d673e0e9fab09c73572ba4"}}
+               : std::map<std::string, std::string>{
+                     {"events.csv", "8858836e6f46108788cf6f5aebb1d7bf"},
+                     {"samples.csv", "b30d2e08b7b86a9fd6ae4c62ecd6e2a1"},
+                     {"clusters_e.csv", "816d66305f35297ad8bc36a0243de6fd"},
+                     {"clusters_p.csv", "f17d7150a738d7b2f1366d2de0e5ce3d"},
+                     {"clusters_m.csv", "2af2679a9a03d7963d2ffd21b2267b5a"},
+                     {"profiles.jsonl", "89c23295725076cba388ca5e29bbd5eb"}};
+    const std::map<std::string, std::string> actual =
+        export_digests(scenario::build_paper_dataset(options));
+    for (const auto& [file, md5] : expected) {
+      EXPECT_EQ(actual.at(file), md5)
+          << file << (faults ? " (--faults paper)" : " (--faults none)");
+    }
+  }
 }
 
 TEST(Import, RejectsBadHeader) {

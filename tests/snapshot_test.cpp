@@ -117,6 +117,37 @@ TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
   }
 }
 
+TEST(Crc32, FoldedPathMatchesBitwiseReferenceOnLongInputs) {
+  // From 64 bytes on, whole 16-byte blocks take the carry-less-multiply
+  // fold where the CPU has it, and the tail the table path: every split
+  // of block count, tail length, alignment and incoming CRC must agree
+  // with the bitwise definition.
+  const auto reference = [](std::span<const std::uint8_t> data,
+                            std::uint32_t crc) {
+    std::uint32_t c = crc ^ 0xffff'ffffu;
+    for (const std::uint8_t byte : data) {
+      c ^= byte;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1) ? 0xedb8'8320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xffff'ffffu;
+  };
+  std::vector<std::uint8_t> bytes(1100);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 13);
+  }
+  for (std::size_t offset = 0; offset < 17; offset += 3) {
+    for (std::size_t length = 60; offset + length <= bytes.size();
+         length += 7) {
+      const auto data = std::span{bytes}.subspan(offset, length);
+      const auto seed = static_cast<std::uint32_t>(length * 0x9e37'79b9u);
+      EXPECT_EQ(crc32(data, seed), reference(data, seed))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
 // --- Codec round-trips ------------------------------------------------------
 
 template <typename T, typename WriteFn, typename ReadFn>

@@ -108,6 +108,51 @@ auto crash_after_epoch(std::size_t epoch) {
   };
 }
 
+// --- WAL records -------------------------------------------------------------
+
+ingest::WalOptions wal_at(const StreamOptions& stream) {
+  ingest::WalOptions wal;
+  wal.directory = stream.wal_dir;
+  wal.segment_bytes = stream.segment_bytes;
+  return wal;
+}
+
+/// Every record payload of the WAL under `stream`, in record order.
+std::vector<std::vector<std::uint8_t>> wal_records(
+    const ScenarioOptions& options, const StreamOptions& stream) {
+  ingest::IngestReport report;
+  const ingest::RecoveredWal recovered = ingest::recover_wal(
+      wal_at(stream), scenario_fingerprint(options), report);
+  std::vector<std::vector<std::uint8_t>> records;
+  for (const std::span<const std::uint8_t> record : recovered.records) {
+    records.emplace_back(record.begin(), record.end());
+  }
+  return records;
+}
+
+/// A record's sample block, parsed independently of replay_record.
+struct RecordSample {
+  std::uint8_t kind = 0;  // 0 none / 1 content / 2 reference
+  std::size_t digest_offset = 0;
+  std::string md5;
+  std::vector<std::uint8_t> content;
+};
+
+RecordSample parse_record_sample(std::span<const std::uint8_t> payload) {
+  ByteReader reader{payload};
+  EXPECT_EQ(reader.u8(), kRecordVersion);
+  (void)snapshot::read_attack_event(reader);
+  RecordSample sample;
+  sample.kind = reader.u8();
+  if (sample.kind == 0) return sample;
+  sample.digest_offset = reader.offset();
+  sample.md5 = hex_encode(reader.bytes(16));
+  if (sample.kind == 1) {
+    sample.content = reader.bytes(static_cast<std::size_t>(reader.u64()));
+  }
+  return sample;
+}
+
 // --- Batch equivalence ------------------------------------------------------
 
 TEST(Stream, MatchesBatchByteIdenticalAtEveryWidth) {
@@ -292,6 +337,114 @@ TEST(Stream, PowerCutLosingTheOpenSegmentResumesByteIdentical) {
     // Only the five frames past epoch 1's seal were lost.
     EXPECT_EQ(resumed.ingest.records_recovered, appended - 5) << damage;
   }
+}
+
+TEST(Stream, ResumeRotatesAnOpenTailThatHoldsRecoveredRecords) {
+  // Die twenty appends into epoch 2 with the records still in the open
+  // tail, then resume with a tiny segment size: the resume reads those
+  // records back from the tail, and its own appends rotate that very
+  // segment. Nothing may be lost, re-read from the wrong file, or
+  // appended twice.
+  ScenarioOptions options = small_options(true);
+  const fs::path root = fresh_dir("tail-rotation");
+  StreamOptions stream = stream_under(root, options);
+  std::size_t cut_epochs = 0;
+  std::uint64_t since_cut = 0;
+  stream.on_epoch = [&cut_epochs](const honeypot::EventDatabase&,
+                                  const snapshot::EpmStage&,
+                                  const analysis::BehavioralView&,
+                                  std::size_t epoch) { cut_epochs = epoch; };
+  stream.after_append = [&](std::uint64_t) {
+    if (cut_epochs == 1 && ++since_cut == 20) {
+      throw snapshot::CheckpointInterrupted{"simulated crash mid-epoch"};
+    }
+  };
+  EXPECT_THROW((void)build_streaming_dataset(options, stream),
+               snapshot::CheckpointInterrupted);
+  std::size_t open_tails = 0;
+  for (const auto& entry : fs::directory_iterator(root / "wal")) {
+    if (!entry.path().string().ends_with(".seg.open")) continue;
+    ++open_tails;
+    EXPECT_GT(fs::file_size(entry.path()), ingest::kWalSegmentHeaderBytes);
+  }
+  ASSERT_EQ(open_tails, 1u);
+
+  stream.on_epoch = nullptr;
+  stream.after_append = nullptr;
+  stream.segment_bytes = 4096;
+  const Dataset resumed = build_streaming_dataset(options, stream);
+  EXPECT_EQ(all_csv(resumed), batch_csv(true));
+  EXPECT_EQ(resumed.ingest.epochs_restored, 1u);
+  EXPECT_EQ(resumed.ingest.duplicate_frames, 0u);
+
+  std::size_t sealed = 0;
+  for (const auto& entry : fs::directory_iterator(root / "wal")) {
+    EXPECT_FALSE(entry.path().string().ends_with(".seg.open"))
+        << entry.path();
+    if (entry.path().string().ends_with(".seg")) ++sealed;
+  }
+  EXPECT_GT(sealed, 3u) << "the small segment size never rotated";
+  ingest::IngestReport rescan;
+  const ingest::RecoveredWal all = ingest::recover_wal(
+      wal_at(stream), scenario_fingerprint(options), rescan);
+  EXPECT_EQ(all.records.size(), resumed.db.events().size());
+  EXPECT_EQ(rescan.duplicate_frames, 0u);
+  EXPECT_EQ(rescan.torn_tails + rescan.corrupt_frames, 0u);
+}
+
+TEST(Stream, BytesChangedAfterRecoveryNeverReachReplay) {
+  // Recovery checked every frame; a sealed segment's payload byte is
+  // then flipped on disk. Reading that record throws IoError, so the
+  // record is never handed to replay_record, and every record before it
+  // replays as usual.
+  ScenarioOptions options = small_options(false);
+  const fs::path root = fresh_dir("flip-before-replay");
+  const StreamOptions stream = stream_under(root, options);
+  (void)build_streaming_dataset(options, stream);
+
+  ingest::IngestReport report;
+  const ingest::RecoveredWal recovered = ingest::recover_wal(
+      wal_at(stream), scenario_fingerprint(options), report);
+  ASSERT_GT(recovered.records.size(), 0u);
+
+  // The first content record (a payload long enough to hold a sample)
+  // of the first sealed segment.
+  const fs::path sealed = root / "wal" / ingest::segment_filename(1, false);
+  const std::optional<std::vector<std::uint8_t>> bytes =
+      snapshot::read_whole_file(sealed.string());
+  ASSERT_TRUE(bytes.has_value());
+  std::uint64_t victim = 0;
+  std::size_t flip_at = 0;
+  for (std::size_t off = ingest::kWalSegmentHeaderBytes;
+       off + ingest::kWalFrameHeaderBytes <= bytes->size();) {
+    ByteReader header{std::span{*bytes}.subspan(off)};
+    (void)header.u32();
+    const std::uint32_t length = header.u32();
+    const std::uint64_t index = header.u64();
+    if (length > 256) {
+      victim = index;
+      flip_at = off + ingest::kWalFrameHeaderBytes + length / 2;
+      break;
+    }
+    off += ingest::kWalFrameHeaderBytes + length;
+  }
+  ASSERT_NE(flip_at, 0u);
+  {
+    std::fstream fio{sealed, std::ios::in | std::ios::out | std::ios::binary};
+    fio.seekp(static_cast<std::streamoff>(flip_at));
+    const char flipped = static_cast<char>((*bytes)[flip_at] ^ 0x10);
+    fio.write(&flipped, 1);
+  }
+
+  honeypot::EventDatabase db;
+  EXPECT_THROW(
+      {
+        for (const std::span<const std::uint8_t> record : recovered.records) {
+          replay_record(record, db);
+        }
+      },
+      IoError);
+  EXPECT_EQ(db.events().size(), victim);
 }
 
 TEST(Stream, RepeatedKillsAtEveryLayerStillConverge) {
@@ -806,9 +959,16 @@ TEST(Stream, EpochCutsCarryNoSampleContent) {
 
   // No section holds any sample's bytes: look for a high-entropy window
   // of every sample (PE padding would match any run of zeros) inside
-  // every section of every cut.
+  // every section of every cut. The bytes come from the WAL's content
+  // records, one per sample; the database keeps only facts.
+  std::vector<RecordSample> logged;
+  for (const std::vector<std::uint8_t>& record : wal_records(options, stream)) {
+    RecordSample sample = parse_record_sample(record);
+    if (sample.kind == 1) logged.push_back(std::move(sample));
+  }
+  ASSERT_EQ(logged.size(), ds.db.samples().size());
   std::size_t probed = 0;
-  for (const honeypot::MalwareSample& sample : ds.db.samples()) {
+  for (const RecordSample& sample : logged) {
     constexpr std::size_t kWindow = 48;
     auto window = sample.content.end();
     for (std::size_t at = 0; at + kWindow <= sample.content.size();
@@ -1062,47 +1222,6 @@ TEST(Stream, CutWithAWrongEventTotalIsNeverTrusted) {
               records)
         << "below=" << below;
   }
-}
-
-// --- WAL records -------------------------------------------------------------
-
-ingest::WalOptions wal_at(const StreamOptions& stream) {
-  ingest::WalOptions wal;
-  wal.directory = stream.wal_dir;
-  wal.segment_bytes = stream.segment_bytes;
-  return wal;
-}
-
-/// Every record payload of the WAL under `stream`, in record order.
-std::vector<std::vector<std::uint8_t>> wal_records(
-    const ScenarioOptions& options, const StreamOptions& stream) {
-  ingest::IngestReport report;
-  return ingest::recover_wal(wal_at(stream), scenario_fingerprint(options),
-                             report)
-      .records;
-}
-
-/// A record's sample block, parsed independently of replay_record.
-struct RecordSample {
-  std::uint8_t kind = 0;  // 0 none / 1 content / 2 reference
-  std::size_t digest_offset = 0;
-  std::string md5;
-  std::vector<std::uint8_t> content;
-};
-
-RecordSample parse_record_sample(std::span<const std::uint8_t> payload) {
-  ByteReader reader{payload};
-  EXPECT_EQ(reader.u8(), kRecordVersion);
-  (void)snapshot::read_attack_event(reader);
-  RecordSample sample;
-  sample.kind = reader.u8();
-  if (sample.kind == 0) return sample;
-  sample.digest_offset = reader.offset();
-  sample.md5 = hex_encode(reader.bytes(16));
-  if (sample.kind == 1) {
-    sample.content = reader.bytes(static_cast<std::size_t>(reader.u64()));
-  }
-  return sample;
 }
 
 TEST(Stream, EveryRecordCarriesTheDigestOfItsSampleAndContentOnce) {
