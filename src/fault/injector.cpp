@@ -140,15 +140,9 @@ bool FaultInjector::roll(std::string_view stage, std::uint64_t key,
 
 bool FaultInjector::sensor_down(int location, int week) {
   counters_.sensor_checks.fetch_add(1, std::memory_order_relaxed);
-  for (const SensorOutage& outage : plan_.sensor_outages) {
-    if (outage.location == location && week >= outage.from_week &&
-        week < outage.to_week) {
-      counters_.attacks_lost_to_outage.fetch_add(1,
-                                                 std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
+  if (!plan_.sensor_down(location, week)) return false;
+  counters_.attacks_lost_to_outage.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 FaultInjector::ProxyOutcome FaultInjector::try_proxy(std::uint64_t key) {

@@ -7,6 +7,15 @@
 
 namespace repro::fault {
 
+bool FaultPlan::sensor_down(int location, int week) const noexcept {
+  return std::any_of(sensor_outages.begin(), sensor_outages.end(),
+                     [&](const SensorOutage& outage) {
+                       return outage.location == location &&
+                              week >= outage.from_week &&
+                              week < outage.to_week;
+                     });
+}
+
 bool FaultPlan::empty() const noexcept {
   return pipeline_empty() && serve_slow_client_probability <= 0.0 &&
          serve_disconnect_probability <= 0.0 &&

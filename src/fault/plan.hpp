@@ -75,6 +75,12 @@ struct FaultPlan {
   /// shrug and keep accepting.
   double serve_accept_failure_probability = 0.0;
 
+  /// True when `location`'s sensors are dark during `week`. A pure
+  /// query: FaultInjector::sensor_down is the counting decision, and
+  /// this lets the deployment count the events a schedule will yield
+  /// without recording any decision.
+  [[nodiscard]] bool sensor_down(int location, int week) const noexcept;
+
   /// True when the plan can never fire a fault at any site.
   [[nodiscard]] bool empty() const noexcept;
 

@@ -8,31 +8,16 @@
 #include "shellcode/analyzer.hpp"
 #include "shellcode/builder.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
+#include "util/hex.hpp"
 
 namespace repro::honeypot {
 
-namespace {
-
-/// One attack scheduled for a given instant, before pipeline processing.
-struct PendingAttack {
-  SimTime time{};
-  malware::VariantId variant = 0;
-  net::Ipv4 attacker;
-  std::size_t honeypot_index = 0;
-
-  friend bool operator<(const PendingAttack& a, const PendingAttack& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.variant != b.variant) return a.variant < b.variant;
-    return a.attacker < b.attacker;
-  }
-};
-
-}  // namespace
-
 Deployment::Deployment(const malware::Landscape& landscape,
                        DeploymentConfig config)
-    : landscape_(&landscape), config_(config), gateway_(config.fsm) {
+    : landscape_(&landscape),
+      config_(config),
+      gateway_(config.fsm),
+      driver_rng_(mix64(config_.seed ^ 0xdeb1'0000'0000'0000ULL)) {
   landscape.validate();
   gateway_.set_fault_injector(config_.faults);
   if (config_.location_count <= 0 || config_.honeypots_per_location <= 0) {
@@ -53,12 +38,10 @@ Deployment::Deployment(const malware::Landscape& landscape,
   }
 }
 
-Collection Deployment::run() {
-  Collection collected;
-  EventDatabase& db = collected.db;
-  Rng driver_rng{mix64(config_.seed ^ 0xdeb1'0000'0000'0000ULL)};
-
-  // Realize every variant's infected population once, deterministically.
+void Deployment::schedule() {
+  scheduled_ = true;
+  // Realize every variant's infected population once, deterministically;
+  // only the attackers picked from it outlive the schedule.
   std::vector<std::vector<net::Ipv4>> populations;
   populations.reserve(landscape_->variants.size());
   for (const malware::MalwareVariant& variant : landscape_->variants) {
@@ -67,12 +50,11 @@ Collection Deployment::run() {
         malware::realize_population(variant.population, population_rng));
   }
 
-  std::uint64_t nonce = 0;
   for (int week = 0; week < landscape_->weeks; ++week) {
-    // Schedule this week's attacks across all variants, then process
-    // them in chronological order (the gateway's model maturity depends
-    // on it).
-    std::vector<PendingAttack> pending;
+    // Schedule this week's attacks across all variants, then order them
+    // chronologically. Each week is sorted on its own, so ties keep the
+    // order the per-week sort gives them.
+    const std::size_t week_begin = schedule_.size();
     const SimTime week_start = add_weeks(landscape_->start_time, week);
     for (const malware::MalwareVariant& variant : landscape_->variants) {
       const auto& population = populations[variant.id];
@@ -97,119 +79,168 @@ Collection Deployment::run() {
                 ? static_cast<int>(week_rng.index(
                       static_cast<std::size_t>(config_.location_count)))
                 : week_rng.pick(activity.target_locations);
-        attack.honeypot_index =
+        attack.honeypot_index = static_cast<std::uint32_t>(
             static_cast<std::size_t>(location) *
                 static_cast<std::size_t>(config_.honeypots_per_location) +
             week_rng.index(
-                static_cast<std::size_t>(config_.honeypots_per_location));
-        pending.push_back(attack);
+                static_cast<std::size_t>(config_.honeypots_per_location)));
+        attack.week = week;
+        schedule_.push_back(attack);
       }
     }
-    std::sort(pending.begin(), pending.end());
+    std::sort(schedule_.begin() + static_cast<std::ptrdiff_t>(week_begin),
+              schedule_.end());
+  }
+}
 
-    for (const PendingAttack& attack : pending) {
-      // Sensor outage: the honeypot records nothing — no event, no FSM
-      // learning, no sample. Skipped before any shared RNG draw so an
-      // empty fault plan leaves the stream untouched.
-      if (config_.faults != nullptr &&
-          config_.faults->sensor_down(location_of(attack.honeypot_index),
-                                      week)) {
-        continue;
-      }
-      const malware::MalwareVariant& variant =
-          landscape_->variants[attack.variant];
-      const malware::PayloadSpec& payload_spec =
-          landscape_->payloads[variant.payload_index];
-      const proto::ExploitTemplate& exploit =
-          landscape_->exploits[variant.exploit_index];
-      const net::Ipv4 honeypot = honeypots_[attack.honeypot_index];
+std::uint64_t Deployment::event_total() {
+  if (!scheduled_) schedule();
+  if (config_.faults == nullptr) return schedule_.size();
+  const fault::FaultPlan& plan = config_.faults->plan();
+  return static_cast<std::uint64_t>(std::count_if(
+      schedule_.begin(), schedule_.end(), [&](const PendingAttack& attack) {
+        return !plan.sensor_down(location_of(attack.honeypot_index),
+                                 attack.week);
+      }));
+}
 
-      // 1. The attacker builds and sends the exploit + payload.
-      const shellcode::DownloadIntent intent =
-          malware::realize_intent(payload_spec, attack.attacker, driver_rng);
-      const std::vector<std::uint8_t> payload = shellcode::build_shellcode(
-          intent, payload_spec.encoder, driver_rng);
-      const proto::Conversation conversation = proto::synthesize_attack(
-          exploit, payload, attack.attacker, honeypot, driver_rng);
+std::optional<GeneratedRecord> Deployment::next() {
+  if (!scheduled_) schedule();
+  while (cursor_ < schedule_.size()) {
+    const PendingAttack& attack = schedule_[cursor_++];
+    // Sensor outage: the honeypot records nothing — no event, no FSM
+    // learning, no sample, no nonce. Skipped before any shared RNG draw
+    // so an empty fault plan leaves the stream untouched.
+    if (config_.faults != nullptr &&
+        config_.faults->sensor_down(location_of(attack.honeypot_index),
+                                    attack.week)) {
+      continue;
+    }
+    ++pulled_;
+    return simulate(attack);
+  }
+  return std::nullopt;
+}
 
-      // 2. Sensor/gateway: FSM match or proxy + refine.
-      const Gateway::Outcome outcome =
-          gateway_.handle(conversation, proto::payload_location(exploit));
+GeneratedRecord Deployment::simulate(const PendingAttack& attack) {
+  const malware::MalwareVariant& variant =
+      landscape_->variants[attack.variant];
+  const malware::PayloadSpec& payload_spec =
+      landscape_->payloads[variant.payload_index];
+  const proto::ExploitTemplate& exploit =
+      landscape_->exploits[variant.exploit_index];
+  const net::Ipv4 honeypot = honeypots_[attack.honeypot_index];
+  const std::uint64_t nonce = nonce_++;
 
-      AttackEvent event;
-      event.time = attack.time;
-      event.attacker = attack.attacker;
-      event.honeypot = honeypot;
-      event.location = location_of(attack.honeypot_index);
-      event.epsilon =
-          EpsilonObservation{outcome.fsm_path, conversation.dst_port};
-      event.refinement_failed = outcome.proxied && !outcome.refined;
-      event.truth_variant = variant.id;
+  // 1. The attacker builds and sends the exploit + payload.
+  const shellcode::DownloadIntent intent =
+      malware::realize_intent(payload_spec, attack.attacker, driver_rng_);
+  const std::vector<std::uint8_t> payload = shellcode::build_shellcode(
+      intent, payload_spec.encoder, driver_rng_);
+  const proto::Conversation conversation = proto::synthesize_attack(
+      exploit, payload, attack.attacker, honeypot, driver_rng_);
 
-      // Gamma extension: when the conversation went through the sample
-      // factory, the taint oracle sees the hijack — parse the control
-      // data out of the tainted region (bytes, not ground truth).
-      if (outcome.proxied) {
-        const proto::PayloadLocation location =
-            proto::payload_location(exploit);
-        const proto::Bytes& carrier =
-            conversation.messages[location.message_index].bytes;
-        if (location.byte_offset < carrier.size()) {
-          const proto::Bytes tainted{
-              carrier.begin() + static_cast<long>(location.byte_offset),
-              carrier.end()};
-          event.gamma = proto::observe_gamma(tainted);
-        }
-      }
+  // 2. Sensor/gateway: FSM match or proxy + refine.
+  const Gateway::Outcome outcome =
+      gateway_.handle(conversation, proto::payload_location(exploit));
 
-      // 3. Shellcode extraction and analysis (Nepenthes substitute):
-      // scan the client byte stream for a known decoder structure.
-      std::vector<std::uint8_t> client_stream;
-      for (const proto::Bytes* message : conversation.client_messages()) {
-        client_stream.insert(client_stream.end(), message->begin(),
-                             message->end());
-      }
-      const auto analyzed = shellcode::analyze_shellcode(client_stream);
-      if (analyzed.has_value()) {
-        PiObservation pi;
-        pi.protocol = shellcode::protocol_name(analyzed->protocol);
-        pi.filename = analyzed->filename;
-        pi.port = analyzed->port;
-        pi.interaction = shellcode::interaction_name(
-            shellcode::classify_interaction(*analyzed, attack.attacker));
-        event.pi = pi;
+  GeneratedRecord record;
+  AttackEvent& event = record.event;
+  event.time = attack.time;
+  event.attacker = attack.attacker;
+  event.honeypot = honeypot;
+  event.location = location_of(attack.honeypot_index);
+  event.epsilon = EpsilonObservation{outcome.fsm_path, conversation.dst_port};
+  event.refinement_failed = outcome.proxied && !outcome.refined;
+  event.truth_variant = variant.id;
 
-        // 4. Download emulation: fetch the malware binary. Injected
-        // faults extend the truncation model: a refused connection
-        // collects nothing, bit corruption damages the stored image.
-        const fault::DownloadFault download_fault =
-            config_.faults != nullptr ? config_.faults->download_fault(nonce)
-                                      : fault::DownloadFault::kNone;
-        if (download_fault == fault::DownloadFault::kRefused) {
-          event.download_refused = true;
-        } else {
-          DownloadResult download = emulate_download(
-              malware::realize_binary(variant, attack.attacker, nonce),
-              config_.download, driver_rng);
-          if (download_fault == fault::DownloadFault::kCorrupted) {
-            config_.faults->corrupt(download.content, nonce);
-          }
-          event.sample = db.add_sample(download.content, attack.time,
-                                       download.truncated, variant.id);
-          // Sample ids are dense in first-seen order: a new sample's id
-          // is the next slot of `contents`.
-          if (*event.sample == collected.contents.size()) {
-            collected.contents.push_back(std::move(download.content));
-          }
-          if (download_fault == fault::DownloadFault::kCorrupted) {
-            db.sample_mutable(*event.sample).corrupted = true;
-          }
-        }
-      }
-      ++nonce;
-      db.add_event(std::move(event));
+  // Gamma extension: when the conversation went through the sample
+  // factory, the taint oracle sees the hijack — parse the control data
+  // out of the tainted region (bytes, not ground truth).
+  if (outcome.proxied) {
+    const proto::PayloadLocation location = proto::payload_location(exploit);
+    const proto::Bytes& carrier =
+        conversation.messages[location.message_index].bytes;
+    if (location.byte_offset < carrier.size()) {
+      const proto::Bytes tainted{
+          carrier.begin() + static_cast<long>(location.byte_offset),
+          carrier.end()};
+      event.gamma = proto::observe_gamma(tainted);
     }
   }
+
+  // 3. Shellcode extraction and analysis (Nepenthes substitute): scan the
+  // client byte stream for a known decoder structure.
+  std::vector<std::uint8_t> client_stream;
+  for (const proto::Bytes* message : conversation.client_messages()) {
+    client_stream.insert(client_stream.end(), message->begin(),
+                         message->end());
+  }
+  const auto analyzed = shellcode::analyze_shellcode(client_stream);
+  if (!analyzed.has_value()) return record;
+  PiObservation pi;
+  pi.protocol = shellcode::protocol_name(analyzed->protocol);
+  pi.filename = analyzed->filename;
+  pi.port = analyzed->port;
+  pi.interaction = shellcode::interaction_name(
+      shellcode::classify_interaction(*analyzed, attack.attacker));
+  event.pi = pi;
+
+  // 4. Download emulation: fetch the malware binary. Injected faults
+  // extend the truncation model: a refused connection collects nothing,
+  // bit corruption damages the stored image.
+  const fault::DownloadFault download_fault =
+      config_.faults != nullptr ? config_.faults->download_fault(nonce)
+                                : fault::DownloadFault::kNone;
+  if (download_fault == fault::DownloadFault::kRefused) {
+    event.download_refused = true;
+    return record;
+  }
+  DownloadResult download = emulate_download(
+      malware::realize_binary(variant, attack.attacker, nonce),
+      config_.download, driver_rng_);
+  const bool corrupted = download_fault == fault::DownloadFault::kCorrupted;
+  if (corrupted) config_.faults->corrupt(download.content, nonce);
+  // Samples are deduplicated by MD5; ids are dense in first-seen order.
+  record.md5 = Md5::digest(download.content);
+  const auto [known, inserted] = sample_ids_.try_emplace(
+      record.md5, static_cast<SampleId>(sample_ids_.size()));
+  event.sample = known->second;
+  if (inserted) {
+    record.new_sample = true;
+    record.content = std::move(download.content);
+    record.truncated = download.truncated;
+    record.corrupted = corrupted;
+  }
+  return record;
+}
+
+void Deployment::drain_into(EventDatabase& db,
+                            std::vector<std::vector<std::uint8_t>>* contents) {
+  if (!db.samples().empty()) {
+    throw ConfigError("Deployment::drain_into: database already holds samples");
+  }
+  while (std::optional<GeneratedRecord> record = next()) {
+    AttackEvent& event = record->event;
+    if (event.sample.has_value()) {
+      // A repeated digest only counts one more event of its sample, so
+      // the sample keeps its first download's flags.
+      (void)db.add_sample(hex_encode(record->md5), record->content,
+                          event.time, record->truncated, event.truth_variant);
+      if (record->new_sample && record->corrupted) {
+        db.sample_mutable(*event.sample).corrupted = true;
+      }
+      if (record->new_sample && contents != nullptr) {
+        contents->push_back(std::move(record->content));
+      }
+    }
+    (void)db.add_event(std::move(event));
+  }
+}
+
+Collection Deployment::run() {
+  Collection collected;
+  drain_into(collected.db, &collected.contents);
   return collected;
 }
 

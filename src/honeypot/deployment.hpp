@@ -5,11 +5,13 @@
 // populations from January 2008 to May 2009. Every attack runs through
 // the full pipeline — exploit dialog synthesis, FSM matching or
 // sample-factory proxying, shellcode extraction and analysis, download
-// emulation — and lands in the event database exactly as the sensors
-// would record it.
+// emulation — and comes out one recorded event at a time, exactly as
+// the sensors would log it.
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -18,6 +20,8 @@
 #include "honeypot/gateway.hpp"
 #include "malware/landscape.hpp"
 #include "net/ipv4.hpp"
+#include "util/md5.hpp"
+#include "util/rng.hpp"
 
 namespace repro::honeypot {
 
@@ -36,18 +40,60 @@ struct DeploymentConfig {
   fault::FaultInjector* faults = nullptr;
 };
 
+/// One attack the sensors recorded, as the sensor stream hands it on.
+struct GeneratedRecord {
+  /// The event; `event.sample` is the sample's id, dense in first-seen
+  /// order (the id an EventDatabase fed this stream assigns it).
+  AttackEvent event;
+  /// The sample's MD5, when `event.sample` is set.
+  Md5Digest md5{};
+  /// True at the first event of its sample. Only then are the bytes and
+  /// the flags carried: a later event of the sample carries its digest.
+  bool new_sample = false;
+  std::vector<std::uint8_t> content;
+  bool truncated = false;
+  bool corrupted = false;
+};
+
 /// What the sensors collected: the event database plus every distinct
 /// sample's bytes, `contents[id]` for sample id `id`. The database keeps
-/// only facts about the bytes; the bytes are here for whoever logs them
-/// (the streaming loop's WAL records) and are dropped by everyone else.
+/// only facts about the bytes.
 struct Collection {
   EventDatabase db;
   std::vector<std::vector<std::uint8_t>> contents;
 };
 
+/// The deployment is a pull source over the observation window. The
+/// first call to event_total() or next() realizes the infected
+/// populations and schedules every week's attacks (a few bytes per
+/// attack; the populations are dropped again); each next() then runs
+/// the next scheduled attacks through the pipeline until a sensor
+/// records one. Nothing of an event is kept once it is returned, only
+/// the simulation state that carries across attacks (the gateway's FSM
+/// models, the driver RNG, the download nonce) and an MD5 -> id index.
 class Deployment {
  public:
   Deployment(const malware::Landscape& landscape, DeploymentConfig config);
+
+  /// Events the whole window records: the scheduled attacks that no
+  /// sensor outage hides. Counted from the schedule with the plan's
+  /// pure outage query, so no attack is simulated and no fault decision
+  /// is counted.
+  [[nodiscard]] std::uint64_t event_total();
+
+  /// The next recorded event, simulated now; nullopt once the window is
+  /// exhausted. The outage decisions of the attacks skipped on the way
+  /// are counted as they are passed, so the call that returns nullopt
+  /// counts those after the last event.
+  [[nodiscard]] std::optional<GeneratedRecord> next();
+
+  /// Events next() has returned so far.
+  [[nodiscard]] std::uint64_t pulled() const noexcept { return pulled_; }
+
+  /// Runs the rest of the window into `db`, which must hold no sample
+  /// yet; appends each new sample's bytes to `contents` when given.
+  void drain_into(EventDatabase& db,
+                  std::vector<std::vector<std::uint8_t>>* contents = nullptr);
 
   /// Runs the whole observation window and returns what it collected.
   [[nodiscard]] Collection run();
@@ -65,10 +111,41 @@ class Deployment {
   }
 
  private:
+  /// One attack scheduled for a given instant, before pipeline
+  /// processing.
+  struct PendingAttack {
+    SimTime time{};
+    malware::VariantId variant = 0;
+    net::Ipv4 attacker;
+    std::uint32_t honeypot_index = 0;
+    int week = 0;
+
+    /// Chronological processing order within a week (the gateway's
+    /// model maturity depends on it).
+    friend bool operator<(const PendingAttack& a, const PendingAttack& b) {
+      if (a.time != b.time) return a.time < b.time;
+      if (a.variant != b.variant) return a.variant < b.variant;
+      return a.attacker < b.attacker;
+    }
+  };
+
+  /// Schedules the whole window into `schedule_` (first use only).
+  void schedule();
+  /// Runs one scheduled attack through the pipeline.
+  [[nodiscard]] GeneratedRecord simulate(const PendingAttack& attack);
+
   const malware::Landscape* landscape_;
   DeploymentConfig config_;
   Gateway gateway_;
   std::vector<net::Ipv4> honeypots_;
+
+  bool scheduled_ = false;
+  std::vector<PendingAttack> schedule_;
+  std::size_t cursor_ = 0;  // next attack of schedule_ to process
+  std::uint64_t pulled_ = 0;
+  std::uint64_t nonce_ = 0;  // one per processed attack
+  Rng driver_rng_;
+  std::map<Md5Digest, SampleId> sample_ids_;
 };
 
 }  // namespace repro::honeypot

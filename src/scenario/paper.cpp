@@ -991,9 +991,9 @@ Dataset build_paper_dataset(const ScenarioOptions& options) {
   {
     const obs::TraceRecorder::Scoped span{options.trace, "stage.deployment",
                                           pipeline_span.id()};
-    // The batch build never logs the samples' bytes: it keeps the
-    // database of facts and drops the contents.
-    dataset.db = deployment.run().db;
+    // The batch build never logs the samples' bytes: each record's
+    // facts enter the database and its bytes are dropped.
+    deployment.drain_into(dataset.db);
   }
   {
     const obs::TraceRecorder::Scoped span{options.trace, "stage.enrichment",

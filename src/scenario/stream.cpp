@@ -100,39 +100,54 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   }
   dataset.environment = make_paper_environment(dataset.landscape);
 
-  // Sensor side, generated lazily and at most once: the full event
-  // sequence is rebuilt only when some record is actually missing — no
-  // cut restores, the cut leaves epochs to run, the WAL lacks a record
-  // the cut covers, or the cut is declined. Recovery, replay and
-  // apply_epoch never touch the injector, so whichever of those points
-  // triggers generation, it starts from a fresh injector and every
-  // fault counter comes out the same. `baseline` captures the injector
-  // right afterwards; a cut's fault report already includes that share.
-  // Generation hashes every download once; the digest then travels in
-  // the WAL record, so replay never hashes.
-  fault::FaultInjector injector{options.faults};
+  // Sensor side: one pull source, consulted only when some record is
+  // missing or epochs are left to run. It yields record i on its i-th
+  // pull, so pulls are strictly in index order: a run that needs record
+  // n fast-forwards the source through [0, n) first. Its fault counters
+  // accrue as records are pulled, and a cut at n records carries those
+  // of pulls [0, n) (of the whole source, drained, once n is the event
+  // total). Recovery, replay and apply_epoch never touch the injector,
+  // so a cut's counters plus what this run's injector gathers past the
+  // point the source was fast-forwarded to (`baseline`) are the
+  // uninterrupted stream's.
+  std::optional<fault::FaultInjector> injector{std::in_place,
+                                               options.faults};
   fault::FaultInjector* faults =
-      options.faults.pipeline_empty() ? nullptr : &injector;
-  std::optional<honeypot::Collection> gen;
-  std::vector<bool> carriers;
-  fault::FaultReport baseline;  // generation's counters, zero until it runs
-  auto generated = [&]() -> const honeypot::Collection& {
-    if (!gen) {
-      const obs::TraceRecorder::Scoped span{options.trace, "stream.generate",
-                                            pipeline_span.id()};
-      honeypot::Deployment deployment{
-          dataset.landscape, make_paper_deployment_config(options, faults)};
-      gen = deployment.run();
-      baseline = injector.report();
-      carriers = content_carriers(gen->db);
+      options.faults.pipeline_empty() ? nullptr : &*injector;
+  std::optional<honeypot::Deployment> source;  // built on first use
+  std::uint64_t events_generated = 0;  // pulls this process made
+  const auto sensors = [&]() -> honeypot::Deployment& {
+    if (!source) {
+      source.emplace(dataset.landscape,
+                     make_paper_deployment_config(options, faults));
     }
-    return *gen;
+    return *source;
   };
-  // Record `index` encoded fresh from the generated stream.
-  auto encode = [&](std::uint64_t index) {
-    const honeypot::Collection& stream_gen = generated();
-    return encode_record(stream_gen.db.events()[index], carriers[index],
-                         stream_gen);
+  // The source's next record, simulated now.
+  const auto pull = [&](obs::TraceRecorder::SpanId parent) {
+    const obs::TraceRecorder::Scoped span{options.trace, "stream.generate",
+                                          parent};
+    std::optional<honeypot::GeneratedRecord> record = sensors().next();
+    if (!record) {
+      throw ConfigError("stream: the sensors ended before the event total");
+    }
+    ++events_generated;
+    return std::move(*record);
+  };
+  // Pulls and drops records until the source stands at record `n`.
+  const auto fast_forward = [&](std::uint64_t n) {
+    const obs::TraceRecorder::Scoped span{options.trace, "stream.generate",
+                                          pipeline_span.id()};
+    while (sensors().pulled() < n) (void)pull(span.id());
+  };
+  // Passes the outage checks past the last event, which only the call
+  // that finds the window exhausted counts.
+  const auto drain_sensors = [&](obs::TraceRecorder::SpanId parent) {
+    const obs::TraceRecorder::Scoped span{options.trace, "stream.generate",
+                                          parent};
+    if (sensors().next()) {
+      throw ConfigError("stream: the sensors outran the event total");
+    }
   };
 
   // Collector side: recover the WAL, then resume from the newest epoch
@@ -153,40 +168,31 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   ingest::WalWriter writer{wal_options, fingerprint, recovered,
                            /*report=*/nullptr};
 
-  // Generate up front when the replay or the epochs below will read a
-  // record the WAL lacks; a cut covering the whole stream over a WAL
-  // that holds it is restored from disk alone.
-  std::optional<snapshot::EpochStage> restored = store.load_latest_epoch();
-  if (!restored || restored->wal_records < restored->event_total ||
-      writer.next_record_index() < restored->wal_records) {
-    const std::uint64_t generated_total = generated().db.events().size();
-    if (restored && restored->event_total != generated_total) {
-      // A cut under this fingerprint cannot describe another stream:
-      // decline it and replay from record 0 (never trust disk).
-      store.decline_epoch(*restored);
-      restored.reset();
-    }
-  }
-  std::uint64_t total =
-      restored ? restored->event_total : generated().db.events().size();
-
-  // Unified record source: record i is read back from the WAL below the
-  // recovered count and encoded fresh from the regenerated stream past
-  // it. Recovered payloads are CRC-framed and fingerprint-checked (and
-  // checked again as they are read), so both sources yield the same
-  // bytes for the same index — which is also why a lost WAL never
-  // strands a cut. Neither source holds more than the record in hand: a
-  // WAL record lives in the reader's window, a fresh one is encoded on
-  // demand and moved into the ingest queue.
+  // Record i is read back from the WAL below the recovered count and
+  // pulled from the sensors past it. Recovered payloads are CRC-framed
+  // and fingerprint-checked (and checked again as they are read), so
+  // both sources yield the same bytes for the same index — which is also
+  // why a lost WAL never strands a cut. Neither holds more than the
+  // record in hand: a WAL record lives in the reader's window, a pulled
+  // one is encoded and moved into the ingest queue.
   const std::uint64_t recovered_count = recovered.record_count;
   ingest::WalReader wal{recovered.records};
-  std::vector<std::uint8_t> fresh;
-  auto record_bytes =
-      [&](std::uint64_t index) -> std::span<const std::uint8_t> {
-    if (index < recovered_count) return wal.read(index);
-    fresh = encode(index);
-    return fresh;
-  };
+
+  // A cut under this fingerprint cannot describe another stream: when
+  // the sensors are needed, a cut whose event total the schedule
+  // contradicts is declined and the run replays from record 0 (never
+  // trust disk). A cut covering the whole stream over a WAL that holds
+  // it is restored from disk alone.
+  std::optional<snapshot::EpochStage> restored = store.load_latest_epoch();
+  if (restored &&
+      (restored->wal_records < restored->event_total ||
+       recovered_count < restored->wal_records) &&
+      restored->event_total != sensors().event_total()) {
+    store.decline_epoch(*restored);
+    restored.reset();
+  }
+  std::uint64_t total =
+      restored ? restored->event_total : sensors().event_total();
 
   // Incremental clustering engines: counting state per EPM dimension,
   // recounted from the restored prefix below, plus the process-local
@@ -196,17 +202,36 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   cluster::IncrementalEpm inc_m{cluster::Dimension::kMu};
   cluster::SignatureStore signatures;
 
+  std::uint64_t appended_this_run = 0;
+  const auto count_append = [&] {
+    ++appended_this_run;
+    if (stream.after_append) stream.after_append(appended_this_run);
+  };
+
   std::uint64_t done = 0;  // records already replayed into `db`
   honeypot::EventDatabase db;
   if (restored) {
     // A cut holds no database: rebuild it by replaying the prefix the
     // cut covers. The cut's fault report and stream totals already
-    // account for these records, so there is no delivery simulation
-    // and nothing is appended here. The cut is trusted only once the
-    // replay reproduced exactly its samples, its stream totals decoded
-    // and the engines' recount agreed with its E/P/M results.
+    // account for these records, so there is no delivery simulation.
+    // A record the WAL lacks (a crash after the cut was durable but
+    // before the damaged tail segment was, a quarantined segment, or a
+    // WAL directory lost outright) is pulled from the sensors, which
+    // fast-forward to it, and appended as it is replayed. The cut is
+    // trusted only once the replay reproduced exactly its samples, its
+    // stream totals decoded and the engines' recount agreed with its
+    // E/P/M results.
     for (std::uint64_t i = 0; i < restored->wal_records; ++i) {
-      replay_record(record_bytes(i), db, stream.verify_incremental);
+      if (i < recovered_count) {
+        replay_record(wal.read(i), db, stream.verify_incremental);
+        continue;
+      }
+      fast_forward(i);
+      const std::vector<std::uint8_t> healed =
+          encode_record(pull(pipeline_span.id()));
+      replay_record(healed, db, stream.verify_incremental);
+      writer.append(healed);
+      count_append();
     }
     const auto prime = [&](const honeypot::EventDatabase& replayed) {
       ingest::IngestReport totals = report;
@@ -225,15 +250,24 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
       inc_e = cluster::IncrementalEpm{cluster::Dimension::kEpsilon};
       inc_p = cluster::IncrementalEpm{cluster::Dimension::kPi};
       inc_m = cluster::IncrementalEpm{cluster::Dimension::kMu};
+      // Healing may have pulled records whose counters no cut holds
+      // now: the sensor side starts over at record 0.
+      if (source) {
+        source.reset();
+        injector.emplace(options.faults);
+      }
       // The declined cut's event total is not trusted either.
-      total = generated().db.events().size();
+      total = sensors().event_total();
     }
   }
+  // Records the WAL holds by now; the loop below appends past them.
+  const std::uint64_t logged = writer.next_record_index();
 
   honeypot::EnrichmentStats enrich_totals;
   snapshot::EpmStage epm_stage;
   analysis::BehavioralView bview;
   bool have_results = false;
+  fault::FaultReport baseline;  // counters the restored cut already holds
   if (restored) {
     done = restored->wal_records;
     enrich_totals = restored->enrichment;
@@ -241,38 +275,31 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     bview = std::move(restored->behavioral);
     have_results = true;
     report.epochs_restored = 1;
+    // Bring the sensors to the cut's point when they run at all: the cut
+    // leaves records to pull, or healing has already started them.
+    if (done < total || source) {
+      fast_forward(done);
+      if (done == total) drain_sensors(pipeline_span.id());
+    }
+    baseline = injector->report();
   }
 
-  std::uint64_t appended_this_run = 0;
   ingest::BoundedRecordQueue queue{kQueueCapacity,
                                    ingest::OverflowPolicy::kBlock};
   auto drain_queue = [&] {
     while (auto rec = queue.try_pop()) {
       writer.append(*rec);
-      ++appended_this_run;
-      if (stream.after_append) stream.after_append(appended_this_run);
+      count_append();
     }
   };
 
-  // Heal a WAL that fell behind its checkpoint (crash after the cut was
-  // durable but before the damaged tail segment was, or a quarantined
-  // segment, or a WAL directory lost outright). The checkpoint already
-  // covers these records' fault counters and the restore above already
-  // replayed them, so they are encoded again (the same bytes) and
-  // appended — no delivery simulation, no second replay.
-  while (writer.next_record_index() < done) {
-    writer.append(encode(writer.next_record_index()));
-    ++appended_this_run;
-    if (stream.after_append) stream.after_append(appended_this_run);
-  }
-
   // Every fault counter so far. A restored cut's report already holds
-  // generation's share and that of the records it covers, so only what
-  // this run did past generation is added to it.
+  // the counters up to its point, so only what this run did past it is
+  // added.
   const auto faults_so_far = [&] {
     return restored ? fault::add(restored->fault_report,
-                                 fault::subtract(injector.report(), baseline))
-                    : injector.report();
+                                 fault::subtract(injector->report(), baseline))
+                    : injector->report();
   };
   std::uint64_t bytes_delta = 0;
   for (std::size_t k = 0; k < stream.epochs; ++k) {
@@ -291,30 +318,39 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     const obs::TraceRecorder::Scoped epoch_span{options.trace, "stream.epoch",
                                                 pipeline_span.id()};
     const std::size_t first_sample = db.samples().size();
-    const honeypot::EventDatabase& stream_db = generated().db;
     {
       const obs::TraceRecorder::Scoped span{options.trace, "epoch.replay",
                                             epoch_span.id()};
       for (std::uint64_t i = done; i < target; ++i) {
-        const std::span<const std::uint8_t> rec = record_bytes(i);
+        // Every record past the last cut is pulled, so the sensors'
+        // counters reach the cut; the WAL's copy is used where it has
+        // one.
+        honeypot::GeneratedRecord pulled = pull(span.id());
+        std::vector<std::uint8_t> fresh;
+        std::span<const std::uint8_t> rec;
+        if (i < recovered_count) {
+          rec = wal.read(i);
+        } else {
+          fresh = encode_record(pulled);
+          rec = fresh;
+        }
+        bytes_delta += rec.size() + ingest::kWalFrameHeaderBytes;
+        replay_record(rec, db, stream.verify_incremental);
         // Delivery simulation runs for every record past the last cut,
         // including records already in the WAL: the run that appended
         // those died before checkpointing its counters, and the
         // decisions are pure in (plan, key), so re-rolling them here
         // restores exactly the counts it lost.
-        (void)ingest::deliver_record(stream.retry, i,
-                                     stream_db.events()[i].time, injector);
-        bytes_delta += rec.size() + ingest::kWalFrameHeaderBytes;
-        replay_record(rec, db, stream.verify_incremental);
-        if (i < recovered_count) continue;
+        (void)ingest::deliver_record(stream.retry, i, db.events().back().time,
+                                     *injector);
+        if (i < logged) continue;
         // Fresh record: moved through the bounded queue into the WAL.
         // The queue is drained only when full, so backpressure
         // genuinely engages (and is counted) instead of the queue
-        // idling at depth one. A rejected offer leaves `item` with us.
-        std::vector<std::uint8_t> item = std::move(fresh);
-        if (!queue.offer(std::move(item))) {
+        // idling at depth one. A rejected offer leaves `fresh` with us.
+        if (!queue.offer(std::move(fresh))) {
           drain_queue();
-          if (!queue.offer(std::move(item))) {
+          if (!queue.offer(std::move(fresh))) {
             throw IoError("ingest queue rejected a record after drain");
           }
         }
@@ -323,6 +359,9 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
       // Sealing syncs the epoch's frames: it must precede the cut.
       writer.seal();
     }
+    // The final cut covers the whole source, including the outage
+    // checks past the last event.
+    if (last) drain_sensors(epoch_span.id());
 
     // The delta past the previous cut is all that needs enriching;
     // per-sample purity makes the result identical to re-enriching
@@ -451,12 +490,11 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
                          inc_m.instances_reclassified());
     obs::add_counter(options.metrics, "cluster.signatures_reused",
                      signatures.reused, obs::Channel::kRuntime);
-    // Zero on a resume whose WAL and cut already hold every record, the
-    // stream's event count whenever generation ran: per-process, so
-    // runtime telemetry.
+    // Records this process pulled from the sensors, fast-forwards
+    // included: zero on a resume whose WAL and cut already hold every
+    // record. Per-process, so runtime telemetry.
     obs::add_counter(options.metrics, "stream.events_generated",
-                     gen ? gen->db.events().size() : 0,
-                     obs::Channel::kRuntime);
+                     events_generated, obs::Channel::kRuntime);
     publish_pool_metrics(*options.metrics, pool, pool_metrics);
   }
   return dataset;

@@ -25,46 +25,26 @@ bool read_flag(ByteReader& reader) {
 
 }  // namespace
 
-std::vector<bool> content_carriers(const honeypot::EventDatabase& gen_db) {
-  const std::vector<honeypot::AttackEvent>& events = gen_db.events();
-  std::vector<bool> carries(events.size(), false);
-  std::vector<bool> logged(gen_db.samples().size(), false);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (!events[i].sample.has_value()) continue;
-    const honeypot::SampleId id = *events[i].sample;
-    carries[i] = !logged[id];
-    logged[id] = true;
-  }
-  return carries;
-}
-
-std::vector<std::uint8_t> encode_record(const honeypot::AttackEvent& event,
-                                        bool carries_content,
-                                        const honeypot::Collection& generated) {
+std::vector<std::uint8_t> encode_record(
+    const honeypot::GeneratedRecord& record) {
   ByteWriter writer;
   writer.u8(kRecordVersion);
-  honeypot::AttackEvent copy = event;
+  honeypot::AttackEvent copy = record.event;
   copy.id = 0;          // replay reassigns ids in order
   copy.sample.reset();  // the sample travels by digest, not by id
   snapshot::write_attack_event(writer, copy);
-  if (!event.sample.has_value()) {
+  if (!record.event.sample.has_value()) {
     writer.u8(static_cast<std::uint8_t>(SampleKind::kNone));
     return writer.take();
   }
-  // Distinct download contents always hash to distinct MD5s, so the
-  // deduplicated sample's content and flags are exactly what this
-  // event's own download carried.
-  const honeypot::MalwareSample& sample = generated.db.sample(*event.sample);
-  writer.u8(static_cast<std::uint8_t>(carries_content ? SampleKind::kContent
-                                                      : SampleKind::kReference));
-  writer.bytes(hex_decode(sample.md5));
-  if (carries_content) {
-    const std::vector<std::uint8_t>& content =
-        generated.contents.at(*event.sample);
-    writer.u64(content.size());
-    writer.bytes(content);
-    writer.u8(sample.truncated ? 1 : 0);
-    writer.u8(sample.corrupted ? 1 : 0);
+  writer.u8(static_cast<std::uint8_t>(
+      record.new_sample ? SampleKind::kContent : SampleKind::kReference));
+  writer.bytes(record.md5);
+  if (record.new_sample) {
+    writer.u64(record.content.size());
+    writer.bytes(record.content);
+    writer.u8(record.truncated ? 1 : 0);
+    writer.u8(record.corrupted ? 1 : 0);
   }
   return writer.take();
 }

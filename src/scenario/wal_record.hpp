@@ -12,6 +12,8 @@
 // record that carries only the digest. Which index carries content is
 // a function of the event sequence alone, so a record encoded again from
 // the regenerated stream is byte-equal to the one recovered from disk.
+// The sample's flags are its first download's, as the database keeps
+// them.
 //
 // Trust model: the digest is computed once, where the download is made,
 // and travels in the record under the frame CRC. Replay trusts it and
@@ -31,17 +33,11 @@ namespace repro::scenario {
 
 inline constexpr std::uint8_t kRecordVersion = 2;
 
-/// For each event of `gen_db`, whether its record carries the sample's
-/// bytes: true exactly at the first event of every sample.
-[[nodiscard]] std::vector<bool> content_carriers(
-    const honeypot::EventDatabase& gen_db);
-
-/// Record payload of `event`, an event of `generated.db`;
-/// `carries_content` is its entry in content_carriers(generated.db), and
-/// a content record takes the sample's bytes from `generated.contents`.
+/// Record payload of `record`, a record of the sensor stream: a content
+/// record at its sample's first event, a reference record at every
+/// later one, no sample block when nothing was collected.
 [[nodiscard]] std::vector<std::uint8_t> encode_record(
-    const honeypot::AttackEvent& event, bool carries_content,
-    const honeypot::Collection& generated);
+    const honeypot::GeneratedRecord& record);
 
 /// Decodes one record payload and appends its event to `db`: a content
 /// record stores a new sample under the carried digest (deriving its

@@ -67,9 +67,13 @@ inline constexpr std::uint32_t kSnapshotEndMagic = 0x44'4e'45'53;  // "SEND"
 // report is cumulative (generation's counters included), so a resume
 // whose WAL holds every record the cut covers never regenerates the
 // stream.
+// Version 10: the sensors are a pull source, so the fault report of a
+// cut at n records holds generation's counters for records [0, n) only
+// (the whole source's once n is the event total), where a version 9
+// report held all of generation's; the layout is unchanged.
 // Older files are quarantined as unreadable and their epochs
 // recomputed — the normal graceful-degradation path, not an error.
-inline constexpr std::uint32_t kSnapshotVersion = 9;
+inline constexpr std::uint32_t kSnapshotVersion = 10;
 
 /// Snapshot file name for a streaming epoch cut, e.g. "epoch-0003.snap".
 [[nodiscard]] std::string epoch_filename(std::uint64_t epoch);

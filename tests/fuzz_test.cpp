@@ -32,6 +32,7 @@
 #include "util/byteio.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
+#include "util/md5.hpp"
 #include "util/rng.hpp"
 #include "util/simtime.hpp"
 
@@ -328,34 +329,33 @@ TEST_P(FuzzSeed, RecordPayloadSurvivesMutations) {
   // payload: every mutation must decode to a valid event or throw
   // ParseError with the database untouched.
   Rng rng{static_cast<std::uint64_t>(GetParam()) * 661 + 19};
-  honeypot::Collection gen;
   std::vector<std::uint8_t> binary(48);
   rng.fill(binary);
+  std::vector<honeypot::GeneratedRecord> generated(3);
   for (int i = 0; i < 3; ++i) {
-    honeypot::AttackEvent event;
-    event.time = SimTime{100 + i};
-    event.epsilon.fsm_path = "smb/" + std::to_string(i);
-    event.epsilon.dst_port = 445;
-    event.pi = honeypot::PiObservation{"http", "x.exe", 80, "PULL"};
+    honeypot::GeneratedRecord& record = generated[i];
+    record.event.time = SimTime{100 + i};
+    record.event.epsilon.fsm_path = "smb/" + std::to_string(i);
+    record.event.epsilon.dst_port = 445;
+    record.event.pi = honeypot::PiObservation{"http", "x.exe", 80, "PULL"};
     if (i < 2) {
-      event.sample = gen.db.add_sample(binary, event.time, i == 0, 7);
-      if (*event.sample == gen.contents.size()) gen.contents.push_back(binary);
+      record.event.sample = 0;
+      record.md5 = Md5::digest(binary);
     }
-    (void)gen.db.add_event(std::move(event));
   }
-  const std::vector<bool> carriers = scenario::content_carriers(gen.db);
-  ASSERT_EQ(carriers, (std::vector<bool>{true, false, false}));
+  generated[0].new_sample = true;
+  generated[0].content = binary;
+  generated[0].truncated = true;
   std::vector<std::vector<std::uint8_t>> records;
-  for (std::size_t i = 0; i < carriers.size(); ++i) {
-    records.push_back(
-        scenario::encode_record(gen.db.events()[i], carriers[i], gen));
+  for (const honeypot::GeneratedRecord& record : generated) {
+    records.push_back(scenario::encode_record(record));
   }
 
   // `stored` already holds the sample, so its reference record decodes.
   const honeypot::EventDatabase empty;
   honeypot::EventDatabase stored;
   scenario::replay_record(records[0], stored);
-  ASSERT_EQ(stored.sample(0).md5, gen.db.sample(0).md5);
+  ASSERT_EQ(stored.sample(0).md5, Md5::hex_digest(binary));
   {
     honeypot::EventDatabase db = stored;
     EXPECT_THROW(scenario::replay_record(records[0], db), ParseError)
@@ -368,7 +368,7 @@ TEST_P(FuzzSeed, RecordPayloadSurvivesMutations) {
     // A sample travels by digest, never as a database id in the event.
     ByteWriter forged;
     forged.u8(scenario::kRecordVersion);
-    honeypot::AttackEvent event = gen.db.events()[2];
+    honeypot::AttackEvent event = generated[2].event;
     event.sample = 0;
     snapshot::write_attack_event(forged, event);
     forged.u8(0);  // no sample block

@@ -3,7 +3,9 @@
 // enrichment pipeline.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "honeypot/avlabels.hpp"
 #include "honeypot/database.hpp"
@@ -13,7 +15,9 @@
 #include "honeypot/gateway.hpp"
 #include "malware/binary.hpp"
 #include "shellcode/builder.hpp"
+#include "fault/injector.hpp"
 #include "util/error.hpp"
+#include "util/hex.hpp"
 #include "util/md5.hpp"
 
 namespace repro::honeypot {
@@ -360,6 +364,57 @@ TEST(Deployment, PolymorphicVariantYieldsUniqueSamples) {
   }
   EXPECT_EQ(stable_samples, 1u);
   EXPECT_GT(poly_samples, 50u);
+}
+
+TEST(Deployment, PullsOneRecordAtATimeAndCountsItsTotalWithoutDeciding) {
+  // Weeks 2-5 of location 3 are dark. The event total is counted from
+  // the schedule without recording a decision; pulling then yields
+  // exactly that many records, the bytes only at a sample's first
+  // event, and the same events a drain into a database holds.
+  const auto landscape = tiny_landscape();
+  fault::FaultPlan plan;
+  plan.sensor_outages = {fault::SensorOutage{3, 2, 6}};
+  fault::FaultInjector injector{plan};
+  DeploymentConfig config;
+  config.seed = 9;
+  config.faults = &injector;
+  Deployment source{landscape, config};
+  const std::uint64_t total = source.event_total();
+  EXPECT_EQ(injector.report().sensor_checks, 0u);
+
+  std::vector<GeneratedRecord> records;
+  while (std::optional<GeneratedRecord> record = source.next()) {
+    EXPECT_EQ(source.pulled(), records.size() + 1);
+    records.push_back(std::move(*record));
+  }
+  ASSERT_EQ(records.size(), total);
+  const fault::FaultReport report = injector.report();
+  EXPECT_GT(report.attacks_lost_to_outage, 0u);
+  EXPECT_EQ(report.sensor_checks, total + report.attacks_lost_to_outage);
+  EXPECT_FALSE(source.next().has_value());
+
+  fault::FaultInjector again{plan};
+  config.faults = &again;
+  const Collection collected = Deployment{landscape, config}.run();
+  ASSERT_EQ(collected.db.events().size(), total);
+  std::size_t new_samples = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const GeneratedRecord& record = records[i];
+    const AttackEvent& event = collected.db.events()[i];
+    EXPECT_EQ(record.event.time, event.time);
+    EXPECT_EQ(record.event.sample, event.sample);
+    if (!record.event.sample.has_value()) continue;
+    EXPECT_EQ(hex_encode(record.md5),
+              collected.db.sample(*event.sample).md5);
+    EXPECT_EQ(record.new_sample, *event.sample == new_samples);
+    if (record.new_sample) {
+      EXPECT_EQ(record.content, collected.contents[new_samples]);
+      ++new_samples;
+    } else {
+      EXPECT_TRUE(record.content.empty());
+    }
+  }
+  EXPECT_EQ(new_samples, collected.db.samples().size());
 }
 
 TEST(Deployment, RejectsBadConfig) {

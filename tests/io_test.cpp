@@ -2,16 +2,23 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 
+#include "cluster/backend.hpp"
+#include "fault/plan.hpp"
+#include "ingest/wal.hpp"
 #include "io/csv_export.hpp"
 #include "io/csv_import.hpp"
 #include "util/table.hpp"
 #include "scenario/paper.hpp"
+#include "scenario/stream.hpp"
 #include "util/error.hpp"
+#include "util/hex.hpp"
 #include "util/md5.hpp"
 
 namespace repro::io {
@@ -227,6 +234,50 @@ TEST(ExportOracle, BatchExportDigestsArePinned) {
       EXPECT_EQ(actual.at(file), md5)
           << file << (faults ? " (--faults paper)" : " (--faults none)");
     }
+  }
+}
+
+// The WAL a cold stream writes, pinned outside the code: how the sensor
+// stream is generated must leave every record payload alone. Same point
+// as the export oracle, 4 epochs. Read back through recovery and the
+// WAL reader; the pin is the record count plus the MD5 over the records'
+// MD5s in index order, so one changed, dropped or reordered record moves
+// it.
+TEST(WalOracle, RecordDigestsArePinned) {
+  for (const bool faults : {false, true}) {
+    scenario::ScenarioOptions options;
+    options.scale = 0.05;
+    options.seed = 2008;
+    options.b_backend = cluster::BackendKind::kLsh;
+    if (faults) options.faults = fault::FaultPlan::paper_calibrated();
+    const std::filesystem::path root =
+        std::filesystem::path{testing::TempDir()} /
+        (faults ? "wal-oracle-paper" : "wal-oracle-none");
+    std::filesystem::remove_all(root);
+    options.checkpoint.directory = (root / "ckpt").string();
+    scenario::StreamOptions stream;
+    stream.epochs = 4;
+    stream.wal_dir = (root / "wal").string();
+    (void)scenario::build_streaming_dataset(options, stream);
+
+    ingest::WalOptions wal;
+    wal.directory = stream.wal_dir;
+    ingest::IngestReport report;
+    const ingest::RecoveredWal recovered = ingest::recover_wal(
+        wal, scenario::scenario_fingerprint(options), report);
+    Md5 chain;
+    std::uint64_t records = 0;
+    for (const std::span<const std::uint8_t> payload : recovered.records) {
+      chain.update(Md5::digest(payload));
+      ++records;
+    }
+    const auto [count, digest] =
+        faults ? std::pair{337ull, "aecd3a06a4be8a8094aef0e204ab170f"}
+               : std::pair{339ull, "a85f8ca04046002ba04a05e596168701"};
+    EXPECT_EQ(records, count) << (faults ? "--faults paper" : "--faults none");
+    EXPECT_EQ(hex_encode(chain.finish()), digest)
+        << (faults ? "--faults paper" : "--faults none");
+    std::filesystem::remove_all(root);
   }
 }
 

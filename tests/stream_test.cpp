@@ -183,26 +183,87 @@ TEST(Stream, EpochSplitDoesNotChangeOutput) {
 }
 
 TEST(Stream, FaultReportMatchesBatchPlusDeliveryAccounting) {
-  ScenarioOptions options = small_options(true);
-  const fs::path root = fresh_dir("fault-report");
-  const StreamOptions stream = stream_under(root, options);
-  const Dataset ds = build_streaming_dataset(options, stream);
-  const Dataset batch = build_paper_dataset(small_options(true));
-  // Batch counters are a strict subset: generation + enrichment agree
-  // exactly, and streaming adds the delivery layer on top.
-  EXPECT_EQ(ds.fault_report.proxy_attempts, batch.fault_report.proxy_attempts);
-  EXPECT_EQ(ds.fault_report.downloads_corrupted,
-            batch.fault_report.downloads_corrupted);
-  EXPECT_EQ(ds.fault_report.sandbox_failures,
-            batch.fault_report.sandbox_failures);
-  EXPECT_EQ(ds.fault_report.av_label_gaps, batch.fault_report.av_label_gaps);
-  EXPECT_EQ(ds.fault_report.delivery_checks, 0u + ds.db.events().size() +
-                                                 ds.fault_report
-                                                     .delivery_retries);
-  EXPECT_EQ(batch.fault_report.delivery_checks, 0u);
+  // The second plan also darkens every sensor for the window's last
+  // weeks. The attacks scheduled after the last recorded event are
+  // passed only when the stream drains its sensors before the final cut.
+  for (const bool dark_tail : {false, true}) {
+    ScenarioOptions options = small_options(true);
+    if (dark_tail) {
+      const int weeks = make_paper_landscape(options).weeks;
+      for (int location = 0; location < 30; ++location) {
+        options.faults.sensor_outages.push_back(
+            fault::SensorOutage{location, weeks - 3, weeks});
+      }
+    }
+    const fs::path root =
+        fresh_dir(dark_tail ? "fault-report-dark-tail" : "fault-report");
+    const StreamOptions stream = stream_under(root, options);
+    const Dataset ds = build_streaming_dataset(options, stream);
+    options.checkpoint.directory.clear();
+    const Dataset batch = build_paper_dataset(options);
+    // Batch counters are a strict subset: generation + enrichment agree
+    // exactly, and streaming adds the delivery layer on top.
+    EXPECT_EQ(ds.fault_report.sensor_checks, batch.fault_report.sensor_checks);
+    EXPECT_EQ(ds.fault_report.attacks_lost_to_outage,
+              batch.fault_report.attacks_lost_to_outage);
+    EXPECT_EQ(ds.fault_report.proxy_attempts,
+              batch.fault_report.proxy_attempts);
+    EXPECT_EQ(ds.fault_report.downloads_corrupted,
+              batch.fault_report.downloads_corrupted);
+    EXPECT_EQ(ds.fault_report.sandbox_failures,
+              batch.fault_report.sandbox_failures);
+    EXPECT_EQ(ds.fault_report.av_label_gaps,
+              batch.fault_report.av_label_gaps);
+    EXPECT_EQ(ds.fault_report.delivery_checks, 0u + ds.db.events().size() +
+                                                   ds.fault_report
+                                                       .delivery_retries);
+    EXPECT_EQ(batch.fault_report.delivery_checks, 0u);
+  }
 }
 
 // --- Kill/resume ------------------------------------------------------------
+
+/// Every FaultReport field of `actual` equals `expected`'s.
+void expect_same_fault_report(const fault::FaultReport& actual,
+                              const fault::FaultReport& expected) {
+#define REPRO_EXPECT_FIELD(field) \
+  EXPECT_EQ(actual.field, expected.field) << #field
+  REPRO_EXPECT_FIELD(attacks_lost_to_outage);
+  REPRO_EXPECT_FIELD(sensor_checks);
+  REPRO_EXPECT_FIELD(proxy_attempts);
+  REPRO_EXPECT_FIELD(proxy_failures);
+  REPRO_EXPECT_FIELD(proxy_retries);
+  REPRO_EXPECT_FIELD(refinements_abandoned);
+  REPRO_EXPECT_FIELD(proxy_backoff_seconds);
+  REPRO_EXPECT_FIELD(download_checks);
+  REPRO_EXPECT_FIELD(downloads_refused);
+  REPRO_EXPECT_FIELD(downloads_corrupted);
+  REPRO_EXPECT_FIELD(sandbox_checks);
+  REPRO_EXPECT_FIELD(sandbox_failures);
+  REPRO_EXPECT_FIELD(av_label_checks);
+  REPRO_EXPECT_FIELD(av_label_gaps);
+  REPRO_EXPECT_FIELD(delivery_checks);
+  REPRO_EXPECT_FIELD(delivery_failures);
+  REPRO_EXPECT_FIELD(delivery_retries);
+  REPRO_EXPECT_FIELD(delivery_retry_exhausted);
+  REPRO_EXPECT_FIELD(delivery_backoff_seconds);
+  REPRO_EXPECT_FIELD(serve_checks);
+  REPRO_EXPECT_FIELD(serve_slow_clients);
+  REPRO_EXPECT_FIELD(serve_disconnects);
+  REPRO_EXPECT_FIELD(serve_accept_failures);
+#undef REPRO_EXPECT_FIELD
+}
+
+/// The fault report of the uninterrupted faulty stream (3 epochs).
+const fault::FaultReport& clean_fault_report() {
+  static const fault::FaultReport report = [] {
+    ScenarioOptions options = small_options(true);
+    const fs::path root = fresh_dir("clean-fault-report");
+    return build_streaming_dataset(options, stream_under(root, options))
+        .fault_report;
+  }();
+  return report;
+}
 
 /// Runs the streaming build expecting the configured seam to interrupt
 /// it, then reruns clean in the same directories and returns the
@@ -231,6 +292,7 @@ TEST(Stream, KilledAfterEachEpochResumesByteIdentical) {
     const Dataset resumed = killed_then_resumed(options, stream);
     EXPECT_EQ(all_csv(resumed), batch_csv(true)) << "killed after epoch "
                                                  << epoch;
+    expect_same_fault_report(resumed.fault_report, clean_fault_report());
     EXPECT_EQ(resumed.ingest.epochs_restored, 1u);
     EXPECT_EQ(resumed.ingest.epochs_run + epoch, 3u)
         << "killed after epoch " << epoch;
@@ -254,7 +316,26 @@ TEST(Stream, KilledMidEpochCheckpointWriteResumesByteIdentical) {
 }
 
 TEST(Stream, KilledAfterArbitraryAppendsResumesByteIdentical) {
-  for (const std::uint64_t kill_at : {1ull, 7ull, 23ull}) {
+  // Besides a few arbitrary points, kill inside the week that straddles
+  // epoch 1's boundary, on both sides of it: the sensors simulate a week
+  // one attack at a time, so the cut and the kill land mid-week.
+  const Dataset clean = [] {
+    ScenarioOptions options = small_options(true);
+    const fs::path root = fresh_dir("append-kill-clean");
+    return build_streaming_dataset(options, stream_under(root, options));
+  }();
+  const std::uint64_t boundary = clean.db.events().size() / 3;
+  const auto week = [&](std::uint64_t record) {
+    return week_index(clean.db.events()[record].time,
+                      clean.landscape.start_time);
+  };
+  ASSERT_EQ(week(boundary - 1), week(boundary))
+      << "epoch 1's boundary falls between weeks";
+  std::uint64_t week_start = boundary - 1;
+  while (week_start > 0 && week(week_start - 1) == week(boundary)) --week_start;
+  // after_append(k) fires once records [0, k) are appended.
+  for (const std::uint64_t kill_at :
+       std::vector<std::uint64_t>{1, 7, 23, week_start + 1, boundary + 1}) {
     ScenarioOptions options = small_options(true);
     const fs::path root = fresh_dir("append-kill-" + std::to_string(kill_at));
     StreamOptions stream = stream_under(root, options);
@@ -266,6 +347,7 @@ TEST(Stream, KilledAfterArbitraryAppendsResumesByteIdentical) {
     const Dataset resumed = killed_then_resumed(options, stream);
     EXPECT_EQ(all_csv(resumed), batch_csv(true)) << "killed after append "
                                                  << kill_at;
+    expect_same_fault_report(resumed.fault_report, clean.fault_report);
   }
 }
 
@@ -783,37 +865,6 @@ std::vector<std::pair<std::string, std::uint64_t>> kill_invariant_counters(
   return kept;
 }
 
-/// Every FaultReport field of `actual` equals `expected`'s.
-void expect_same_fault_report(const fault::FaultReport& actual,
-                              const fault::FaultReport& expected) {
-#define REPRO_EXPECT_FIELD(field) \
-  EXPECT_EQ(actual.field, expected.field) << #field
-  REPRO_EXPECT_FIELD(attacks_lost_to_outage);
-  REPRO_EXPECT_FIELD(sensor_checks);
-  REPRO_EXPECT_FIELD(proxy_attempts);
-  REPRO_EXPECT_FIELD(proxy_failures);
-  REPRO_EXPECT_FIELD(proxy_retries);
-  REPRO_EXPECT_FIELD(refinements_abandoned);
-  REPRO_EXPECT_FIELD(proxy_backoff_seconds);
-  REPRO_EXPECT_FIELD(download_checks);
-  REPRO_EXPECT_FIELD(downloads_refused);
-  REPRO_EXPECT_FIELD(downloads_corrupted);
-  REPRO_EXPECT_FIELD(sandbox_checks);
-  REPRO_EXPECT_FIELD(sandbox_failures);
-  REPRO_EXPECT_FIELD(av_label_checks);
-  REPRO_EXPECT_FIELD(av_label_gaps);
-  REPRO_EXPECT_FIELD(delivery_checks);
-  REPRO_EXPECT_FIELD(delivery_failures);
-  REPRO_EXPECT_FIELD(delivery_retries);
-  REPRO_EXPECT_FIELD(delivery_retry_exhausted);
-  REPRO_EXPECT_FIELD(delivery_backoff_seconds);
-  REPRO_EXPECT_FIELD(serve_checks);
-  REPRO_EXPECT_FIELD(serve_slow_clients);
-  REPRO_EXPECT_FIELD(serve_disconnects);
-  REPRO_EXPECT_FIELD(serve_accept_failures);
-#undef REPRO_EXPECT_FIELD
-}
-
 TEST(Stream, IncrementalCountersAreKillInvariant) {
   constexpr std::size_t kEpochs = 4;
 
@@ -1029,10 +1080,14 @@ TEST(Stream, CutThatDisagreesWithTheReplayIsNeverTrusted) {
       }
     }
     write_cut(path, cut);
+    // With the WAL lost too, the replay pulls the cut's prefix from the
+    // sensors (and appends it) before the mismatch shows.
+    if (!rewrite_count) fs::remove_all(root / "wal");
 
     const Dataset resumed = build_streaming_dataset(options, stream);
     EXPECT_EQ(all_csv(resumed), batch_csv(true))
         << "rewrite_count=" << rewrite_count;
+    expect_same_fault_report(resumed.fault_report, clean_fault_report());
     EXPECT_EQ(resumed.ingest.epochs_restored, 0u);
     EXPECT_EQ(resumed.ingest.epochs_run, 3u);
     EXPECT_EQ(resumed.checkpoint_activity.restored, 0u);
@@ -1161,6 +1216,64 @@ TEST(Stream, ResumeOverCompleteWalGeneratesNothing) {
   for (const obs::TraceRecorder::Span& span : trace.spans()) {
     EXPECT_NE(span.name, "stream.generate");
   }
+}
+
+TEST(Stream, GenerationRunsInsideEpochs) {
+  // A cold stream pulls each record from the sensors as its epoch
+  // replays it: no simulation runs before the first epoch or between
+  // epochs.
+  ScenarioOptions options = small_options(true);
+  const fs::path root = fresh_dir("generation-in-epochs");
+  StreamOptions stream = stream_under(root, options, 4);
+  obs::TraceRecorder trace;
+  options.trace = &trace;
+  const Dataset cold = build_streaming_dataset(options, stream);
+  const std::vector<obs::TraceRecorder::Span> spans = trace.spans();
+  std::size_t generate_spans = 0;
+  for (const obs::TraceRecorder::Span& span : spans) {
+    if (span.name != "stream.generate") continue;
+    ++generate_spans;
+    bool in_epoch = false;
+    for (auto up = span.parent; up != obs::TraceRecorder::kNoParent;
+         up = spans[up].parent) {
+      in_epoch = in_epoch || spans[up].name == "stream.epoch";
+    }
+    EXPECT_TRUE(in_epoch) << "a stream.generate span outside every epoch";
+  }
+  EXPECT_GT(generate_spans, 0u);
+
+  // Killed after epoch 2's cut, with the WAL then cut short below it:
+  // the resume pulls every record once — the fast-forward to the WAL's
+  // end, the healed records up to the cut, and epochs 3 and 4 — and
+  // still reports the uninterrupted stream's fault counters.
+  options.trace = nullptr;
+  const fs::path killed_root = fresh_dir("generation-truncated-wal");
+  stream = stream_under(killed_root, options, 4);
+  stream.on_epoch = crash_after_epoch(2);
+  EXPECT_THROW((void)build_streaming_dataset(options, stream),
+               snapshot::CheckpointInterrupted);
+  stream.on_epoch = nullptr;
+  fs::path newest;
+  for (const auto& entry : fs::directory_iterator(killed_root / "wal")) {
+    if (entry.path().extension() == ".seg" && entry.path() > newest) {
+      newest = entry.path();
+    }
+  }
+  ASSERT_FALSE(newest.empty());
+  fs::resize_file(newest, fs::file_size(newest) / 2);
+
+  obs::MetricsRegistry metrics;
+  options.metrics = &metrics;
+  const Dataset resumed = build_streaming_dataset(options, stream);
+  EXPECT_EQ(all_csv(resumed), batch_csv(true));
+  EXPECT_EQ(resumed.ingest.epochs_restored, 1u);
+  EXPECT_EQ(resumed.ingest.epochs_run, 2u);
+  EXPECT_LT(resumed.ingest.records_recovered,
+            resumed.db.events().size() / 2);
+  EXPECT_EQ(counter_of(metrics, "stream.events_generated",
+                       obs::Channel::kRuntime),
+            resumed.db.events().size());
+  expect_same_fault_report(resumed.fault_report, cold.fault_report);
 }
 
 /// Rewrites the event total in the epoch-meta section of `cut`, leaving
