@@ -30,6 +30,33 @@ void BM_Md5(benchmark::State& state) {
 }
 BENCHMARK(BM_Md5)->Arg(1024)->Arg(65536);
 
+// Md5::digest_many over eight downloads of 22.5 KB (the mean sample size
+// of the paper scenario), or, for Arg(0), over 32 messages of 0-60 KB,
+// the spread of sample sizes, so lanes end and refill unevenly.
+void BM_Md5Many(benchmark::State& state) {
+  Rng rng{2};
+  const bool mixed = state.range(0) == 0;
+  std::vector<std::vector<std::uint8_t>> data(mixed ? 32 : 8);
+  std::int64_t bytes = 0;
+  for (std::vector<std::uint8_t>& message : data) {
+    message.resize(mixed ? rng.uniform(0, 60 * 1024)
+                         : static_cast<std::size_t>(state.range(0)));
+    rng.fill(message);
+    bytes += static_cast<std::int64_t>(message.size());
+  }
+  const std::vector<std::span<const std::uint8_t>> messages{data.begin(),
+                                                            data.end()};
+  std::vector<Md5Digest> out(messages.size());
+  for (auto _ : state) {
+    Md5::digest_many(messages, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(mixed ? "32 mixed" : "8 equal");
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_Md5Many)->Arg(23040)->Arg(0);
+
 pe::PeTemplate bench_template() {
   pe::PeTemplate tmpl;
   tmpl.sections.push_back(pe::SectionSpec{

@@ -1,6 +1,9 @@
 #include "honeypot/deployment.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
+#include <string>
 
 #include "malware/binary.hpp"
 #include "malware/population.hpp"
@@ -104,9 +107,27 @@ std::uint64_t Deployment::event_total() {
       }));
 }
 
-std::optional<GeneratedRecord> Deployment::next() {
+std::optional<GeneratedRecord> Deployment::next(std::uint64_t horizon) {
+  if (ahead_next_ == ahead_.size()) simulate_ahead(horizon);
+  if (ahead_next_ == ahead_.size()) return std::nullopt;
+  ++pulled_;
+  return std::move(ahead_[ahead_next_++]);
+}
+
+void Deployment::simulate_ahead(std::uint64_t horizon) {
+  if (horizon <= pulled_) {
+    throw ConfigError("Deployment::next: the horizon must lie past record " +
+                      std::to_string(pulled_));
+  }
   if (!scheduled_) schedule();
-  while (cursor_ < schedule_.size()) {
+  ahead_.clear();
+  ahead_.reserve(kLookAhead);
+  ahead_next_ = 0;
+  std::array<std::span<const std::uint8_t>, kLookAhead> downloads;
+  std::array<std::size_t, kLookAhead> downloaded_by{};
+  std::size_t download_count = 0;
+  while (ahead_.size() < kLookAhead && pulled_ + ahead_.size() < horizon &&
+         cursor_ < schedule_.size()) {
     const PendingAttack& attack = schedule_[cursor_++];
     // Sensor outage: the honeypot records nothing — no event, no FSM
     // learning, no sample, no nonce. Skipped before any shared RNG draw
@@ -116,13 +137,36 @@ std::optional<GeneratedRecord> Deployment::next() {
                                     attack.week)) {
       continue;
     }
-    ++pulled_;
-    return simulate(attack);
+    GeneratedRecord& record = ahead_.emplace_back();
+    if (simulate(attack, record)) {
+      downloads[download_count] = record.content;
+      downloaded_by[download_count] = ahead_.size() - 1;
+      ++download_count;
+    }
   }
-  return std::nullopt;
+  std::array<Md5Digest, kLookAhead> digests{};
+  Md5::digest_many(std::span{downloads}.first(download_count),
+                   std::span{digests}.first(download_count));
+  // Samples are deduplicated by MD5; ids are dense in first-seen order.
+  // A repeated sample's bytes are freed at once: only the first event of
+  // a sample carries them, with its download's flags.
+  for (std::size_t i = 0; i < download_count; ++i) {
+    GeneratedRecord& record = ahead_[downloaded_by[i]];
+    record.md5 = digests[i];
+    const auto [known, inserted] = sample_ids_.try_emplace(
+        record.md5, static_cast<SampleId>(sample_ids_.size()));
+    record.event.sample = known->second;
+    record.new_sample = inserted;
+    if (!inserted) {
+      record.content = std::vector<std::uint8_t>{};
+      record.truncated = false;
+      record.corrupted = false;
+    }
+  }
 }
 
-GeneratedRecord Deployment::simulate(const PendingAttack& attack) {
+bool Deployment::simulate(const PendingAttack& attack,
+                          GeneratedRecord& record) {
   const malware::MalwareVariant& variant =
       landscape_->variants[attack.variant];
   const malware::PayloadSpec& payload_spec =
@@ -144,7 +188,6 @@ GeneratedRecord Deployment::simulate(const PendingAttack& attack) {
   const Gateway::Outcome outcome =
       gateway_.handle(conversation, proto::payload_location(exploit));
 
-  GeneratedRecord record;
   AttackEvent& event = record.event;
   event.time = attack.time;
   event.attacker = attack.attacker;
@@ -177,7 +220,7 @@ GeneratedRecord Deployment::simulate(const PendingAttack& attack) {
                          message->end());
   }
   const auto analyzed = shellcode::analyze_shellcode(client_stream);
-  if (!analyzed.has_value()) return record;
+  if (!analyzed.has_value()) return false;
   PiObservation pi;
   pi.protocol = shellcode::protocol_name(analyzed->protocol);
   pi.filename = analyzed->filename;
@@ -194,25 +237,17 @@ GeneratedRecord Deployment::simulate(const PendingAttack& attack) {
                                 : fault::DownloadFault::kNone;
   if (download_fault == fault::DownloadFault::kRefused) {
     event.download_refused = true;
-    return record;
+    return false;
   }
   DownloadResult download = emulate_download(
       malware::realize_binary(variant, attack.attacker, nonce),
       config_.download, driver_rng_);
   const bool corrupted = download_fault == fault::DownloadFault::kCorrupted;
   if (corrupted) config_.faults->corrupt(download.content, nonce);
-  // Samples are deduplicated by MD5; ids are dense in first-seen order.
-  record.md5 = Md5::digest(download.content);
-  const auto [known, inserted] = sample_ids_.try_emplace(
-      record.md5, static_cast<SampleId>(sample_ids_.size()));
-  event.sample = known->second;
-  if (inserted) {
-    record.new_sample = true;
-    record.content = std::move(download.content);
-    record.truncated = download.truncated;
-    record.corrupted = corrupted;
-  }
-  return record;
+  record.content = std::move(download.content);
+  record.truncated = download.truncated;
+  record.corrupted = corrupted;
+  return true;
 }
 
 void Deployment::drain_into(EventDatabase& db,

@@ -9,7 +9,9 @@
 // the sensors would log it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <vector>
@@ -66,13 +68,24 @@ struct Collection {
 /// The deployment is a pull source over the observation window. The
 /// first call to event_total() or next() realizes the infected
 /// populations and schedules every week's attacks (a few bytes per
-/// attack; the populations are dropped again); each next() then runs
-/// the next scheduled attacks through the pipeline until a sensor
-/// records one. Nothing of an event is kept once it is returned, only
-/// the simulation state that carries across attacks (the gateway's FSM
-/// models, the driver RNG, the download nonce) and an MD5 -> id index.
+/// attack; the populations are dropped again). When next() finds no
+/// record simulated ahead, it runs the next scheduled attacks through
+/// the pipeline until sensors have recorded up to kLookAhead of them or
+/// the caller's horizon is reached, hashes their downloads in one
+/// Md5::digest_many call and numbers the samples in record order. No
+/// digest feeds back into the simulation, so the records are the same
+/// however many are simulated at a time. Nothing of an event is kept
+/// once it is returned, only the simulation state that carries across
+/// attacks (the gateway's FSM models, the driver RNG, the download
+/// nonce) and an MD5 -> id index.
 class Deployment {
  public:
+  /// Records simulated ahead of the one returned, at most.
+  static constexpr std::size_t kLookAhead = 8;
+  /// next() without a horizon.
+  static constexpr std::uint64_t kNoHorizon =
+      std::numeric_limits<std::uint64_t>::max();
+
   Deployment(const malware::Landscape& landscape, DeploymentConfig config);
 
   /// Events the whole window records: the scheduled attacks that no
@@ -81,11 +94,15 @@ class Deployment {
   /// is counted.
   [[nodiscard]] std::uint64_t event_total();
 
-  /// The next recorded event, simulated now; nullopt once the window is
-  /// exhausted. The outage decisions of the attacks skipped on the way
-  /// are counted as they are passed, so the call that returns nullopt
-  /// counts those after the last event.
-  [[nodiscard]] std::optional<GeneratedRecord> next();
+  /// The next recorded event; nullopt once the window is exhausted.
+  /// Simulation never reaches a record at index `horizon` or past it,
+  /// which must lie beyond pulled(): a caller working toward a cut at n
+  /// records passes n, and its fault counters then hold exactly those
+  /// of records [0, n) once they are pulled. The outage decisions of
+  /// the attacks skipped on the way are counted as they are passed, so
+  /// the call that returns nullopt counts those after the last event.
+  [[nodiscard]] std::optional<GeneratedRecord> next(
+      std::uint64_t horizon = kNoHorizon);
 
   /// Events next() has returned so far.
   [[nodiscard]] std::uint64_t pulled() const noexcept { return pulled_; }
@@ -131,8 +148,12 @@ class Deployment {
 
   /// Schedules the whole window into `schedule_` (first use only).
   void schedule();
-  /// Runs one scheduled attack through the pipeline.
-  [[nodiscard]] GeneratedRecord simulate(const PendingAttack& attack);
+  /// Refills `ahead_` with the next recorded events below `horizon`.
+  void simulate_ahead(std::uint64_t horizon);
+  /// Runs one scheduled attack through the pipeline into `record`;
+  /// true when it downloaded a sample, whose bytes are then in
+  /// `record.content` and whose digest and id are not assigned yet.
+  bool simulate(const PendingAttack& attack, GeneratedRecord& record);
 
   const malware::Landscape* landscape_;
   DeploymentConfig config_;
@@ -143,6 +164,8 @@ class Deployment {
   std::vector<PendingAttack> schedule_;
   std::size_t cursor_ = 0;  // next attack of schedule_ to process
   std::uint64_t pulled_ = 0;
+  std::vector<GeneratedRecord> ahead_;  // simulated, not yet returned
+  std::size_t ahead_next_ = 0;          // next of ahead_ to return
   std::uint64_t nonce_ = 0;  // one per processed attack
   Rng driver_rng_;
   std::map<Md5Digest, SampleId> sample_ids_;

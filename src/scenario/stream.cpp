@@ -104,12 +104,14 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   // missing or epochs are left to run. It yields record i on its i-th
   // pull, so pulls are strictly in index order: a run that needs record
   // n fast-forwards the source through [0, n) first. Its fault counters
-  // accrue as records are pulled, and a cut at n records carries those
-  // of pulls [0, n) (of the whole source, drained, once n is the event
-  // total). Recovery, replay and apply_epoch never touch the injector,
-  // so a cut's counters plus what this run's injector gathers past the
-  // point the source was fast-forwarded to (`baseline`) are the
-  // uninterrupted stream's.
+  // accrue as records are simulated, up to eight ahead of the pull, but
+  // every pull passes the boundary it works toward as the source's
+  // horizon, so no record at or past a cut is simulated before the cut:
+  // a cut at n records carries the counters of pulls [0, n) (of the
+  // whole source, drained, once n is the event total). Recovery, replay
+  // and apply_epoch never touch the injector, so a cut's counters plus
+  // what this run's injector gathers past the point the source was
+  // fast-forwarded to (`baseline`) are the uninterrupted stream's.
   std::optional<fault::FaultInjector> injector{std::in_place,
                                                options.faults};
   fault::FaultInjector* faults =
@@ -123,11 +125,13 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     }
     return *source;
   };
-  // The source's next record, simulated now.
-  const auto pull = [&](obs::TraceRecorder::SpanId parent) {
+  // The source's next record; nothing at or past `horizon` is simulated.
+  const auto pull = [&](obs::TraceRecorder::SpanId parent,
+                        std::uint64_t horizon) {
     const obs::TraceRecorder::Scoped span{options.trace, "stream.generate",
                                           parent};
-    std::optional<honeypot::GeneratedRecord> record = sensors().next();
+    std::optional<honeypot::GeneratedRecord> record =
+        sensors().next(horizon);
     if (!record) {
       throw ConfigError("stream: the sensors ended before the event total");
     }
@@ -138,7 +142,7 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   const auto fast_forward = [&](std::uint64_t n) {
     const obs::TraceRecorder::Scoped span{options.trace, "stream.generate",
                                           pipeline_span.id()};
-    while (sensors().pulled() < n) (void)pull(span.id());
+    while (sensors().pulled() < n) (void)pull(span.id(), n);
   };
   // Passes the outage checks past the last event, which only the call
   // that finds the window exhausted counts.
@@ -228,7 +232,7 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
       }
       fast_forward(i);
       const std::vector<std::uint8_t> healed =
-          encode_record(pull(pipeline_span.id()));
+          encode_record(pull(pipeline_span.id(), restored->wal_records));
       replay_record(healed, db, stream.verify_incremental);
       writer.append(healed);
       count_append();
@@ -325,7 +329,7 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
         // Every record past the last cut is pulled, so the sensors'
         // counters reach the cut; the WAL's copy is used where it has
         // one.
-        honeypot::GeneratedRecord pulled = pull(span.id());
+        honeypot::GeneratedRecord pulled = pull(span.id(), target);
         std::vector<std::uint8_t> fresh;
         std::span<const std::uint8_t> rec;
         if (i < recovered_count) {

@@ -26,12 +26,19 @@ class Md5 {
   /// One-shot digest.
   [[nodiscard]] static Md5Digest digest(std::span<const std::uint8_t> data) noexcept;
 
+  /// One-shot digests of many messages: out[i] = digest(messages[i]).
+  /// Where the CPU has AVX-512VL or AVX2, eight messages are hashed side
+  /// by side in SIMD lanes, and a lane takes the next message as soon as
+  /// its current one ends. `out` holds one digest per message
+  /// (ConfigError otherwise).
+  static void digest_many(
+      std::span<const std::span<const std::uint8_t>> messages,
+      std::span<Md5Digest> out);
+
   /// One-shot digest rendered as 32 lowercase hex characters.
   [[nodiscard]] static std::string hex_digest(std::span<const std::uint8_t> data);
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::uint32_t state_[4];
   std::uint64_t length_ = 0;
   std::uint8_t buffer_[64];

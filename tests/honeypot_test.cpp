@@ -5,6 +5,8 @@
 
 #include <optional>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "honeypot/avlabels.hpp"
@@ -415,6 +417,145 @@ TEST(Deployment, PullsOneRecordAtATimeAndCountsItsTotalWithoutDeciding) {
     }
   }
   EXPECT_EQ(new_samples, collected.db.samples().size());
+}
+
+/// The counters generation moves, comparable with EXPECT_EQ.
+auto generation_counters(const fault::FaultReport& r) {
+  return std::tuple{r.attacks_lost_to_outage, r.sensor_checks,
+                    r.proxy_attempts,         r.proxy_failures,
+                    r.proxy_retries,          r.refinements_abandoned,
+                    r.proxy_backoff_seconds,  r.download_checks,
+                    r.downloads_refused,      r.downloads_corrupted};
+}
+
+/// Pulls `source` dry toward horizons at every multiple of `step`; with
+/// `step` 1 no record is simulated ahead of its pull. Records the fault
+/// counters each time a horizon is reached.
+std::vector<GeneratedRecord> pull_all(
+    Deployment& source, const fault::FaultInjector& injector,
+    std::uint64_t step, std::vector<fault::FaultReport>& at_horizons) {
+  std::vector<GeneratedRecord> records;
+  while (std::optional<GeneratedRecord> record =
+             source.next((source.pulled() / step + 1) * step)) {
+    records.push_back(std::move(*record));
+    if (source.pulled() % step == 0) at_horizons.push_back(injector.report());
+  }
+  return records;
+}
+
+void expect_same_record(const GeneratedRecord& a, const GeneratedRecord& b,
+                        std::size_t index) {
+  SCOPED_TRACE("record " + std::to_string(index));
+  EXPECT_EQ(a.event.time, b.event.time);
+  EXPECT_EQ(a.event.attacker, b.event.attacker);
+  EXPECT_EQ(a.event.honeypot, b.event.honeypot);
+  EXPECT_EQ(a.event.sample, b.event.sample);
+  EXPECT_EQ(a.event.download_refused, b.event.download_refused);
+  EXPECT_EQ(a.event.refinement_failed, b.event.refinement_failed);
+  EXPECT_EQ(a.event.epsilon.fsm_path, b.event.epsilon.fsm_path);
+  EXPECT_EQ(a.md5, b.md5);
+  EXPECT_EQ(a.new_sample, b.new_sample);
+  EXPECT_EQ(a.content, b.content);
+  EXPECT_EQ(a.truncated, b.truncated);
+  EXPECT_EQ(a.corrupted, b.corrupted);
+}
+
+TEST(Deployment, BatchedPullsMatchSinglePulls) {
+  // Outages plus refused and corrupted downloads. Pulling toward
+  // horizons every 1, 3 or 8 records, or with none, yields the records
+  // of pulling one at a time, and each horizon's fault counters are
+  // those of the same records pulled one at a time.
+  const auto landscape = tiny_landscape();
+  fault::FaultPlan plan;
+  plan.sensor_outages = {fault::SensorOutage{3, 2, 6}};
+  plan.download_refused_probability = 0.1;
+  plan.download_corruption_probability = 0.1;
+  DeploymentConfig config;
+  config.seed = 9;
+
+  fault::FaultInjector single_faults{plan};
+  config.faults = &single_faults;
+  Deployment single{landscape, config};
+  std::vector<fault::FaultReport> single_reports;
+  const std::vector<GeneratedRecord> expected =
+      pull_all(single, single_faults, 1, single_reports);
+  const fault::FaultReport single_report = single_faults.report();
+  ASSERT_GT(expected.size(), 100u);
+  EXPECT_GT(single_report.attacks_lost_to_outage, 0u);
+  EXPECT_GT(single_report.downloads_refused, 0u);
+  EXPECT_GT(single_report.downloads_corrupted, 0u);
+
+  for (const std::uint64_t step : {std::uint64_t{1}, std::uint64_t{3},
+                                   std::uint64_t{8}}) {
+    SCOPED_TRACE("horizon every " + std::to_string(step));
+    fault::FaultInjector faults{plan};
+    config.faults = &faults;
+    Deployment source{landscape, config};
+    std::vector<fault::FaultReport> reports;
+    const std::vector<GeneratedRecord> records =
+        pull_all(source, faults, step, reports);
+    ASSERT_EQ(records.size(), expected.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      expect_same_record(records[i], expected[i], i);
+    }
+    ASSERT_EQ(reports.size(), expected.size() / step);
+    std::size_t downloads = 0;  // records [0, n) that tried a download
+    for (std::size_t k = 0; k < reports.size(); ++k) {
+      const std::size_t n = (k + 1) * step;
+      SCOPED_TRACE("at " + std::to_string(n) + " records");
+      EXPECT_EQ(generation_counters(reports[k]),
+                generation_counters(single_reports[n - 1]));
+      // Nothing past the horizon was simulated: every sensor check so far
+      // recorded one of the n records or lost an attack to an outage,
+      // and only those records decided a download.
+      EXPECT_EQ(reports[k].sensor_checks,
+                n + reports[k].attacks_lost_to_outage);
+      for (std::size_t i = n - step; i < n; ++i) {
+        downloads += expected[i].event.pi.has_value() ? 1 : 0;
+      }
+      EXPECT_EQ(reports[k].download_checks, downloads);
+    }
+    EXPECT_EQ(generation_counters(faults.report()),
+              generation_counters(single_report));
+  }
+
+  // No horizon: batches of eight. One of them holds two events of the
+  // stable (kNone) variant's sample, and only the first carries bytes.
+  fault::FaultInjector faults{plan};
+  config.faults = &faults;
+  Deployment source{landscape, config};
+  std::vector<GeneratedRecord> records;
+  while (std::optional<GeneratedRecord> record = source.next()) {
+    records.push_back(std::move(*record));
+  }
+  ASSERT_EQ(records.size(), expected.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    expect_same_record(records[i], expected[i], i);
+  }
+  EXPECT_EQ(generation_counters(faults.report()),
+            generation_counters(single_report));
+  bool repeat_in_batch = false;
+  for (std::size_t i = 0; i < records.size() && !repeat_in_batch; ++i) {
+    const GeneratedRecord& first = records[i];
+    if (!first.new_sample || first.event.truth_variant != 1) continue;
+    const std::size_t batch_end =
+        (i / Deployment::kLookAhead + 1) * Deployment::kLookAhead;
+    for (std::size_t j = i + 1; j < std::min(batch_end, records.size()); ++j) {
+      const GeneratedRecord& again = records[j];
+      if (again.event.sample != first.event.sample) continue;
+      EXPECT_FALSE(first.content.empty());
+      EXPECT_FALSE(again.new_sample);
+      EXPECT_EQ(again.md5, first.md5);
+      EXPECT_TRUE(again.content.empty());
+      EXPECT_FALSE(again.truncated);
+      EXPECT_FALSE(again.corrupted);
+      repeat_in_batch = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(repeat_in_batch);
+  Deployment fresh{landscape, config};
+  EXPECT_THROW((void)fresh.next(0), ConfigError);
 }
 
 TEST(Deployment, RejectsBadConfig) {

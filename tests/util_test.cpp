@@ -13,6 +13,7 @@
 #include "util/hex.hpp"
 #include "util/histogram.hpp"
 #include "util/md5.hpp"
+#include "util/md5_lanes.hpp"
 #include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/simtime.hpp"
@@ -438,6 +439,101 @@ TEST(Md5, EverySplitPointMatchesOneShot) {
     ctx.update(all.subspan(split));
     EXPECT_EQ(ctx.finish(), expected) << "split " << split;
   }
+}
+
+// Md5::digest_many through each kernel the build compiles, against
+// Md5::digest. A kernel the CPU cannot run is skipped.
+}  // namespace
+namespace md5_lanes {
+void PrintTo(const Kernel& kernel, std::ostream* os) { *os << kernel.name; }
+}  // namespace md5_lanes
+namespace {
+
+class Md5Lanes : public ::testing::TestWithParam<md5_lanes::Kernel> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().supported()) GTEST_SKIP() << "CPU lacks " << GetParam().name;
+  }
+
+  // Runs the kernel over `messages` and checks every digest.
+  static void expect_digests(
+      const std::vector<std::span<const std::uint8_t>>& messages) {
+    std::vector<Md5Digest> out(messages.size());
+    GetParam().run(messages, out);
+    for (std::size_t i = 0; i < messages.size(); ++i) {
+      EXPECT_EQ(out[i], Md5::digest(messages[i]))
+          << "message " << i << " of " << messages.size() << ", length "
+          << messages[i].size();
+    }
+  }
+};
+
+TEST_P(Md5Lanes, EveryLengthThrough200InOneCall) {
+  // 201 messages whose lengths differ, so lanes end and refill at every
+  // block; once in ascending order and once scattered.
+  const std::vector<std::uint8_t> data = md5_pattern(400);
+  const std::span<const std::uint8_t> all{data};
+  std::vector<std::span<const std::uint8_t>> ascending;
+  std::vector<std::span<const std::uint8_t>> scattered;
+  for (std::size_t n = 0; n <= 200; ++n) {
+    ascending.push_back(all.subspan(n, n));
+    const std::size_t length = n * 37 % 201;
+    scattered.push_back(all.subspan(n, length));
+  }
+  expect_digests(ascending);
+  expect_digests(scattered);
+}
+
+TEST_P(Md5Lanes, PaddingEdgesAtEveryCount) {
+  // Lengths around the padding edges (55/56 and 119/120, where the
+  // length field moves to a second block, and 63/64/65), mixed so that
+  // a batch of any count holds short and long messages.
+  const std::size_t edges[] = {55, 0, 120, 64, 1, 119, 56, 200, 63, 65, 130};
+  const std::vector<std::uint8_t> data = md5_pattern(512);
+  const std::span<const std::uint8_t> all{data};
+  for (const std::size_t count : {0u, 1u, 7u, 8u, 9u, 17u}) {
+    std::vector<std::span<const std::uint8_t>> messages;
+    for (std::size_t i = 0; i < count; ++i) {
+      messages.push_back(all.subspan(i * 13, edges[i % std::size(edges)]));
+    }
+    expect_digests(messages);
+  }
+}
+
+TEST_P(Md5Lanes, MillionAsBesideShortMessages) {
+  // One lane runs 15,625 blocks while the others cycle through short
+  // messages, and it is the lone lane left at the end.
+  const std::vector<std::uint8_t> million(1'000'000, 'a');
+  const std::vector<std::uint8_t> data = md5_pattern(300);
+  const std::span<const std::uint8_t> all{data};
+  std::vector<std::span<const std::uint8_t>> messages{million};
+  for (std::size_t i = 0; i < 40; ++i) {
+    messages.push_back(all.subspan(i, i * 7 % 150));
+  }
+  std::vector<Md5Digest> out(messages.size());
+  GetParam().run(messages, out);
+  EXPECT_EQ(hex_encode(out[0]), "7707d6ae4e027c70eea2a935c2296f21");
+  expect_digests(messages);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Md5Lanes, ::testing::ValuesIn(md5_lanes::kernels()),
+    [](const ::testing::TestParamInfo<md5_lanes::Kernel>& param_info) {
+      return std::string{param_info.param.name};
+    });
+
+TEST(Md5, DigestManyMatchesDigestAndWantsOneSlotPerMessage) {
+  const std::vector<std::uint8_t> data = md5_pattern(300);
+  const std::span<const std::uint8_t> all{data};
+  std::vector<std::span<const std::uint8_t>> messages;
+  for (std::size_t i = 0; i < 12; ++i) messages.push_back(all.first(i * 25));
+  std::vector<Md5Digest> out(messages.size());
+  Md5::digest_many(messages, out);
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    EXPECT_EQ(out[i], Md5::digest(messages[i])) << "message " << i;
+  }
+  out.pop_back();
+  EXPECT_THROW(Md5::digest_many(messages, out), ConfigError);
 }
 
 TEST(Md5, DifferentInputsDifferentDigests) {
