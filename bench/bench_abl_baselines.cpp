@@ -21,13 +21,15 @@ int main() {
   // sequence is deterministic, so sample ids line up with ds.db).
   const scenario::ScenarioOptions options = bench::options_from_env();
   fault::FaultInjector injector{options.faults};
-  const std::vector<std::vector<std::uint8_t>> contents =
-      honeypot::Deployment{
-          ds.landscape,
-          scenario::make_paper_deployment_config(
-              options, options.faults.pipeline_empty() ? nullptr : &injector)}
-          .run()
-          .contents;
+  std::vector<std::vector<std::uint8_t>> contents;
+  {
+    honeypot::EventDatabase collected;
+    honeypot::Deployment{
+        ds.landscape,
+        scenario::make_paper_deployment_config(
+            options, options.faults.pipeline_empty() ? nullptr : &injector)}
+        .drain_into(collected, &contents);
+  }
 
   // Work per event (as EPM does), with ground truth labels.
   const auto mu_data = cluster::build_mu_data(ds.db);

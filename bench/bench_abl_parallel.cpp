@@ -72,8 +72,8 @@ int main() {
   honeypot::DeploymentConfig config;
   config.seed = options.seed;
   config.download.truncation_probability = 0.14;  // paper calibration
-  honeypot::Deployment deployment{landscape, config};
-  const honeypot::EventDatabase pristine = deployment.run().db;
+  honeypot::EventDatabase pristine;
+  honeypot::Deployment{landscape, config}.drain_into(pristine);
   std::cout << "deployment done: " << pristine.samples().size()
             << " samples, " << pristine.events().size() << " events\n\n";
 

@@ -325,9 +325,6 @@ int main(int argc, char** argv) {
     wal.add_row({"segments sealed", std::to_string(report.segments_sealed)});
     wal.add_row({"records recovered (warm)",
                  std::to_string(warm.dataset.ingest.records_recovered)});
-    wal.add_row({"queue pushed", std::to_string(report.queue_pushed)});
-    wal.add_row({"queue stalls", std::to_string(report.queue_stalls)});
-    wal.add_row({"queue high water", std::to_string(report.queue_high_water)});
     wal.add_row({"WAL on disk", std::to_string(wal_bytes) + " B in " +
                                     std::to_string(wal_files) + " files"});
     std::cout << wal.render() << "\n";

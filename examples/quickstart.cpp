@@ -40,8 +40,8 @@ int main() {
   // to May 2009.
   honeypot::DeploymentConfig config;
   config.seed = options.seed;
-  honeypot::Deployment deployment{landscape, config};
-  honeypot::EventDatabase db = deployment.run().db;
+  honeypot::EventDatabase db;
+  honeypot::Deployment{landscape, config}.drain_into(db);
   std::cout << "observed " << db.events().size() << " code-injection attacks"
             << ", collected " << db.samples().size() << " distinct binaries\n";
 

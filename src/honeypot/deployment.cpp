@@ -252,6 +252,9 @@ bool Deployment::simulate(const PendingAttack& attack,
 
 void Deployment::drain_into(EventDatabase& db,
                             std::vector<std::vector<std::uint8_t>>* contents) {
+  if (pulled_ != 0) {
+    throw ConfigError("Deployment::drain_into: records were already pulled");
+  }
   if (!db.samples().empty()) {
     throw ConfigError("Deployment::drain_into: database already holds samples");
   }
@@ -271,12 +274,6 @@ void Deployment::drain_into(EventDatabase& db,
     }
     (void)db.add_event(std::move(event));
   }
-}
-
-Collection Deployment::run() {
-  Collection collected;
-  drain_into(collected.db, &collected.contents);
-  return collected;
 }
 
 }  // namespace repro::honeypot

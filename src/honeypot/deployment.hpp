@@ -57,14 +57,6 @@ struct GeneratedRecord {
   bool corrupted = false;
 };
 
-/// What the sensors collected: the event database plus every distinct
-/// sample's bytes, `contents[id]` for sample id `id`. The database keeps
-/// only facts about the bytes.
-struct Collection {
-  EventDatabase db;
-  std::vector<std::vector<std::uint8_t>> contents;
-};
-
 /// The deployment is a pull source over the observation window. The
 /// first call to event_total() or next() realizes the infected
 /// populations and schedules every week's attacks (a few bytes per
@@ -107,13 +99,13 @@ class Deployment {
   /// Events next() has returned so far.
   [[nodiscard]] std::uint64_t pulled() const noexcept { return pulled_; }
 
-  /// Runs the rest of the window into `db`, which must hold no sample
-  /// yet; appends each new sample's bytes to `contents` when given.
+  /// Runs the whole window into `db`; appends each new sample's bytes
+  /// to `contents` when given, so `contents[id]` holds sample `id`'s.
+  /// Throws ConfigError once next() has been called or when `db`
+  /// already holds a sample: the records' sample ids count from the
+  /// window's first event and from an empty database.
   void drain_into(EventDatabase& db,
                   std::vector<std::vector<std::uint8_t>>* contents = nullptr);
-
-  /// Runs the whole observation window and returns what it collected.
-  [[nodiscard]] Collection run();
 
   [[nodiscard]] const std::vector<net::Ipv4>& honeypots() const noexcept {
     return honeypots_;
@@ -123,9 +115,6 @@ class Deployment {
            config_.honeypots_per_location;
   }
   [[nodiscard]] const Gateway& gateway() const noexcept { return gateway_; }
-  [[nodiscard]] const malware::Landscape& landscape() const noexcept {
-    return *landscape_;
-  }
 
  private:
   /// One attack scheduled for a given instant, before pipeline

@@ -49,11 +49,6 @@ void publish_ingest_metrics(obs::MetricsRegistry& metrics,
   set("ingest.wal.stale_segments", report.stale_segments);
   set("ingest.wal.quarantined", report.quarantined_files);
   set("ingest.wal.bytes_dropped", report.bytes_dropped);
-  set("ingest.queue.pushed", report.queue_pushed);
-  set("ingest.queue.shed", report.queue_shed);
-  set("ingest.queue.stalls", report.queue_stalls);
-  metrics.gauge("ingest.queue.high_water")
-      .raise_to(static_cast<std::int64_t>(report.queue_high_water));
   set("ingest.epochs.run", report.epochs_run);
   set("ingest.epochs.restored", report.epochs_restored);
 }

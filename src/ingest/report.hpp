@@ -2,13 +2,13 @@
 //
 // One IngestReport accumulates everything the durable ingest path did:
 // WAL appends and segment rotations, recovery salvage work (torn
-// tails, corrupt frames, duplicates, quarantines), queue backpressure,
-// and the epoch loop's progress. The "stream totals" group is
-// cumulative over the stream's whole logical history — it is persisted
-// inside every epoch checkpoint and restored on resume — while the
-// recovery/queue counters describe the current process run. Every
-// field is driven from the serial epoch driver, so the derived obs
-// metrics are byte-identical at every pool width.
+// tails, corrupt frames, duplicates, quarantines) and the epoch loop's
+// progress. The "stream totals" group is cumulative over the stream's
+// whole logical history — it is persisted inside every epoch checkpoint
+// and restored on resume — while the recovery and epoch counters
+// describe the current process run. Every field is driven from the
+// serial epoch driver, so the derived obs metrics are byte-identical at
+// every pool width.
 #pragma once
 
 #include <cstdint>
@@ -35,12 +35,6 @@ struct IngestReport {
   std::uint64_t stale_segments = 0;   // fingerprint from another config
   std::uint64_t quarantined_files = 0;
   std::uint64_t bytes_dropped = 0;    // bytes cut when truncating damage
-
-  // --- Queue backpressure (this process run) ---
-  std::uint64_t queue_pushed = 0;
-  std::uint64_t queue_shed = 0;     // records dropped by kShedOldest
-  std::uint64_t queue_stalls = 0;   // kBlock producer waits
-  std::uint64_t queue_high_water = 0;
 
   // --- Epoch loop (this process run) ---
   std::uint64_t epochs_run = 0;       // epochs computed by this process

@@ -124,7 +124,7 @@ struct Dataset {
   /// batch build and when disabled).
   snapshot::CheckpointStore::Activity checkpoint_activity;
   /// Streaming-ingest accounting; all-zero for a one-shot batch build
-  /// (only build_streaming_dataset drives the WAL/queue/epoch path).
+  /// (only build_streaming_dataset drives the WAL/epoch path).
   ingest::IngestReport ingest;
 };
 

@@ -9,7 +9,6 @@
 
 #include "cluster/incremental.hpp"
 #include "cluster/minhash.hpp"
-#include "ingest/queue.hpp"
 #include "ingest/wal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -23,13 +22,6 @@
 namespace repro::scenario {
 
 namespace {
-
-/// Bounded ingest queue capacity. The epoch driver always uses the
-/// kBlock overflow policy: a full queue stalls the producer and is
-/// drained to the WAL, so no record is ever shed (shedding would break
-/// the byte-identity guarantee; the kShedOldest policy is for lossy
-/// sensor-side buffers and is exercised by the ingest tests).
-constexpr std::size_t kQueueCapacity = 64;
 
 void accumulate(honeypot::EnrichmentStats& total,
                 const honeypot::EnrichmentStats& delta) {
@@ -178,7 +170,7 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   // both sources yield the same bytes for the same index — which is also
   // why a lost WAL never strands a cut. Neither holds more than the
   // record in hand: a WAL record lives in the reader's window, a pulled
-  // one is encoded and moved into the ingest queue.
+  // one is encoded, replayed and appended.
   const std::uint64_t recovered_count = recovered.record_count;
   ingest::WalReader wal{recovered.records};
 
@@ -288,15 +280,6 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     baseline = injector->report();
   }
 
-  ingest::BoundedRecordQueue queue{kQueueCapacity,
-                                   ingest::OverflowPolicy::kBlock};
-  auto drain_queue = [&] {
-    while (auto rec = queue.try_pop()) {
-      writer.append(*rec);
-      count_append();
-    }
-  };
-
   // Every fault counter so far. A restored cut's report already holds
   // the counters up to its point, so only what this run did past it is
   // added.
@@ -348,18 +331,9 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
         (void)ingest::deliver_record(stream.retry, i, db.events().back().time,
                                      *injector);
         if (i < logged) continue;
-        // Fresh record: moved through the bounded queue into the WAL.
-        // The queue is drained only when full, so backpressure
-        // genuinely engages (and is counted) instead of the queue
-        // idling at depth one. A rejected offer leaves `fresh` with us.
-        if (!queue.offer(std::move(fresh))) {
-          drain_queue();
-          if (!queue.offer(std::move(fresh))) {
-            throw IoError("ingest queue rejected a record after drain");
-          }
-        }
+        writer.append(rec);
+        count_append();
       }
-      drain_queue();
       // Sealing syncs the epoch's frames: it must precede the cut.
       writer.seal();
     }
@@ -472,11 +446,6 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
   dataset.b = std::move(bview);
   dataset.checkpoint_activity = store.activity();
 
-  const ingest::BoundedRecordQueue::Stats queue_stats = queue.stats();
-  report.queue_pushed = queue_stats.pushed;
-  report.queue_shed = queue_stats.shed;
-  report.queue_stalls = queue_stats.stalls;
-  report.queue_high_water = queue_stats.high_water;
   dataset.ingest = report;
 
   if (options.metrics != nullptr) {

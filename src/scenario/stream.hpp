@@ -4,10 +4,9 @@
 // build_paper_dataset — byte-identical, at every pool width — but gets
 // there the way a live deployment would: every attack event becomes a
 // WAL record that is delivered (with deterministic retry/backoff under
-// injected faults), buffered through a bounded backpressure queue, and
-// appended to the crash-safe WAL in src/ingest. The stream is split
-// into N epochs; each epoch replays its record delta into the
-// event database, enriches the delta, advances the E/P/M/B clusterings
+// injected faults) and appended to the crash-safe WAL in src/ingest.
+// The stream is split into N epochs; each epoch replays its record
+// delta into the event database, enriches the delta, advances the E/P/M/B clusterings
 // incrementally (delta counting + flip-triggered reclassification for
 // EPM, cached MinHash signatures for B, plus prior-partition seeding
 // when the backend is single-linkage — byte-identical to a full

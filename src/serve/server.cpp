@@ -121,8 +121,8 @@ void Server::start() {
   }
   port_ = ntohs(bound.sin_port);
 
-  admission_ = std::make_unique<ingest::BoundedQueue<Conn>>(
-      options_.admission_capacity, ingest::OverflowPolicy::kShedOldest);
+  admission_ =
+      std::make_unique<AdmissionQueue<Conn>>(options_.admission_capacity);
   started_ = true;
   acceptor_ = std::thread{[this] { accept_loop(); }};
   workers_.reserve(options_.workers);

@@ -5,10 +5,10 @@
 // Robustness is the design center, in four mechanisms:
 //
 //   * Admission control — accepted connections pass through a bounded
-//     queue (ingest::BoundedQueue, kShedOldest). When it overflows, the
-//     *oldest* waiting connection is evicted and answered with an
-//     explicit "ERR BUSY" before being closed: overload sheds visibly
-//     at the edge instead of stalling the ingest loop underneath.
+//     queue (serve::AdmissionQueue). When it overflows, the *oldest*
+//     waiting connection is evicted and answered with an explicit
+//     "ERR BUSY" before being closed: overload sheds visibly at the
+//     edge instead of stalling the ingest loop underneath.
 //   * Per-request deadlines — a request that cannot be read and
 //     answered within the budget gets a typed "ERR TIMEOUT" reply
 //     (best-effort) and the connection is cut; one slow client can
@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "fault/injector.hpp"
-#include "ingest/queue.hpp"
+#include "serve/admission_queue.hpp"
 #include "serve/view.hpp"
 
 namespace repro::obs {
@@ -140,7 +140,7 @@ class Server {
   bool stopped_ = false;
   std::thread acceptor_;
   std::vector<std::thread> workers_;
-  std::unique_ptr<ingest::BoundedQueue<Conn>> admission_;
+  std::unique_ptr<AdmissionQueue<Conn>> admission_;
 
   mutable std::mutex view_mutex_;
   std::shared_ptr<const ServeView> view_;

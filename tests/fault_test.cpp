@@ -349,10 +349,7 @@ PipelineRun run_pipeline(const malware::Landscape& landscape,
   config.seed = seed;
   config.download.truncation_probability = 0.14;
   config.faults = faults;
-  honeypot::Collection collected =
-      honeypot::Deployment{landscape, config}.run();
-  run.db = std::move(collected.db);
-  run.contents = std::move(collected.contents);
+  honeypot::Deployment{landscape, config}.drain_into(run.db, &run.contents);
   run.enrichment =
       honeypot::enrich_database(run.db, landscape, environment, faults);
   run.e = cluster::epm_cluster(cluster::build_epsilon_data(run.db));

@@ -3,6 +3,7 @@
 // enrichment pipeline.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <string>
@@ -276,6 +277,14 @@ malware::Landscape tiny_landscape() {
   return landscape;
 }
 
+/// The whole window of a fresh deployment.
+EventDatabase collect(const malware::Landscape& landscape,
+                      const DeploymentConfig& config) {
+  EventDatabase db;
+  Deployment{landscape, config}.drain_into(db);
+  return db;
+}
+
 TEST(Deployment, GeneratesEventsThroughFullPipeline) {
   const auto landscape = tiny_landscape();
   DeploymentConfig config;
@@ -283,7 +292,7 @@ TEST(Deployment, GeneratesEventsThroughFullPipeline) {
   Deployment deployment{landscape, config};
   EXPECT_EQ(deployment.honeypots().size(), 150u);
 
-  const EventDatabase db = Deployment{landscape, config}.run().db;
+  const EventDatabase db = collect(landscape, config);
   EXPECT_GT(db.events().size(), 100u);
   EXPECT_GT(db.samples().size(), 20u);
 
@@ -308,7 +317,8 @@ TEST(Deployment, EventsAreChronologicalPerWeekAndGatewayMatures) {
   DeploymentConfig config;
   config.seed = 10;
   Deployment deployment{landscape, config};
-  const EventDatabase db = deployment.run().db;
+  EventDatabase db;
+  deployment.drain_into(db);
   // After the run most events were matched by mature FSM models: only
   // a few early ones carry unknown-path markers.
   std::size_t unknown = 0;
@@ -323,8 +333,8 @@ TEST(Deployment, DeterministicForSeed) {
   const auto landscape = tiny_landscape();
   DeploymentConfig config;
   config.seed = 11;
-  const EventDatabase a = Deployment{landscape, config}.run().db;
-  const EventDatabase b = Deployment{landscape, config}.run().db;
+  const EventDatabase a = collect(landscape, config);
+  const EventDatabase b = collect(landscape, config);
   ASSERT_EQ(a.events().size(), b.events().size());
   ASSERT_EQ(a.samples().size(), b.samples().size());
   for (std::size_t i = 0; i < a.samples().size(); ++i) {
@@ -342,8 +352,8 @@ TEST(Deployment, DifferentSeedsDifferentData) {
   config_a.seed = 12;
   DeploymentConfig config_b;
   config_b.seed = 13;
-  const EventDatabase a = Deployment{landscape, config_a}.run().db;
-  const EventDatabase b = Deployment{landscape, config_b}.run().db;
+  const EventDatabase a = collect(landscape, config_a);
+  const EventDatabase b = collect(landscape, config_b);
   EXPECT_NE(a.events().size(), b.events().size());
 }
 
@@ -352,7 +362,7 @@ TEST(Deployment, PolymorphicVariantYieldsUniqueSamples) {
   DeploymentConfig config;
   config.seed = 14;
   config.download.truncation_probability = 0.0;
-  const EventDatabase db = Deployment{landscape, config}.run().db;
+  const EventDatabase db = collect(landscape, config);
   // Count samples per variant: the per-instance variant produces ~one
   // sample per event, the stable variant exactly one.
   std::size_t poly_samples = 0;
@@ -397,26 +407,53 @@ TEST(Deployment, PullsOneRecordAtATimeAndCountsItsTotalWithoutDeciding) {
 
   fault::FaultInjector again{plan};
   config.faults = &again;
-  const Collection collected = Deployment{landscape, config}.run();
-  ASSERT_EQ(collected.db.events().size(), total);
+  EventDatabase db;
+  std::vector<std::vector<std::uint8_t>> contents;
+  Deployment{landscape, config}.drain_into(db, &contents);
+  ASSERT_EQ(db.events().size(), total);
   std::size_t new_samples = 0;
   for (std::size_t i = 0; i < records.size(); ++i) {
     const GeneratedRecord& record = records[i];
-    const AttackEvent& event = collected.db.events()[i];
+    const AttackEvent& event = db.events()[i];
     EXPECT_EQ(record.event.time, event.time);
     EXPECT_EQ(record.event.sample, event.sample);
     if (!record.event.sample.has_value()) continue;
-    EXPECT_EQ(hex_encode(record.md5),
-              collected.db.sample(*event.sample).md5);
+    EXPECT_EQ(hex_encode(record.md5), db.sample(*event.sample).md5);
     EXPECT_EQ(record.new_sample, *event.sample == new_samples);
     if (record.new_sample) {
-      EXPECT_EQ(record.content, collected.contents[new_samples]);
+      EXPECT_EQ(record.content, contents[new_samples]);
       ++new_samples;
     } else {
       EXPECT_TRUE(record.content.empty());
     }
   }
-  EXPECT_EQ(new_samples, collected.db.samples().size());
+  EXPECT_EQ(new_samples, db.samples().size());
+}
+
+TEST(Deployment, DrainIntoRunsTheWholeWindowOnly) {
+  // A drain numbers samples from the window's first event into an empty
+  // database. After one pull, a later event of an already-seen sample
+  // would reach the database with no bytes; a database that already
+  // holds samples would give every sample an id its events disagree
+  // with. Both are refused before anything is added.
+  const auto landscape = tiny_landscape();
+  DeploymentConfig config;
+  config.seed = 9;
+
+  Deployment pulled{landscape, config};
+  ASSERT_TRUE(pulled.next().has_value());
+  EventDatabase empty;
+  EXPECT_THROW(pulled.drain_into(empty), ConfigError);
+  EXPECT_TRUE(empty.events().empty());
+  EXPECT_TRUE(empty.samples().empty());
+
+  EventDatabase full = collect(landscape, config);
+  ASSERT_FALSE(full.samples().empty());
+  const std::size_t events = full.events().size();
+  Deployment fresh{landscape, config};
+  EXPECT_THROW(fresh.drain_into(full), ConfigError);
+  EXPECT_EQ(full.events().size(), events);
+  EXPECT_EQ(fresh.pulled(), 0u);
 }
 
 /// The counters generation moves, comparable with EXPECT_EQ.
@@ -572,7 +609,7 @@ TEST(Enrichment, ProfilesForExecutableSamplesOnly) {
   DeploymentConfig config;
   config.seed = 15;
   config.download.truncation_probability = 0.3;
-  EventDatabase db = Deployment{landscape, config}.run().db;
+  EventDatabase db = collect(landscape, config);
   const sandbox::Environment environment;
   const EnrichmentStats stats = enrich_database(db, landscape, environment);
   EXPECT_EQ(stats.submitted, db.samples().size());

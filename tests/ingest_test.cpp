@@ -1,8 +1,7 @@
 // Tests for the streaming-ingest primitives: WAL framing, rotation and
 // recovery (including the full torture corpus — every-offset truncation
 // sweeps, bit flips, duplicate frames, kills mid-rotation, foreign
-// streams), bounded-queue backpressure under both overflow policies,
-// and the deterministic delivery retry/backoff layer.
+// streams) and the deterministic delivery retry/backoff layer.
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
@@ -11,20 +10,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <span>
 #include <string>
-#include <string_view>
-#include <thread>
 #include <vector>
 
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "ingest/delivery.hpp"
-#include "ingest/queue.hpp"
 #include "ingest/report.hpp"
 #include "ingest/wal.hpp"
-#include "obs/metrics.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/crc32.hpp"
 #include "util/error.hpp"
@@ -502,191 +496,6 @@ TEST(Wal, OptionsValidate) {
   zero_segment.directory = "somewhere";
   zero_segment.segment_bytes = 0;
   EXPECT_THROW(zero_segment.validate(), ConfigError);
-}
-
-// --- Bounded queue ----------------------------------------------------------
-
-std::vector<std::uint8_t> rec(std::uint8_t tag) { return {tag, tag, tag}; }
-
-TEST(Queue, BlockPolicyStallsAtCapacityAndPreservesOrder) {
-  BoundedRecordQueue queue{2, OverflowPolicy::kBlock};
-  EXPECT_TRUE(queue.offer(rec(1)));
-  EXPECT_TRUE(queue.offer(rec(2)));
-  EXPECT_FALSE(queue.offer(rec(3)));  // full: stall, record rejected
-  EXPECT_EQ(*queue.try_pop(), rec(1));
-  EXPECT_TRUE(queue.offer(rec(3)));
-  EXPECT_EQ(*queue.try_pop(), rec(2));
-  EXPECT_EQ(*queue.try_pop(), rec(3));
-  EXPECT_FALSE(queue.try_pop().has_value());
-  const BoundedRecordQueue::Stats stats = queue.stats();
-  EXPECT_EQ(stats.pushed, 3u);
-  EXPECT_EQ(stats.popped, 3u);
-  EXPECT_EQ(stats.stalls, 1u);
-  EXPECT_EQ(stats.shed, 0u);
-  EXPECT_EQ(stats.high_water, 2u);
-}
-
-TEST(Queue, RejectedOfferLeavesTheItemWithTheCaller) {
-  // A stalled or closed offer must not consume its argument: the epoch
-  // loop copies each record into the queue once and re-offers the same
-  // object after draining.
-  BoundedRecordQueue queue{1, OverflowPolicy::kBlock};
-  EXPECT_TRUE(queue.offer(rec(1)));
-  std::vector<std::uint8_t> item = rec(2);
-  EXPECT_FALSE(queue.offer(std::move(item)));
-  EXPECT_EQ(item, rec(2));
-  EXPECT_EQ(*queue.try_pop(), rec(1));
-  EXPECT_TRUE(queue.offer(std::move(item)));
-  EXPECT_EQ(*queue.try_pop(), rec(2));
-
-  std::vector<std::uint8_t> late = rec(3);
-  queue.close();
-  EXPECT_FALSE(queue.offer(std::move(late)));
-  EXPECT_EQ(late, rec(3));
-  EXPECT_EQ(queue.stats().stalls, 1u);
-}
-
-TEST(Queue, ShedOldestDropsTheHeadAtCapacity) {
-  BoundedRecordQueue queue{3, OverflowPolicy::kShedOldest};
-  for (std::uint8_t i = 1; i <= 5; ++i) {
-    EXPECT_TRUE(queue.offer(rec(i)));
-  }
-  EXPECT_EQ(*queue.try_pop(), rec(3));
-  EXPECT_EQ(*queue.try_pop(), rec(4));
-  EXPECT_EQ(*queue.try_pop(), rec(5));
-  const BoundedRecordQueue::Stats stats = queue.stats();
-  EXPECT_EQ(stats.shed, 2u);
-  EXPECT_EQ(stats.stalls, 0u);
-  EXPECT_EQ(stats.high_water, 3u);
-}
-
-TEST(Queue, ZeroCapacityIsRejected) {
-  EXPECT_THROW((BoundedRecordQueue{0, OverflowPolicy::kBlock}), ConfigError);
-}
-
-TEST(Queue, ClosedQueueNeverShedsOnARejectedPush) {
-  // Regression: push() on a closed, full kShedOldest queue used to pop
-  // and count the oldest queued record before noticing the close —
-  // losing a record that belonged to the draining consumer.
-  BoundedRecordQueue queue{2, OverflowPolicy::kShedOldest};
-  EXPECT_TRUE(queue.push(rec(1)));
-  EXPECT_TRUE(queue.push(rec(2)));
-  queue.close();
-  EXPECT_FALSE(queue.push(rec(3)));
-  BoundedRecordQueue::Stats stats = queue.stats();
-  EXPECT_EQ(stats.shed, 0u);
-  EXPECT_EQ(stats.pushed, 2u);
-  EXPECT_EQ(queue.depth(), 2u);
-  // The drain still yields both admitted records, oldest first.
-  EXPECT_EQ(*queue.pop(), rec(1));
-  EXPECT_EQ(*queue.pop(), rec(2));
-  EXPECT_FALSE(queue.pop().has_value());
-  stats = queue.stats();
-  EXPECT_EQ(stats.popped, 2u);
-  EXPECT_EQ(stats.shed, 0u);
-}
-
-TEST(Queue, OfferHandsBackTheEvictedItem) {
-  BoundedRecordQueue queue{2, OverflowPolicy::kShedOldest};
-  std::optional<std::vector<std::uint8_t>> evicted;
-  EXPECT_TRUE(queue.offer(rec(1), evicted));
-  EXPECT_FALSE(evicted.has_value());
-  EXPECT_TRUE(queue.offer(rec(2), evicted));
-  EXPECT_FALSE(evicted.has_value());
-  EXPECT_TRUE(queue.offer(rec(3), evicted));  // full: 1 is displaced
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, rec(1));
-  EXPECT_EQ(queue.stats().shed, 1u);
-  // A kBlock queue never evicts through the same API.
-  BoundedRecordQueue blocking{1, OverflowPolicy::kBlock};
-  EXPECT_TRUE(blocking.offer(rec(1), evicted));
-  EXPECT_FALSE(blocking.offer(rec(2), evicted));
-  EXPECT_FALSE(evicted.has_value());
-  EXPECT_EQ(blocking.stats().stalls, 1u);
-}
-
-TEST(Queue, AccountingInvariantHoldsAtEveryQuiescentPoint) {
-  // pushed == popped + shed + depth, after every single operation, for
-  // both overflow policies over a scripted mix of admits and takes.
-  for (const OverflowPolicy policy :
-       {OverflowPolicy::kBlock, OverflowPolicy::kShedOldest}) {
-    BoundedRecordQueue queue{3, policy};
-    const auto check = [&] {
-      const BoundedRecordQueue::Stats stats = queue.stats();
-      EXPECT_EQ(stats.pushed, stats.popped + stats.shed + queue.depth());
-    };
-    for (std::uint8_t i = 0; i < 10; ++i) {
-      (void)queue.offer(rec(i));
-      check();
-      if (i % 3 == 2) {
-        (void)queue.try_pop();
-        check();
-      }
-    }
-    queue.close();
-    (void)queue.push(rec(99));
-    check();
-    while (queue.try_pop().has_value()) check();
-    check();
-  }
-}
-
-TEST(Queue, ShedAndStallTotalsReachTheDeterministicChannel) {
-  // The queue's overflow accounting is a pure function of the plan and
-  // record sequence, so it is exported on the deterministic metrics
-  // channel (what ABL-10/11 gate in CI).
-  IngestReport report;
-  report.queue_pushed = 40;
-  report.queue_shed = 3;
-  report.queue_stalls = 7;
-  report.queue_high_water = 4;
-  repro::obs::MetricsRegistry metrics;
-  publish_ingest_metrics(metrics, report);
-  const auto counters =
-      metrics.counter_values(repro::obs::Channel::kDeterministic);
-  const auto value = [&](std::string_view name) -> std::uint64_t {
-    for (const auto& [key, count] : counters) {
-      if (key == name) return count;
-    }
-    ADD_FAILURE() << name << " not on the deterministic channel";
-    return 0;
-  };
-  EXPECT_EQ(value("ingest.queue.pushed"), 40u);
-  EXPECT_EQ(value("ingest.queue.shed"), 3u);
-  EXPECT_EQ(value("ingest.queue.stalls"), 7u);
-}
-
-TEST(Queue, BlockingPushPopAcrossThreads) {
-  // Genuinely concurrent producer/consumer over a tiny queue; the run
-  // under TSan is what this test is for.
-  BoundedRecordQueue queue{4, OverflowPolicy::kBlock};
-  constexpr std::uint64_t kRecords = 500;
-  std::thread producer{[&] {
-    for (std::uint64_t i = 0; i < kRecords; ++i) {
-      std::vector<std::uint8_t> record(8);
-      for (std::size_t j = 0; j < record.size(); ++j) {
-        record[j] = static_cast<std::uint8_t>((i + j) & 0xff);
-      }
-      EXPECT_TRUE(queue.push(std::move(record)));
-    }
-    queue.close();
-  }};
-  std::uint64_t got = 0;
-  std::uint64_t last = 0;
-  while (auto record = queue.pop()) {
-    const std::uint64_t i = (*record)[0] | 0u;
-    if (got > 0) {
-      EXPECT_EQ((i + 256 - (last & 0xff)) % 256, 1u);
-    }
-    last = i;
-    ++got;
-  }
-  producer.join();
-  EXPECT_EQ(got, kRecords);
-  const BoundedRecordQueue::Stats stats = queue.stats();
-  EXPECT_EQ(stats.pushed, kRecords);
-  EXPECT_EQ(stats.popped, kRecords);
-  EXPECT_LE(stats.high_water, 4u);
 }
 
 // --- Delivery retry/backoff -------------------------------------------------

@@ -20,12 +20,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +41,7 @@
 #include "scenario/paper.hpp"
 #include "scenario/serve.hpp"
 #include "scenario/stream.hpp"
+#include "serve/admission_queue.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/view.hpp"
@@ -227,6 +232,80 @@ struct LiveServer {
   }
   Server server;
 };
+
+// --- Admission queue --------------------------------------------------------
+
+using Item = std::vector<std::uint8_t>;
+
+Item item(std::uint8_t tag) { return {tag, tag, tag}; }
+
+TEST(AdmissionQueue, FullQueueHandsBackItsOldestItemInOrder) {
+  AdmissionQueue<Item> queue{2};
+  std::optional<Item> evicted;
+  EXPECT_TRUE(queue.offer(item(1), evicted));
+  EXPECT_FALSE(evicted.has_value());
+  EXPECT_TRUE(queue.offer(item(2), evicted));
+  EXPECT_FALSE(evicted.has_value());
+  for (std::uint8_t i = 3; i <= 5; ++i) {
+    EXPECT_TRUE(queue.offer(item(i), evicted));
+    ASSERT_TRUE(evicted.has_value());
+    EXPECT_EQ(*evicted, item(i - 2));
+  }
+  EXPECT_EQ(queue.pop(), item(4));
+  EXPECT_EQ(queue.pop(), item(5));
+}
+
+TEST(AdmissionQueue, ClosedQueueRejectsAnOfferWithoutShedding) {
+  // The items a closed queue holds belong to the draining workers, and
+  // the rejected one stays with the caller, who answers it BUSY.
+  AdmissionQueue<Item> queue{2};
+  std::optional<Item> evicted;
+  EXPECT_TRUE(queue.offer(item(1), evicted));
+  EXPECT_TRUE(queue.offer(item(2), evicted));
+  queue.close();
+  Item late = item(3);
+  EXPECT_FALSE(queue.offer(std::move(late), evicted));
+  EXPECT_FALSE(evicted.has_value());
+  EXPECT_EQ(late, item(3));
+  EXPECT_EQ(queue.pop(), item(1));
+  EXPECT_EQ(queue.pop(), item(2));
+  EXPECT_FALSE(queue.pop().has_value());
+}
+
+TEST(AdmissionQueue, ZeroCapacityIsRejected) {
+  EXPECT_THROW(AdmissionQueue<Item>{0}, ConfigError);
+}
+
+TEST(AdmissionQueue, ConcurrentOfferAndPopAccountForEveryItem) {
+  // One producer against one consumer over a tiny queue; the run under
+  // TSan is what this test is for. Every offered item is either popped
+  // or handed back, and each side sees the producer's order.
+  constexpr std::uint64_t kItems = 2000;
+  AdmissionQueue<std::uint64_t> queue{4};
+  std::vector<std::uint64_t> handed_back;
+  std::thread producer{[&] {
+    std::optional<std::uint64_t> evicted;
+    for (std::uint64_t i = 0; i < kItems; ++i) {
+      EXPECT_TRUE(queue.offer(std::uint64_t{i}, evicted));
+      if (evicted) handed_back.push_back(*evicted);
+    }
+    queue.close();
+  }};
+  std::vector<std::uint64_t> popped;
+  while (const std::optional<std::uint64_t> got = queue.pop()) {
+    popped.push_back(*got);
+  }
+  producer.join();
+  EXPECT_EQ(popped.size() + handed_back.size(), kItems);
+  EXPECT_TRUE(std::is_sorted(popped.begin(), popped.end()));
+  EXPECT_TRUE(std::is_sorted(handed_back.begin(), handed_back.end()));
+  std::vector<std::uint64_t> all;
+  std::merge(popped.begin(), popped.end(), handed_back.begin(),
+             handed_back.end(), std::back_inserter(all));
+  std::vector<std::uint64_t> offered(kItems);
+  std::iota(offered.begin(), offered.end(), std::uint64_t{0});
+  EXPECT_TRUE(all == offered) << "an item was lost or duplicated";
+}
 
 // --- Protocol ---------------------------------------------------------------
 

@@ -850,8 +850,7 @@ std::uint64_t counter_of(const obs::MetricsRegistry& metrics,
 /// The kill-invariant deterministic counters (the pipeline, enrich,
 /// fault, cluster and epm families): what every run of one stream must
 /// publish however it got there. The per-run families — snapshot.*,
-/// ingest.epochs.*, ingest.queue.* and the WAL recovery counters — are
-/// left out.
+/// ingest.epochs.* and the WAL recovery counters — are left out.
 std::vector<std::pair<std::string, std::uint64_t>> kill_invariant_counters(
     const obs::MetricsRegistry& metrics) {
   std::vector<std::pair<std::string, std::uint64_t>> kept;
@@ -1477,7 +1476,6 @@ TEST(Stream, DeterministicMetricsIdenticalAcrossThreadWidths) {
     (void)build_streaming_dataset(options, stream);
     const std::string json = metrics.to_json(obs::Channel::kDeterministic);
     EXPECT_NE(json.find("ingest.wal.records_appended"), std::string::npos);
-    EXPECT_NE(json.find("ingest.queue.pushed"), std::string::npos);
     EXPECT_NE(json.find("fault.delivery.checked"), std::string::npos);
     if (baseline.empty()) {
       baseline = json;

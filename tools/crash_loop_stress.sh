@@ -26,8 +26,8 @@
 # The run that finishes the kill chain must also publish the same
 # kill-invariant counters (the pipeline.*, enrich.*, fault.*, cluster.*
 # and epm.* families of --metrics-out) as one uninterrupted stream.
-# Only per-run counters may differ: snapshot.*, ingest.epochs.*,
-# ingest.queue.* and the WAL recovery counters.
+# Only per-run counters may differ: snapshot.*, ingest.epochs.* and
+# the WAL recovery counters.
 #
 # Every round runs under a hard per-round timeout: a child that hangs
 # (instead of dying or completing) is SIGKILLed by timeout(1) and the

@@ -8,7 +8,7 @@
 //
 //   - every function definition, with a qualified name built from the
 //     enclosing class/struct scopes (`ThreadPool::work_on`,
-//     `BoundedQueue::offer`) and its body token range;
+//     `AdmissionQueue::offer`) and its body token range;
 //   - every `std::mutex` member/global declaration, qualified the same
 //     way, so two classes both naming a member `mutex_` stay distinct;
 //   - every lock-guard scope (`lock_guard`, `unique_lock`,
@@ -87,7 +87,7 @@ struct FunctionInfo {
 };
 
 struct MutexDecl {
-  std::string qualified_name;  ///< e.g. "BoundedQueue::mutex_"
+  std::string qualified_name;  ///< e.g. "AdmissionQueue::mutex_"
   std::string member_name;     ///< e.g. "mutex_"
   std::string file;
   int line = 0;
