@@ -239,13 +239,28 @@ using Item = std::vector<std::uint8_t>;
 
 Item item(std::uint8_t tag) { return {tag, tag, tag}; }
 
-TEST(AdmissionQueue, FullQueueHandsBackItsOldestItemInOrder) {
+TEST(Queue, ShedOldestDropsTheHeadAtCapacity) {
+  AdmissionQueue<Item> queue{3};
+  std::optional<Item> evicted;
+  std::size_t shed = 0;
+  for (std::uint8_t i = 1; i <= 5; ++i) {
+    EXPECT_TRUE(queue.offer(item(i), evicted));
+    if (evicted) ++shed;
+  }
+  EXPECT_EQ(shed, 2u);
+  EXPECT_EQ(queue.pop(), item(3));
+  EXPECT_EQ(queue.pop(), item(4));
+  EXPECT_EQ(queue.pop(), item(5));
+}
+
+TEST(Queue, OfferHandsBackTheEvictedItem) {
   AdmissionQueue<Item> queue{2};
   std::optional<Item> evicted;
   EXPECT_TRUE(queue.offer(item(1), evicted));
   EXPECT_FALSE(evicted.has_value());
   EXPECT_TRUE(queue.offer(item(2), evicted));
   EXPECT_FALSE(evicted.has_value());
+  // Full: each further offer displaces the oldest item, in order.
   for (std::uint8_t i = 3; i <= 5; ++i) {
     EXPECT_TRUE(queue.offer(item(i), evicted));
     ASSERT_TRUE(evicted.has_value());
@@ -255,18 +270,31 @@ TEST(AdmissionQueue, FullQueueHandsBackItsOldestItemInOrder) {
   EXPECT_EQ(queue.pop(), item(5));
 }
 
-TEST(AdmissionQueue, ClosedQueueRejectsAnOfferWithoutShedding) {
-  // The items a closed queue holds belong to the draining workers, and
-  // the rejected one stays with the caller, who answers it BUSY.
+TEST(Queue, RejectedOfferLeavesTheItemWithTheCaller) {
+  // A closed queue must not consume its argument: the acceptor answers
+  // the rejected connection BUSY itself.
+  AdmissionQueue<Item> queue{1};
+  std::optional<Item> evicted;
+  EXPECT_TRUE(queue.offer(item(1), evicted));
+  queue.close();
+  Item late = item(3);
+  EXPECT_FALSE(queue.offer(std::move(late), evicted));
+  EXPECT_EQ(late, item(3));
+  EXPECT_EQ(queue.pop(), item(1));
+  EXPECT_FALSE(queue.pop().has_value());
+}
+
+TEST(Queue, ClosedQueueNeverShedsOnARejectedPush) {
+  // The items a closed, full queue holds belong to the draining
+  // workers: a rejected offer must not displace one of them.
   AdmissionQueue<Item> queue{2};
   std::optional<Item> evicted;
   EXPECT_TRUE(queue.offer(item(1), evicted));
   EXPECT_TRUE(queue.offer(item(2), evicted));
   queue.close();
-  Item late = item(3);
-  EXPECT_FALSE(queue.offer(std::move(late), evicted));
+  EXPECT_FALSE(queue.offer(item(3), evicted));
   EXPECT_FALSE(evicted.has_value());
-  EXPECT_EQ(late, item(3));
+  // The drain still yields both admitted items, oldest first.
   EXPECT_EQ(queue.pop(), item(1));
   EXPECT_EQ(queue.pop(), item(2));
   EXPECT_FALSE(queue.pop().has_value());
