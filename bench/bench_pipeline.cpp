@@ -1,9 +1,9 @@
 // End-to-end pipeline bench with machine-readable output.
 //
 // Runs build_paper_dataset with the observability layer attached and
-// writes BENCH_PIPELINE.json: per-stage wall milliseconds (from the
-// trace spans), peak RSS, and every deterministic work counter. The
-// wall times and RSS are machine artifacts; the counters are pure
+// writes BENCH_PIPELINE.json: peak RSS and every deterministic work
+// counter. Per-stage wall times come from bench/e2e's traced batch
+// workload. The RSS is a machine artifact; the counters are pure
 // functions of (seed, scale, faults) and double as a drift gate:
 //
 //   $ bench_pipeline --check ../EXPERIMENTS.md
@@ -16,7 +16,6 @@
 //                                           [--out <file.json>]
 #include <cctype>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -30,13 +29,11 @@
 
 #include "bench_common.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace {
 
 using repro::obs::Channel;
 using repro::obs::MetricsRegistry;
-using repro::obs::TraceRecorder;
 
 long peak_rss_kib() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -44,14 +41,6 @@ long peak_rss_kib() {
   if (getrusage(RUSAGE_SELF, &usage) == 0) return usage.ru_maxrss;
 #endif
   return 0;
-}
-
-std::string fixed_ms(std::int64_t ns) {
-  // ns -> "12.345" without floating-point formatting.
-  std::ostringstream out;
-  out << ns / 1'000'000 << "." << std::setw(3) << std::setfill('0')
-      << (ns / 1'000) % 1'000;
-  return out.str();
 }
 
 /// The `| `name` | value |` rows of the ABL-9 section of EXPERIMENTS.md.
@@ -144,9 +133,7 @@ int main(int argc, char** argv) {
     const scenario::ScenarioOptions base = bench::options_from_env();
     scenario::ScenarioOptions options = base;
     MetricsRegistry metrics;
-    TraceRecorder trace;
     options.metrics = &metrics;
-    options.trace = &trace;
 
     std::cout << "### pipeline bench (seed " << options.seed << ", scale "
               << options.scale
@@ -159,16 +146,9 @@ int main(int argc, char** argv) {
          << "  \"seed\": " << options.seed << ",\n"
          << "  \"scale\": " << options.scale << ",\n"
          << "  \"peak_rss_kib\": " << peak_rss_kib() << ",\n"
-         << "  \"stages\": [";
-    bool first = true;
-    for (const TraceRecorder::Span& span : trace.spans()) {
-      json << (first ? "\n" : ",\n") << "    {\"name\": \"" << span.name
-           << "\", \"wall_ms\": " << fixed_ms(span.duration_ns()) << "}";
-      first = false;
-    }
-    json << "\n  ],\n  \"counters\": {";
+         << "  \"counters\": {";
     const auto counters = metrics.counter_values(Channel::kDeterministic);
-    first = true;
+    bool first = true;
     for (const auto& [name, value] : counters) {
       json << (first ? "\n" : ",\n") << "    \"" << name
            << "\": " << value;
@@ -183,10 +163,6 @@ int main(int argc, char** argv) {
     }
     out << json.str();
     std::cout << "wrote " << out_path << "\n";
-    for (const TraceRecorder::Span& span : trace.spans()) {
-      std::cout << "  " << span.name << ": " << fixed_ms(span.duration_ns())
-                << " ms\n";
-    }
     std::cout << "  peak RSS: " << peak_rss_kib() << " KiB\n";
     bench::print_degradation(dataset);
 

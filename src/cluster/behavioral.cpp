@@ -1,9 +1,7 @@
 #include "cluster/behavioral.hpp"
 
-#include <algorithm>
 #include <numeric>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "cluster/backend.hpp"
@@ -150,15 +148,13 @@ void seed_partition(UnionFind& groups, const std::vector<int>& assignment) {
   }
 }
 
-/// Evaluates within-bucket pairs and unions those whose Jaccard
-/// similarity passes the threshold. Skipping a pair whose endpoints
-/// are already connected (globally in the serial path, task-locally in
-/// the parallel path) only suppresses edges that are redundant for the
-/// connected components, so both paths — at any pool width — produce
-/// the same partition. Within a bucket most items are near duplicates,
-/// so after the first successful unite the union-find short-circuits
-/// the remaining pairs in O(alpha) each — this is what keeps LSH
-/// clustering below the O(n^2) distance matrix.
+/// Evaluates within-bucket pairs of duplicate-class representatives
+/// and unions those whose Jaccard similarity passes the threshold. A
+/// duplicate has its representative's signature, so it sits in every
+/// bucket the representative does, and the caller has already united
+/// the two: none of its pairs adds an edge its representative's pairs
+/// do not. Skipping a pair whose endpoints are already connected only
+/// suppresses edges that are redundant for the connected components.
 ///
 /// `groups` arrives pre-seeded with the caller's prior partition over
 /// the first `old_n` items; pairs wholly inside that prefix are
@@ -169,114 +165,33 @@ void unite_bucket_pairs(UnionFind& groups,
                         const std::vector<std::vector<std::size_t>>& buckets,
                         const BehavioralOptions& options, std::size_t old_n,
                         const std::vector<std::size_t>& reps) {
-  const double threshold = options.threshold;
-  ThreadPool* pool = options.pool;
-  // Jaccard is a function of the two id sets alone, so a pair of
-  // duplicate classes scores the same wherever its members co-occur.
-  // Each sweep memoizes failed representative pairs (passing pairs
-  // already short-circuit through the union-find) to evaluate every
-  // class pair at most once instead of once per shared bucket. The
-  // packed key needs both indices to fit 32 bits.
-  const bool memoize = ids.size() < (std::size_t{1} << 32);
-  if (options.metrics != nullptr) {
-    // Worst-case pair count is a property of the bucket contents, not
-    // of the schedule — deterministic. The *performed* evaluation
-    // count below is not: the union-find short-circuit depends on the
-    // order (and task-locality) of earlier unions.
-    std::size_t bucket_pairs = 0;
-    for (const auto& bucket : buckets) {
-      bucket_pairs += bucket.size() * (bucket.size() - 1) / 2;
+  std::size_t bucket_pairs = 0;
+  std::uint64_t evaluated = 0;
+  std::vector<std::size_t> members;
+  for (const auto& bucket : buckets) {
+    bucket_pairs += bucket.size() * (bucket.size() - 1) / 2;
+    members.clear();
+    for (const std::size_t item : bucket) {
+      if (reps[item] == item) members.push_back(item);
     }
-    obs::add_counter(options.metrics, "cluster.b.bucket_pairs", bucket_pairs);
-  }
-  obs::Counter* evaluations =
-      options.metrics == nullptr
-          ? nullptr
-          : &options.metrics->counter("cluster.b.jaccard_evaluations",
-                                      obs::Channel::kRuntime);
-
-  using Edge = std::pair<std::size_t, std::size_t>;
-  const auto process = [&](const std::vector<std::size_t>& bucket,
-                           UnionFind& uf, std::vector<Edge>* edges,
-                           std::uint64_t& evaluated,
-                           std::unordered_set<std::uint64_t>* failed) {
-    for (std::size_t i = 1; i < bucket.size(); ++i) {
-      // Bucket items ascend, so bucket[i] < old_n puts every partner
-      // bucket[j < i] inside the seeded prefix too.
-      if (bucket[i] < old_n) continue;
+    for (std::size_t i = 1; i < members.size(); ++i) {
+      // Members ascend, so members[i] < old_n puts every partner
+      // members[j < i] inside the seeded prefix too.
+      if (members[i] < old_n) continue;
       for (std::size_t j = 0; j < i; ++j) {
-        const std::size_t a = bucket[j];
-        const std::size_t b = bucket[i];
-        if (uf.find(a) == uf.find(b)) continue;
-        std::uint64_t key = 0;
-        if (failed != nullptr) {
-          const std::uint64_t low = std::min(reps[a], reps[b]);
-          const std::uint64_t high = std::max(reps[a], reps[b]);
-          key = (low << 32) | high;
-          if (failed->contains(key)) continue;
-        }
+        const std::size_t a = members[j];
+        const std::size_t b = members[i];
+        if (groups.find(a) == groups.find(b)) continue;
         ++evaluated;
-        if (jaccard_ids(ids[a], ids[b]) >= threshold) {
-          uf.unite(a, b);
-          if (edges != nullptr) edges->emplace_back(a, b);
-        } else if (failed != nullptr) {
-          failed->insert(key);
+        if (jaccard_ids(ids[a], ids[b]) >= options.threshold) {
+          groups.unite(a, b);
         }
       }
     }
-  };
-
-  if (pool == nullptr || pool->width() == 1 || buckets.size() < 2) {
-    std::uint64_t evaluated = 0;
-    std::unordered_set<std::uint64_t> failed;
-    for (const auto& bucket : buckets) {
-      process(bucket, groups, nullptr, evaluated, memoize ? &failed : nullptr);
-    }
-    if (evaluations != nullptr) evaluations->add(evaluated);
-    return;
   }
-
-  // Contiguous ranges of the (deterministically ordered) bucket list,
-  // weighted by worst-case pair count so one giant bucket lands in its
-  // own range instead of serializing everything behind it. Each range
-  // runs with a task-local union-find and records its passing pairs;
-  // the ranges' edge lists are then merged in range order.
-  std::size_t total_weight = 0;
-  for (const auto& bucket : buckets) {
-    total_weight += bucket.size() * (bucket.size() - 1) / 2;
-  }
-  const std::size_t target_tasks = pool->width() * 4;
-  const std::size_t per_task = std::max<std::size_t>(
-      1, (total_weight + target_tasks - 1) / target_tasks);
-  std::vector<std::size_t> bounds{0};
-  std::size_t accumulated = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    accumulated += buckets[i].size() * (buckets[i].size() - 1) / 2;
-    if (accumulated >= per_task && i + 1 < buckets.size()) {
-      bounds.push_back(i + 1);
-      accumulated = 0;
-    }
-  }
-  bounds.push_back(buckets.size());
-
-  const std::size_t tasks = bounds.size() - 1;
-  std::vector<std::vector<Edge>> edges(tasks);
-  // Task-local union-finds start as copies of the seeded global one so
-  // the prior partition short-circuits old/new pairs inside each task.
-  const UnionFind seeded = groups;
-  pool->parallel_for(tasks, 1, [&](std::size_t task, std::size_t) {
-    UnionFind local = seeded;
-    std::uint64_t evaluated = 0;
-    std::unordered_set<std::uint64_t> failed;
-    for (std::size_t i = bounds[task]; i < bounds[task + 1]; ++i) {
-      process(buckets[i], local, &edges[task], evaluated,
-              memoize ? &failed : nullptr);
-    }
-    if (evaluations != nullptr) evaluations->add(evaluated);
-  });
-  for (const std::vector<Edge>& task_edges : edges) {
-    for (const auto& [a, b] : task_edges) groups.unite(a, b);
-  }
+  obs::add_counter(options.metrics, "cluster.b.bucket_pairs", bucket_pairs);
+  obs::add_counter(options.metrics, "cluster.b.jaccard_evaluations",
+                   evaluated);
 }
 
 /// Shared core: unions qualifying pairs (from the index's buckets, or
@@ -324,11 +239,8 @@ BehavioralClusters cluster_from_ids(
     }
     obs::add_counter(options.metrics, "cluster.b.exact_pairs",
                      n * (n - 1) / 2);
-    if (options.metrics != nullptr) {
-      options.metrics
-          ->counter("cluster.b.jaccard_evaluations", obs::Channel::kRuntime)
-          .add(evaluated);
-    }
+    obs::add_counter(options.metrics, "cluster.b.jaccard_evaluations",
+                     evaluated);
   }
 
   // Densify cluster ids in first-member order.
@@ -345,8 +257,7 @@ BehavioralClusters cluster_from_ids(
     result.members[static_cast<std::size_t>(cluster)].push_back(i);
   }
   // A partition of n items into k components took exactly n - k
-  // effective unions regardless of which redundant edges were skipped —
-  // deterministic even though the edge set explored is not.
+  // effective unions regardless of which redundant edges were skipped.
   obs::add_counter(options.metrics, "cluster.b.union_ops",
                    n - result.members.size());
   return result;

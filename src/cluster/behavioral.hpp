@@ -9,11 +9,11 @@
 // uses); both yield the same clusters whenever LSH proposes every
 // qualifying pair.
 //
-// Parallelism: when `BehavioralOptions::pool` is set, signature
-// computation and bucket evaluation are distributed over the pool.
-// Because the result is a connected-component partition, evaluation
-// order never changes it — output is byte-identical at every pool
-// width, including the serial pool == nullptr path.
+// Parallelism: when `BehavioralOptions::pool` is set, the feature-id
+// and MinHash signature passes are distributed over the pool into
+// per-profile slots; the bucket sweep is serial. Output is
+// byte-identical at every pool width, including the serial
+// pool == nullptr path.
 #pragma once
 
 #include <cstdint>
@@ -65,16 +65,13 @@ struct BehavioralOptions {
   /// K-means: Lloyd iteration cap (stops earlier when the integer
   /// assignment reaches a fixed point).
   std::size_t kmeans_iterations = 16;
-  /// Optional worker pool (non-owning). Parallelizes the MinHash
-  /// signature pass and the per-bucket Jaccard evaluation; clusters
-  /// are identical at any width.
+  /// Optional worker pool (non-owning). Parallelizes the feature-id
+  /// and MinHash signature passes; clusters are identical at any width.
   ThreadPool* pool = nullptr;
-  /// Optional metrics sink (non-owning). Work counts that are pure
-  /// functions of the input (signatures, bucket pairs, union
-  /// operations) land on the deterministic channel; the number of
-  /// Jaccard evaluations actually performed depends on how the
-  /// task-local union-find short-circuited, i.e. on pool width, so it
-  /// lands on the runtime channel.
+  /// Optional metrics sink (non-owning). Every work count (signatures,
+  /// bucket pairs, Jaccard evaluations, union operations) is a pure
+  /// function of the input and options and lands on the deterministic
+  /// channel.
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional cross-call signature cache (non-owning). The streaming
   /// epoch loop sets this so only profiles appended since the previous

@@ -14,8 +14,8 @@
 //     is byte-identical at every thread width, so it can sit next to
 //     golden exports and gate CI.
 //   kRuntime — scheduling and machine artifacts (which thread ran a
-//     chunk, how deep the queue got, how many short-circuit checks a
-//     task-local union-find saved). Real telemetry, but different on
+//     chunk, how deep the queue got, how many signatures a
+//     process-local cache reused). Real telemetry, but different on
 //     every run shape; it is exported only alongside the wall-clock
 //     trace, never in the deterministic channel.
 //

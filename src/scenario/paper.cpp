@@ -930,7 +930,7 @@ EpochClusters cluster_epoch(const honeypot::EventDatabase& db,
     behavioral.backend = options.b_backend;
     // The behavioral task additionally parallelizes internally (nested
     // submission): idle workers from the cheaper EPM tasks drain its
-    // signature and bucket chunks.
+    // feature-id and signature chunks.
     behavioral.pool = &pool;
     behavioral.metrics = b_metrics;
     if (incremental != nullptr) {

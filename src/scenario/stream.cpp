@@ -436,6 +436,9 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     if (stream.on_epoch) stream.on_epoch(db, epm_stage, bview, k + 1);
     done = target;
   }
+  // Healing may have appended records below a restored cut that no
+  // epoch ran past. The cut covers them, so they are synced too.
+  writer.seal();
 
   dataset.db = std::move(db);
   dataset.enrichment = enrich_totals;

@@ -17,6 +17,7 @@
 #include "cluster/pattern.hpp"
 #include "cluster/pehash.hpp"
 #include "honeypot/database.hpp"
+#include "obs/metrics.hpp"
 #include "pe/builder.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -906,6 +907,83 @@ TEST(Behavioral, ExactDuplicatesMergeOnlyUnderTheThreshold) {
     const auto split = cluster_profiles(pointers(profiles), options);
     EXPECT_EQ(split.cluster_count(), profiles.size())
         << "backend=" << static_cast<int>(backend);
+  }
+}
+
+TEST(Behavioral, RepresentativeSweepMatchesTheOracle) {
+  // A duplicate-heavy corpus: one profile copied 150 times fills a
+  // bucket in which only its representative is swept, near duplicates
+  // (Jaccard 10/11 and 10/12) join it, unrelated profiles stay apart.
+  // The suffix past `old_n` adds copies of a prefix representative, a
+  // new representative that joins it, a class new to the suffix, and a
+  // profile that bridges two prefix clusters.
+  const auto make = [](const std::string& family, int shared,
+                       const std::string& extra) {
+    sandbox::BehavioralProfile p;
+    for (int f = 0; f < shared; ++f) p.add(family + std::to_string(f));
+    if (!extra.empty()) p.add(extra);
+    return p;
+  };
+  std::vector<sandbox::BehavioralProfile> profiles;
+  for (int i = 0; i < 120; ++i) {
+    profiles.push_back(make("allaple", 10, ""));
+    if (i % 30 == 0) {
+      profiles.push_back(make("allaple", 10, "variant" + std::to_string(i)));
+    }
+    if (i % 20 == 0) {
+      profiles.push_back(make("unrelated" + std::to_string(i) + "-", 10, ""));
+    }
+  }
+  // Jaccard 7/13 apart: two clusters until the bridge arrives.
+  sandbox::BehavioralProfile left = make("bridge", 10, "");
+  sandbox::BehavioralProfile right = make("bridge", 7, "");
+  for (int f = 0; f < 3; ++f) right.add("span" + std::to_string(f));
+  sandbox::BehavioralProfile bridge = left;
+  for (int f = 0; f < 3; ++f) bridge.add("span" + std::to_string(f));
+  profiles.push_back(left);
+  profiles.push_back(right);
+  const std::size_t old_n = profiles.size();
+  for (int i = 0; i < 30; ++i) profiles.push_back(make("allaple", 10, ""));
+  profiles.push_back(make("allaple", 10, "late"));
+  profiles.push_back(make("fresh", 10, ""));
+  profiles.push_back(make("fresh", 10, ""));
+  profiles.push_back(bridge);
+
+  const auto ptrs = pointers(profiles);
+  const std::vector<const sandbox::BehavioralProfile*> prefix(
+      ptrs.begin(), ptrs.begin() + static_cast<std::ptrdiff_t>(old_n));
+  const BehavioralClusters oracle = exact_single_linkage(ptrs);
+  // allaple with its variants and late joiner, 6 unrelated, fresh, and
+  // the bridged pair.
+  EXPECT_EQ(oracle.cluster_count(), 9u);
+  EXPECT_EQ(oracle.members[0].size(), 155u);
+  EXPECT_EQ(oracle.assignment[old_n - 2], oracle.assignment[old_n - 1]);
+
+  std::string metrics_json;
+  for (const std::size_t width : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{8}}) {
+    ThreadPool pool{width};
+    BehavioralOptions options;
+    options.pool = &pool;
+    const BehavioralClusters first = lsh_single_linkage(prefix, options);
+    EXPECT_NE(first.assignment[old_n - 2], first.assignment[old_n - 1]);
+    BehavioralOptions seeded = options;
+    seeded.prior_assignment = &first.assignment;
+    EXPECT_EQ(lsh_single_linkage(ptrs, seeded).assignment, oracle.assignment)
+        << "width " << width;
+    obs::MetricsRegistry metrics;
+    BehavioralOptions scratch = options;
+    scratch.metrics = &metrics;
+    EXPECT_EQ(lsh_single_linkage(ptrs, scratch).assignment, oracle.assignment)
+        << "width " << width;
+    EXPECT_EQ(exact_single_linkage(ptrs, options).assignment,
+              oracle.assignment)
+        << "width " << width;
+    // Every B work count, Jaccard evaluations included, is width-stable.
+    const std::string json = metrics.to_json(obs::Channel::kDeterministic);
+    EXPECT_NE(json.find("cluster.b.jaccard_evaluations"), std::string::npos);
+    if (metrics_json.empty()) metrics_json = json;
+    EXPECT_EQ(json, metrics_json) << "width " << width;
   }
 }
 

@@ -1162,6 +1162,16 @@ TEST(Stream, LostWalDirectoryHealsFromTheRegeneratedStream) {
   EXPECT_EQ(all_csv(healed), batch_csv(true));
   EXPECT_EQ(healed.ingest.epochs_restored, 1u);
   EXPECT_EQ(healed.ingest.epochs_run, 0u);
+  EXPECT_EQ(counter_of(healed_metrics, "snapshot.restored",
+                       obs::Channel::kDeterministic),
+            1u);
+  // The cut covers every healed record, and a cut never covers an
+  // unsynced one: the healed tail is sealed although no epoch ran.
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(root / "wal")) {
+    EXPECT_FALSE(entry.path().string().ends_with(".seg.open"))
+        << entry.path();
+  }
   // The lost records had to come from somewhere: generation ran, once,
   // and its fault counters were not counted twice.
   EXPECT_EQ(counter_of(healed_metrics, "stream.events_generated",
