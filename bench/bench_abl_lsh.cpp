@@ -4,7 +4,8 @@
 // fewer candidate pairs, which is what made Anubis clustering scale.
 //
 // Runs as a google-benchmark binary and prints a quality/equivalence
-// summary before the timing section.
+// summary before the timing section; it exits 1 when the two
+// clusterings differ on any summary corpus.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -76,9 +77,11 @@ void BM_LshClustering(benchmark::State& state) {
 BENCHMARK(BM_LshClustering)->Arg(250)->Arg(500)->Arg(1000)->Arg(2000)
     ->Arg(5000)->Complexity()->Unit(benchmark::kMillisecond);
 
-/// Equivalence + pruning summary printed before the timings.
-void print_summary() {
+/// Equivalence + pruning summary printed before the timings. Returns
+/// false when LSH and exact disagree on any corpus.
+bool print_summary() {
   std::printf("### ABL-2: exact vs LSH behavioral clustering\n");
+  bool all_identical = true;
   for (const std::size_t n : {500u, 2000u}) {
     const auto corpus = make_corpus(n, 7);
     const auto ptrs = pointers(corpus);
@@ -87,28 +90,32 @@ void print_summary() {
     BehavioralOptions lsh;
     lsh.backend = repro::cluster::BackendKind::kLsh;
     const auto exact_clusters = repro::cluster::cluster_profiles(ptrs, exact);
-    // One signature pass serves both the LSH clustering and its
-    // candidate-pair statistics.
-    const auto lsh_run = repro::cluster::cluster_profiles_with_stats(ptrs, lsh);
-    const auto& lsh_clusters = lsh_run.clusters;
-    const auto& stats = lsh_run.stats;
+    const auto lsh_clusters = repro::cluster::cluster_profiles(ptrs, lsh);
+    const auto stats = repro::cluster::pair_stats(ptrs, lsh);
+    const bool identical = exact_clusters.assignment == lsh_clusters.assignment;
+    all_identical = all_identical && identical;
     std::printf(
         "n=%zu: exact clusters=%zu, lsh clusters=%zu, identical=%s, "
         "pairs evaluated: %zu exact vs %zu lsh (%.1fx fewer)\n",
         n, exact_clusters.cluster_count(), lsh_clusters.cluster_count(),
-        exact_clusters.assignment == lsh_clusters.assignment ? "yes" : "NO",
-        stats.exact_pairs, stats.lsh_candidate_pairs,
+        identical ? "yes" : "NO", stats.exact_pairs, stats.lsh_candidate_pairs,
         static_cast<double>(stats.exact_pairs) /
             static_cast<double>(std::max<std::size_t>(
                 1, stats.lsh_candidate_pairs)));
   }
   std::printf("\n");
+  return all_identical;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_summary();
+  // The agreement check is a gate: a disagreement fails the run before
+  // any timing is taken (`--benchmark_filter=NONE` runs only the gate).
+  if (!print_summary()) {
+    std::fprintf(stderr, "ABL-2: LSH and exact clusterings disagree\n");
+    return 1;
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -19,7 +19,6 @@
 //
 //   REPRO_BENCH_SCALE=0.25 ./bench_abl_stream [--check <EXPERIMENTS.md>]
 //                                             [--out <file.json>]
-#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <filesystem>
@@ -55,14 +54,13 @@ std::string all_csv(const repro::scenario::Dataset& ds) {
 
 /// The streaming-layer counters the ABL-10 gate is stated over (the
 /// rest of the deterministic channel is already pinned by ABL-9), plus
-/// the two incremental-clustering work counters. Over one cold process
-/// all of them are pure functions of (seed, scale, epochs), so drift
-/// means the flip or cache logic changed.
+/// the incremental-clustering work counter. All of them are pure
+/// functions of (seed, scale, epochs), so drift means the flip logic
+/// changed.
 bool gated(const std::string& name) {
   return name.rfind("ingest.", 0) == 0 ||
          name.rfind("fault.delivery.", 0) == 0 ||
-         name == "epm.instances_reclassified" ||
-         name == "cluster.signatures_reused";
+         name == "epm.instances_reclassified";
 }
 
 /// Wall milliseconds of every span named `name`, in creation order —
@@ -339,15 +337,7 @@ int main(int argc, char** argv) {
                         "(BUG)\n");
     bench::print_degradation(cold.dataset);
 
-    // Signature reuse counts one process's cache hits, so it sits on the
-    // runtime channel; the cold leg is a single uninterrupted process,
-    // which makes its value a gate like the rest.
-    auto counters = cold_metrics.counter_values(Channel::kDeterministic);
-    for (const auto& [name, value] :
-         cold_metrics.counter_values(Channel::kRuntime)) {
-      if (name == "cluster.signatures_reused") counters.emplace_back(name, value);
-    }
-    std::sort(counters.begin(), counters.end());
+    const auto counters = cold_metrics.counter_values(Channel::kDeterministic);
     std::ostringstream json;
     json.precision(2);
     json << std::fixed << "{\n  \"bench\": \"abl_stream\",\n"

@@ -3,7 +3,8 @@
 namespace repro::analysis {
 
 BehavioralView BehavioralView::build(const honeypot::EventDatabase& db,
-                                     const cluster::BehavioralOptions& options) {
+                                     const cluster::BehavioralOptions& options,
+                                     cluster::LshLinkage* linkage) {
   BehavioralView view;
   std::vector<const sandbox::BehavioralProfile*> profiles;
   for (const honeypot::MalwareSample& sample : db.samples()) {
@@ -11,7 +12,12 @@ BehavioralView BehavioralView::build(const honeypot::EventDatabase& db,
     view.rows_.push_back(sample.id);
     profiles.push_back(&*sample.profile);
   }
-  view.clusters_ = cluster::cluster_profiles(profiles, options);
+  if (linkage != nullptr) {
+    linkage->extend(profiles);
+    view.clusters_ = linkage->clusters();
+  } else {
+    view.clusters_ = cluster::cluster_profiles(profiles, options);
+  }
   view.sample_to_cluster_.assign(db.samples().size(), -1);
   for (std::size_t row = 0; row < view.rows_.size(); ++row) {
     view.sample_to_cluster_[view.rows_[row]] =

@@ -18,9 +18,15 @@ namespace repro::analysis {
 
 class BehavioralView {
  public:
-  /// Clusters every analyzable sample's profile in the database.
+  /// Clusters every analyzable sample's profile in the database. With
+  /// `linkage`, the rows are appended to it (the rows of its earlier
+  /// builds must be a prefix of this database's, which holds when the
+  /// database only grows) and it produces the partition under its own
+  /// options; without it, `options` selects the backend and everything
+  /// is computed afresh.
   static BehavioralView build(const honeypot::EventDatabase& db,
-                              const cluster::BehavioralOptions& options = {});
+                              const cluster::BehavioralOptions& options = {},
+                              cluster::LshLinkage* linkage = nullptr);
 
   [[nodiscard]] const cluster::BehavioralClusters& clusters() const noexcept {
     return clusters_;

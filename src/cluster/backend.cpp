@@ -18,7 +18,6 @@ class LshBackend final : public ClusterBackend {
   [[nodiscard]] BackendKind kind() const noexcept override {
     return BackendKind::kLsh;
   }
-  [[nodiscard]] bool single_linkage() const noexcept override { return true; }
   [[nodiscard]] BehavioralClusters partition(
       const std::vector<const sandbox::BehavioralProfile*>& profiles,
       const BehavioralOptions& options) const override {
@@ -34,7 +33,6 @@ class ExactBackend final : public ClusterBackend {
   [[nodiscard]] BackendKind kind() const noexcept override {
     return BackendKind::kExact;
   }
-  [[nodiscard]] bool single_linkage() const noexcept override { return true; }
   [[nodiscard]] BehavioralClusters partition(
       const std::vector<const sandbox::BehavioralProfile*>& profiles,
       const BehavioralOptions& options) const override {
@@ -49,9 +47,6 @@ class KmeansBackend final : public ClusterBackend {
   }
   [[nodiscard]] BackendKind kind() const noexcept override {
     return BackendKind::kKmeans;
-  }
-  [[nodiscard]] bool single_linkage() const noexcept override {
-    return false;
   }
   [[nodiscard]] BehavioralClusters partition(
       const std::vector<const sandbox::BehavioralProfile*>& profiles,

@@ -14,8 +14,9 @@
 // The registry is a closed set keyed by BackendKind (declared in
 // behavioral.hpp so options can name a backend without this header).
 // An epoch cut's fingerprint names the backend that produced its
-// partition, so a cut of one backend is stale under another and can
-// never seed it (see DESIGN.md §15 for the soundness argument).
+// partition, so a cut of one backend is stale under another (DESIGN.md
+// §15). No backend reads a prior partition: the streaming loop's only
+// carried B state is the LSH backend's process-local LshLinkage.
 #pragma once
 
 #include <cstdint>
@@ -37,13 +38,6 @@ class ClusterBackend {
   /// Stable CLI / wire name ("lsh", "exact", "kmeans").
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
   [[nodiscard]] virtual BackendKind kind() const noexcept = 0;
-  /// True for backends with connected-component (single-linkage)
-  /// semantics. Only these may be seeded from a prior prefix
-  /// partition (BehavioralOptions::prior_assignment) — appending
-  /// items never invalidates an old/old edge under single linkage,
-  /// but re-centering algorithms (K-means) can move old items between
-  /// clusters on every run.
-  [[nodiscard]] virtual bool single_linkage() const noexcept = 0;
 
   /// Clusters the profiles; same contract as cluster_profiles.
   [[nodiscard]] virtual BehavioralClusters partition(

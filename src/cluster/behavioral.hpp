@@ -4,21 +4,31 @@
 // linkage: with a threshold cut, single-linkage clusters are exactly
 // the connected components of the "similarity >= t" graph, so the
 // implementation unions every qualifying pair. Pair enumeration is
-// either exact (all O(n^2) pairs — the baseline the paper's related
-// work criticizes) or LSH-accelerated (the scalable variant Anubis
-// uses); both yield the same clusters whenever LSH proposes every
-// qualifying pair.
+// either exact (all O(n^2) item pairs — the baseline the paper's
+// related work criticizes) or LSH-accelerated (the scalable variant
+// Anubis uses); both yield the same clusters whenever LSH proposes
+// every qualifying pair.
 //
-// Parallelism: when `BehavioralOptions::pool` is set, the feature-id
-// and MinHash signature passes are distributed over the pool into
-// per-profile slots; the bucket sweep is serial. Output is
+// The LSH backend works on duplicate classes, not items: behavioral
+// corpora are dominated by byte-identical profiles (one malware
+// family, thousands of copies), and a copy adds no edge its class
+// does not. `LshLinkage` is that backend's whole state over an
+// append-only profile list, so the batch build (one `extend`) and the
+// streaming epoch loop (one `extend` per epoch) share one code path.
+//
+// Parallelism: when a pool is attached, the feature-id and MinHash
+// signature passes are distributed over it into per-slot outputs; the
+// class assignment and the index filing are serial. Output is
 // byte-identical at every pool width, including the serial
 // pool == nullptr path.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
+#include "cluster/minhash.hpp"
 #include "sandbox/profile.hpp"
 
 namespace repro {
@@ -30,8 +40,6 @@ class MetricsRegistry;
 }  // namespace repro::obs
 
 namespace repro::cluster {
-
-struct SignatureStore;
 
 /// Which clustering algorithm produces the B partition. The enumerator
 /// values are mixed into the epoch-cut fingerprint, so renumbering one
@@ -73,29 +81,6 @@ struct BehavioralOptions {
   /// function of the input and options and lands on the deterministic
   /// channel.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional cross-call signature cache (non-owning). The streaming
-  /// epoch loop sets this so only profiles appended since the previous
-  /// epoch are hashed; signatures of the unchanged prefix are reused.
-  /// The cache never changes the produced clusters — buckets and the
-  /// union-find are rebuilt from the (identical) signatures either way.
-  SignatureStore* signature_cache = nullptr;
-  /// Optional prior partition (non-owning): the `assignment` produced
-  /// by an earlier call over a strict prefix of this profile list with
-  /// identical options (threshold, LSH geometry, seed). Because
-  /// profiles are immutable and appended-only, two old items land in a
-  /// common bucket this call iff they did in the prior one and their
-  /// Jaccard outcome is unchanged — so every old/old edge is already
-  /// reflected in the prior partition. The union-find is seeded from
-  /// it and only pairs touching an appended item are evaluated. The
-  /// produced partition is identical to a from-scratch run; callers
-  /// that cannot guarantee the prefix/options contract must leave this
-  /// null. Ignored when its size exceeds the profile count.
-  ///
-  /// Soundness is a single-linkage property (old/old edges survive
-  /// appends only under connected-component semantics) — attaching a
-  /// prior partition to a non-single-linkage backend (kmeans) throws
-  /// ConfigError instead of silently reusing a stale partition.
-  const std::vector<int>* prior_assignment = nullptr;
 };
 
 struct BehavioralClusters {
@@ -121,6 +106,7 @@ struct BehavioralClusters {
 /// Direct entry points of the two single-linkage backends —
 /// `cluster_profiles` with `options.backend` forced; exposed so the
 /// oracle comparison in benches/tests does not depend on the registry.
+/// `lsh_single_linkage` is one LshLinkage::extend plus clusters().
 [[nodiscard]] BehavioralClusters lsh_single_linkage(
     const std::vector<const sandbox::BehavioralProfile*>& profiles,
     const BehavioralOptions& options = {});
@@ -130,40 +116,96 @@ struct BehavioralClusters {
 
 namespace detail {
 /// Internal seam shared by the backends (cluster/kmeans.cpp reuses the
-/// same cache-honoring passes): the sorted feature-id sets of
-/// `profiles`, and their MinHash signatures. With an attached
-/// signature cache the store is the backing storage and only appended
-/// items are (re)computed; otherwise `scratch` holds the result. Not a
-/// stable API outside src/cluster.
-[[nodiscard]] const std::vector<std::vector<std::uint64_t>>& profile_id_sets(
-    const std::vector<const sandbox::BehavioralProfile*>& profiles,
-    const BehavioralOptions& options,
-    std::vector<std::vector<std::uint64_t>>& scratch);
-[[nodiscard]] const std::vector<std::vector<std::uint64_t>>&
-minhash_signatures(const std::vector<std::vector<std::uint64_t>>& ids,
-                   const BehavioralOptions& options,
-                   std::vector<std::vector<std::uint64_t>>& scratch);
+/// two passes); not a stable API outside src/cluster. Both fan out
+/// over `pool` into per-slot outputs when one is attached.
+///
+/// The sorted feature-id set of every profile. Throws ConfigError on a
+/// null profile pointer.
+[[nodiscard]] std::vector<std::vector<std::uint64_t>> profile_id_sets(
+    std::span<const sandbox::BehavioralProfile* const> profiles,
+    ThreadPool* pool);
+/// The MinHash signature of every id set.
+[[nodiscard]] std::vector<std::vector<std::uint64_t>> minhash_signatures(
+    std::span<const std::vector<std::uint64_t>> ids, const MinHasher& hasher,
+    ThreadPool* pool);
+
+/// Union-find with union by size and path halving. Which root
+/// represents a component is an internal detail: cluster ids are
+/// densified by first member, so the output partition is unaffected.
+class UnionFind {
+ public:
+  UnionFind() = default;
+  explicit UnionFind(std::size_t n) { grow(n); }
+  /// Appends singleton nodes until there are `n`.
+  void grow(std::size_t n);
+  [[nodiscard]] std::size_t size() const noexcept { return parent_.size(); }
+  [[nodiscard]] std::size_t find(std::size_t x);
+  void unite(std::size_t a, std::size_t b);
+
+ private:
+  std::vector<std::size_t> parent_;
+  std::vector<std::size_t> size_;
+};
 }  // namespace detail
 
+/// LSH single linkage over an append-only profile list, keyed on
+/// exact-duplicate classes: each class's id set is hashed once, filed
+/// once into one LSH index over classes, and tested only against the
+/// classes it meets in its buckets while it is filed. A duplicate
+/// joins its class and costs one hash lookup.
+///
+/// Profiles are immutable, so a pair's bucket sharing and Jaccard
+/// outcome never change: an edge decided by an earlier `extend` stays
+/// decided, and `clusters()` after any sequence of extends equals one
+/// extend over the final list (and the exact oracle, whenever LSH
+/// proposes every qualifying pair). The batch build calls `extend`
+/// once; the streaming epoch loop keeps one linkage and extends it
+/// every epoch.
+class LshLinkage {
+ public:
+  /// Takes the threshold, LSH geometry, seed, pool and metrics sink of
+  /// `options`; the pool and the sink must outlive the linkage. Above
+  /// a threshold of 1.0 nothing may merge, so every profile is its own
+  /// class.
+  explicit LshLinkage(const BehavioralOptions& options);
+
+  /// Adds `profiles[size()..]`. The first size() entries must be the
+  /// profiles of the earlier calls, in order. Throws ConfigError when
+  /// the list is shorter than size() or holds a null pointer (the
+  /// linkage is unchanged then).
+  void extend(const std::vector<const sandbox::BehavioralProfile*>& profiles);
+
+  /// The partition of every profile added so far: dense cluster ids
+  /// ordered by first member.
+  [[nodiscard]] BehavioralClusters clusters();
+
+  [[nodiscard]] std::size_t size() const noexcept { return class_of_.size(); }
+  [[nodiscard]] std::size_t class_count() const noexcept {
+    return class_ids_.size();
+  }
+
+ private:
+  /// The duplicate class of an id set, opening a new class when none
+  /// holds it.
+  std::size_t classify(std::vector<std::uint64_t> ids);
+
+  BehavioralOptions options_;
+  MinHasher hasher_;
+  std::vector<std::size_t> class_of_;                  // item -> class
+  std::vector<std::vector<std::uint64_t>> class_ids_;  // class -> id set
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> classes_by_hash_;
+  LshIndex index_;              // over classes
+  detail::UnionFind groups_;    // over classes
+};
+
 /// Number of similarity evaluations a run would perform under each
-/// strategy — exposed for the scalability ablation bench.
+/// strategy — exposed for the scalability ablation bench. Both counts
+/// are item pairs: all of them, and those sharing an LSH bucket.
 struct PairStats {
   std::size_t exact_pairs = 0;
   std::size_t lsh_candidate_pairs = 0;
 };
 [[nodiscard]] PairStats pair_stats(
-    const std::vector<const sandbox::BehavioralProfile*>& profiles,
-    const BehavioralOptions& options = {});
-
-/// Clusters and pair statistics from one shared MinHash signature
-/// pass. Calling cluster_profiles + pair_stats separately computes
-/// every signature twice; this computes them once and derives both
-/// artifacts from the same index.
-struct ClusteringRun {
-  BehavioralClusters clusters;
-  PairStats stats;
-};
-[[nodiscard]] ClusteringRun cluster_profiles_with_stats(
     const std::vector<const sandbox::BehavioralProfile*>& profiles,
     const BehavioralOptions& options = {});
 

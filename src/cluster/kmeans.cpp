@@ -4,8 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "cluster/minhash.hpp"
 #include "obs/metrics.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -38,20 +38,16 @@ std::size_t integer_sqrt(std::size_t n) {
 BehavioralClusters kmeans_cluster(
     const std::vector<const sandbox::BehavioralProfile*>& profiles,
     const BehavioralOptions& options) {
-  if (options.prior_assignment != nullptr) {
-    throw ConfigError(
-        "kmeans_cluster: prior_assignment seeding is only sound for "
-        "single-linkage backends");
-  }
-  std::vector<std::vector<std::uint64_t>> id_scratch;
-  const auto& ids = detail::profile_id_sets(profiles, options, id_scratch);
+  const std::vector<std::vector<std::uint64_t>> ids =
+      detail::profile_id_sets(profiles, options.pool);
   const std::size_t n = ids.size();
   BehavioralClusters result;
   if (n == 0) return result;
 
-  std::vector<std::vector<std::uint64_t>> sig_scratch;
-  const auto& signatures =
-      detail::minhash_signatures(ids, options, sig_scratch);
+  const MinHasher hasher{options.lsh_bands * options.lsh_rows, options.seed};
+  const std::vector<std::vector<std::uint64_t>> signatures =
+      detail::minhash_signatures(ids, hasher, options.pool);
+  obs::add_counter(options.metrics, "cluster.b.signatures", n);
   const std::size_t dims = options.lsh_bands * options.lsh_rows;
 
   // Each signature component, mapped into [0, 1), is one coordinate.

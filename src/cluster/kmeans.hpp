@@ -28,8 +28,7 @@ namespace repro::cluster {
 
 /// Clusters profiles with seeded K-means over MinHash coordinates.
 /// `options.kmeans_k` of 0 derives k = floor(sqrt(n)); k is clamped to
-/// n. Throws ConfigError when `options.prior_assignment` is set —
-/// prefix seeding is only sound for single-linkage backends.
+/// n. Recomputes every id set and signature on each call.
 [[nodiscard]] BehavioralClusters kmeans_cluster(
     const std::vector<const sandbox::BehavioralProfile*>& profiles,
     const BehavioralOptions& options = {});

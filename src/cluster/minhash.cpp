@@ -45,7 +45,8 @@ LshIndex::LshIndex(std::size_t bands, std::size_t rows)
 }
 
 void LshIndex::insert(std::size_t item,
-                      std::span<const std::uint64_t> signature) {
+                      std::span<const std::uint64_t> signature,
+                      const std::function<void(std::size_t)>& on_mate) {
   if (signature.size() != bands_ * rows_) {
     throw ConfigError("LshIndex::insert: signature size mismatch");
   }
@@ -54,29 +55,12 @@ void LshIndex::insert(std::size_t item,
     for (std::size_t r = 0; r < rows_; ++r) {
       bucket = mix64(bucket ^ signature[band * rows_ + r]);
     }
-    buckets_[band][bucket].push_back(item);
-  }
-}
-
-std::vector<std::vector<std::size_t>> LshIndex::multi_item_buckets() const {
-  std::vector<std::vector<std::size_t>> out;
-  for (const auto& band : buckets_) {
-    for (const auto& [bucket, items] : band) {
-      if (items.size() >= 2) out.push_back(items);
+    std::vector<std::size_t>& items = buckets_[band][bucket];
+    if (on_mate) {
+      for (const std::size_t mate : items) on_mate(mate);
     }
+    items.push_back(item);
   }
-  // The maps above yield buckets in hash-seed iteration order — stable
-  // within one binary but not across stdlib implementations, and a
-  // nondeterministic work partition once buckets are chunked across
-  // pool workers. Each bucket's item list is already ascending (items
-  // are inserted in index order), so lexicographic order sorts by
-  // smallest member with a deterministic tie-break, independent of the
-  // maps' internals. Near-duplicate profiles collide in many bands and
-  // produce identical member lists; adjacent duplicates are dropped so
-  // the consumer evaluates each distinct bucket once.
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 std::vector<std::pair<std::size_t, std::size_t>> LshIndex::candidate_pairs()
@@ -94,14 +78,6 @@ std::vector<std::pair<std::size_t, std::size_t>> LshIndex::candidate_pairs()
     }
   }
   return {pairs.begin(), pairs.end()};
-}
-
-std::uint64_t signature_config(std::size_t bands, std::size_t rows,
-                               std::uint64_t seed) {
-  std::uint64_t config = mix64(0x5349474eULL ^ bands);
-  config = mix64(config ^ rows);
-  config = mix64(config ^ seed);
-  return config == 0 ? 1 : config;
 }
 
 }  // namespace repro::cluster

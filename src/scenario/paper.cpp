@@ -8,7 +8,6 @@
 #include <tuple>
 #include <utility>
 
-#include "cluster/backend.hpp"
 #include "cluster/feature.hpp"
 #include "cluster/incremental.hpp"
 #include "malware/binary.hpp"
@@ -933,15 +932,13 @@ EpochClusters cluster_epoch(const honeypot::EventDatabase& db,
     // feature-id and signature chunks.
     behavioral.pool = &pool;
     behavioral.metrics = b_metrics;
-    if (incremental != nullptr) {
-      behavioral.signature_cache = &incremental->signatures;
-      // Seeding from the prior partition is only sound under
-      // connected-component semantics; other backends recompute theirs.
-      if (cluster::cluster_backend(options.b_backend).single_linkage()) {
-        behavioral.prior_assignment = &incremental->prior_b;
-      }
+    cluster::LshLinkage* linkage = nullptr;
+    if (incremental != nullptr &&
+        options.b_backend == cluster::BackendKind::kLsh) {
+      if (!incremental->b) incremental->b.emplace(behavioral);
+      linkage = &*incremental->b;
     }
-    out.b = analysis::BehavioralView::build(db, behavioral);
+    out.b = analysis::BehavioralView::build(db, behavioral, linkage);
   });
   pool.run_tasks(tasks);
   return out;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "analysis/bview.hpp"
@@ -144,11 +145,10 @@ struct IncrementalClustering {
   cluster::IncrementalEpm& e;
   cluster::IncrementalEpm& p;
   cluster::IncrementalEpm& m;
-  cluster::SignatureStore& signatures;
-  /// The previous epoch's B partition; its rows are a prefix of this
-  /// epoch's, so it seeds B's union-find when the backend is
-  /// single-linkage.
-  const std::vector<int>& prior_b;
+  /// B's LSH state, built by the first epoch this process clusters
+  /// under the LSH backend and extended by every later one. The exact
+  /// and kmeans backends leave it empty and recompute every epoch.
+  std::optional<cluster::LshLinkage>& b;
 };
 
 /// The four clusterings of one database.
@@ -162,9 +162,9 @@ struct EpochClusters {
 /// same immutable database, so they run as concurrent pool tasks, each
 /// under a "cluster.e|p|m|b" span whose parent is `parent`. B uses
 /// `options.b_threshold` and `options.b_backend`. With `incremental`,
-/// E/P/M advance their engines and B reuses cached signatures (and, for
-/// a single-linkage backend, the prior partition); without it
-/// everything is recomputed. Both give byte-identical results.
+/// E/P/M advance their engines and an LSH B extends the carried
+/// linkage with the epoch's new profiles; without it everything is
+/// recomputed. Both give byte-identical results.
 /// `b_metrics` receives B's work counters (the batch build's ABL-9
 /// counters); the streaming loop passes none, since per-process counts
 /// would differ across a kill and resume.

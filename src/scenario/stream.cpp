@@ -191,12 +191,13 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
       restored ? restored->event_total : sensors().event_total();
 
   // Incremental clustering engines: counting state per EPM dimension,
-  // recounted from the restored prefix below, plus the process-local
-  // MinHash signature cache, which starts empty on every run.
+  // recounted from the restored prefix below, plus B's process-local
+  // LSH linkage, which the first epoch this run clusters builds over
+  // every profile the database holds by then.
   cluster::IncrementalEpm inc_e{cluster::Dimension::kEpsilon};
   cluster::IncrementalEpm inc_p{cluster::Dimension::kPi};
   cluster::IncrementalEpm inc_m{cluster::Dimension::kMu};
-  cluster::SignatureStore signatures;
+  std::optional<cluster::LshLinkage> b_linkage;
 
   std::uint64_t appended_this_run = 0;
   const auto count_append = [&] {
@@ -355,20 +356,19 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
 
     // Epoch clustering: the EPM engines absorb the epoch's event delta
     // into their counting state and re-generalize only
-    // flip-affected rows, and B reuses cached MinHash signatures for
-    // the unchanged profile prefix — byte-identical to the full
+    // flip-affected rows, and an LSH B files only the epoch's new
+    // duplicate classes into its linkage — byte-identical to the full
     // recompute, which verify mode runs beside it (the cost pair the
     // ABL-10 streaming ablation measures).
     {
       const obs::TraceRecorder::Scoped cluster_span{
           options.trace, "epoch.cluster", epoch_span.id()};
-      // The previous epoch's B partition (restored from the cut on warm
-      // resume) stays in `bview` until the new one replaces it. Its E/P/M
-      // results are dropped first: the engines keep their own state, and
-      // holding both generations would only raise the peak.
+      // The previous epoch's results are dropped first: the engines
+      // keep their own state, and holding both generations would only
+      // raise the peak.
       epm_stage = {};
-      const IncrementalClustering engines{inc_e, inc_p, inc_m, signatures,
-                                          bview.clusters().assignment};
+      bview = {};
+      const IncrementalClustering engines{inc_e, inc_p, inc_m, b_linkage};
       EpochClusters clusters =
           cluster_epoch(db, options, pool, cluster_span.id(), &engines);
       epm_stage = std::move(clusters.epm);
@@ -457,15 +457,11 @@ Dataset build_streaming_dataset(const ScenarioOptions& options,
     // The reclassification total is a pure function of the record
     // sequence and the epoch split, so it is width-stable and
     // kill-invariant (a resumed run restores it from the cut instead of
-    // re-earning it). Signature reuse counts this process's cache hits
-    // only — a resumed run starts with an empty cache — so it is runtime
-    // telemetry.
+    // re-earning it).
     obs::add_counter(options.metrics, "epm.instances_reclassified",
                      inc_e.instances_reclassified() +
                          inc_p.instances_reclassified() +
                          inc_m.instances_reclassified());
-    obs::add_counter(options.metrics, "cluster.signatures_reused",
-                     signatures.reused, obs::Channel::kRuntime);
     // Records this process pulled from the sensors, fast-forwards
     // included: zero on a resume whose WAL and cut already hold every
     // record. Per-process, so runtime telemetry.

@@ -8,9 +8,9 @@
 // The stream is split into N epochs; each epoch replays its record
 // delta into the event database, enriches the delta, advances the E/P/M/B clusterings
 // incrementally (delta counting + flip-triggered reclassification for
-// EPM, cached MinHash signatures for B, plus prior-partition seeding
-// when the backend is single-linkage — byte-identical to a full
-// recompute, which StreamOptions::verify_incremental cross-checks),
+// EPM; for an LSH B, one linkage over duplicate classes that each epoch
+// extends with its new profiles — byte-identical to a full recompute,
+// which StreamOptions::verify_incremental cross-checks),
 // seals the WAL segment that holds the delta (the epoch's one WAL
 // sync: a record is durable once its epoch is cut) and cuts an epoch
 // checkpoint. A run killed at any point — mid-epoch,

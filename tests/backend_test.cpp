@@ -9,12 +9,15 @@
 // are bounded away from the threshold.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/backend.hpp"
 #include "cluster/behavioral.hpp"
+#include "obs/metrics.hpp"
 #include "sandbox/profile.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -212,21 +215,120 @@ TEST(BackendAgreement, LshMatchesExactOnGappedCorpora) {
   }
 }
 
-// --------------------------------------------------- kmeans contract
+// ------------------------------------------------ stepwise linkage
 
-TEST(KmeansBackend, PriorAssignmentSeedingThrows) {
-  // Seeding from a prefix partition is a single-linkage soundness
-  // property; kmeans must refuse it, not silently produce a partition
-  // influenced by a stale prior.
-  const auto profiles = gapped_corpus(20, 9);
+/// Two tight families of near-duplicates (Jaccard 12/14 within a
+/// family, 0 across) in which member i carries tag i % 7, so members
+/// with equal tags are exact duplicates.
+std::vector<sandbox::BehavioralProfile> dense_corpus(std::size_t n) {
+  std::vector<sandbox::BehavioralProfile> profiles;
+  for (std::size_t i = 0; i < n; ++i) {
+    sandbox::BehavioralProfile profile;
+    const std::string family = i % 2 == 0 ? "A" : "B";
+    for (int f = 0; f < 12; ++f) profile.add(family + std::to_string(f));
+    profile.add("tag" + std::to_string(i % 7));
+    profiles.push_back(std::move(profile));
+  }
+  return profiles;
+}
+
+std::uint64_t counter_of(const obs::MetricsRegistry& metrics,
+                         std::string_view name) {
+  for (const auto& [counter, value] :
+       metrics.counter_values(obs::Channel::kDeterministic)) {
+    if (counter == name) return value;
+  }
+  return 0;
+}
+
+std::size_t distinct_id_sets(
+    const std::vector<sandbox::BehavioralProfile>& profiles) {
+  std::set<std::vector<std::uint64_t>> sets;
+  for (const auto& profile : profiles) sets.insert(profile.feature_ids());
+  return sets.size();
+}
+
+TEST(LshLinkage, StepwiseExtendsMatchOneCallAndTheOracle) {
+  // The same list grown in steps split at random epoch points (repeats
+  // included, which extend by nothing) must give, after every step,
+  // what one call over that prefix gives — and at the end, the exact
+  // oracle's partition, at every pool width.
+  Rng rng{28};
+  const std::vector<std::vector<sandbox::BehavioralProfile>> corpora{
+      gapped_corpus(120, 7), dense_corpus(90)};
+  for (const auto& profiles : corpora) {
+    const auto ptrs = pointers(profiles);
+    const BehavioralClusters oracle = exact_single_linkage(ptrs);
+    const std::size_t classes = distinct_id_sets(profiles);
+    ASSERT_LT(classes, profiles.size());
+    for (const std::size_t width :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      ThreadPool pool{width};
+      for (int trial = 0; trial < 3; ++trial) {
+        std::vector<std::size_t> cuts;
+        for (int k = 0; k < 3; ++k) cuts.push_back(rng.index(ptrs.size() + 1));
+        std::sort(cuts.begin(), cuts.end());
+        cuts.push_back(ptrs.size());
+        obs::MetricsRegistry metrics;
+        BehavioralOptions options;
+        options.pool = &pool;
+        options.metrics = &metrics;
+        LshLinkage linkage{options};
+        for (const std::size_t cut : cuts) {
+          const std::vector<const sandbox::BehavioralProfile*> prefix(
+              ptrs.begin(), ptrs.begin() + static_cast<std::ptrdiff_t>(cut));
+          linkage.extend(prefix);
+          EXPECT_EQ(linkage.size(), cut);
+          EXPECT_EQ(linkage.clusters().assignment,
+                    lsh_single_linkage(prefix).assignment)
+              << "cut " << cut << ", width " << width;
+        }
+        EXPECT_EQ(linkage.clusters().assignment, oracle.assignment)
+            << "width " << width;
+        // Each duplicate class is hashed once over all the steps, and
+        // the unions add up to items - clusters.
+        EXPECT_EQ(linkage.class_count(), classes);
+        EXPECT_EQ(counter_of(metrics, "cluster.b.signatures"), classes);
+        EXPECT_EQ(counter_of(metrics, "cluster.b.union_ops"),
+                  profiles.size() - oracle.cluster_count());
+      }
+    }
+  }
+}
+
+TEST(LshLinkage, RejectsAShrunkListOrANullProfile) {
+  const auto profiles = dense_corpus(30);
+  const auto ptrs = pointers(profiles);
+  LshLinkage linkage{BehavioralOptions{}};
+  linkage.extend(ptrs);
+  const BehavioralClusters before = linkage.clusters();
+  const std::vector<const sandbox::BehavioralProfile*> shrunk(
+      ptrs.begin(), ptrs.begin() + 10);
+  EXPECT_THROW(linkage.extend(shrunk), ConfigError);
+  std::vector<const sandbox::BehavioralProfile*> with_null = ptrs;
+  with_null.push_back(nullptr);
+  EXPECT_THROW(linkage.extend(with_null), ConfigError);
+  // A refused extend leaves the linkage as it was.
+  EXPECT_EQ(linkage.size(), ptrs.size());
+  EXPECT_EQ(linkage.clusters().assignment, before.assignment);
+}
+
+TEST(LshLinkage, ThresholdAboveOneKeepsDuplicatesApartWhenGrown) {
+  const auto profiles = dense_corpus(40);
   const auto ptrs = pointers(profiles);
   BehavioralOptions options;
-  options.backend = BackendKind::kKmeans;
-  const auto first = cluster_profiles(ptrs, options);
-  BehavioralOptions seeded = options;
-  seeded.prior_assignment = &first.assignment;
-  EXPECT_THROW(cluster_profiles(ptrs, seeded), ConfigError);
+  options.threshold = 1.5;
+  LshLinkage linkage{options};
+  for (const std::size_t cut : {std::size_t{9}, std::size_t{25},
+                                profiles.size()}) {
+    linkage.extend(
+        {ptrs.begin(), ptrs.begin() + static_cast<std::ptrdiff_t>(cut)});
+  }
+  EXPECT_EQ(linkage.class_count(), profiles.size());
+  EXPECT_EQ(linkage.clusters().cluster_count(), profiles.size());
 }
+
+// --------------------------------------------------- kmeans contract
 
 TEST(KmeansBackend, RespectsRequestedK) {
   const auto profiles = gapped_corpus(60, 13);

@@ -420,8 +420,8 @@ TEST(Behavioral, PairStatsLshPrunes) {
   EXPECT_GE(stats.lsh_candidate_pairs, 2u * (20u * 19u / 2));
 }
 
-/// Two tight families of near-duplicates — the shape that makes
-/// identical member lists recur across many LSH bands.
+/// Two tight families of near-duplicates — the shape in which a
+/// profile meets the same bucket mates in many LSH bands.
 std::vector<sandbox::BehavioralProfile> dense_profiles(int per_family) {
   std::vector<sandbox::BehavioralProfile> profiles;
   for (int i = 0; i < 2 * per_family; ++i) {
@@ -434,30 +434,36 @@ std::vector<sandbox::BehavioralProfile> dense_profiles(int per_family) {
   return profiles;
 }
 
-TEST(Lsh, MultiItemBucketsAreSortedAndDeduped) {
-  const auto profiles = dense_profiles(15);
-  const MinHasher hasher{20 * 5, 7};
-  LshIndex index{20, 5};
-  std::vector<std::vector<std::uint64_t>> ids;
-  for (const auto& p : profiles) {
-    ids.push_back(p.feature_ids());
-  }
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    index.insert(i, hasher.signature(ids[i]));
-  }
-  const auto buckets = index.multi_item_buckets();
-  ASSERT_FALSE(buckets.empty());
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    EXPECT_GE(buckets[b].size(), 2u);
-    // Members ascend within a bucket (inserted in index order)...
-    EXPECT_TRUE(std::is_sorted(buckets[b].begin(), buckets[b].end()));
-    // ...and the bucket list itself is strictly increasing
-    // lexicographically: deterministic order, no duplicate lists even
-    // when several bands produced the same membership.
-    if (b > 0) {
-      EXPECT_LT(buckets[b - 1], buckets[b]);
-    }
-  }
+TEST(Lsh, InsertReportsEarlierBucketMatesBandByBand) {
+  // One row per band, so each signature component is its band's
+  // bucket key.
+  LshIndex index{2, 1};
+  std::vector<std::vector<std::size_t>> mates;
+  const auto file = [&](std::size_t item,
+                        const std::vector<std::uint64_t>& signature) {
+    mates.emplace_back();
+    index.insert(item, signature,
+                 [&](std::size_t mate) { mates.back().push_back(mate); });
+  };
+  file(0, {5, 7});
+  file(1, {5, 8});
+  file(2, {5, 7});
+  file(3, {9, 9});
+  file(4, {5, 7});
+  const std::vector<std::vector<std::size_t>> expected{
+      {},               // first in both of its buckets
+      {0},              // band 0 only
+      {0, 1, 0},        // band 0 holds 0 and 1, band 1 holds 0
+      {},               // new buckets in both bands
+      {0, 1, 2, 0, 2},  // every earlier mate, once per shared band
+  };
+  EXPECT_EQ(mates, expected);
+  // Without a callback the item is filed all the same.
+  index.insert(5, std::vector<std::uint64_t>{9, 1});
+  const auto pairs = index.candidate_pairs();
+  EXPECT_NE(std::find(pairs.begin(), pairs.end(),
+                      std::make_pair<std::size_t, std::size_t>(3, 5)),
+            pairs.end());
 }
 
 TEST(Behavioral, ClusterIdsDensifiedByFirstMember) {
@@ -493,22 +499,6 @@ TEST(Behavioral, PoolWidthsProduceIdenticalAssignments) {
     EXPECT_EQ(clusters.assignment, baseline.assignment)
         << "width " << width;
   }
-}
-
-TEST(Behavioral, WithStatsMatchesSeparateCalls) {
-  // One signature pass must reproduce what the two separate entry
-  // points compute.
-  const auto profiles = dense_profiles(20);
-  ThreadPool pool{4};
-  BehavioralOptions options;
-  options.pool = &pool;
-  const ClusteringRun run =
-      cluster_profiles_with_stats(pointers(profiles), options);
-  EXPECT_EQ(run.clusters.assignment,
-            cluster_profiles(pointers(profiles), options).assignment);
-  const PairStats expected = pair_stats(pointers(profiles), options);
-  EXPECT_EQ(run.stats.exact_pairs, expected.exact_pairs);
-  EXPECT_EQ(run.stats.lsh_candidate_pairs, expected.lsh_candidate_pairs);
 }
 
 // ------------------------------------------------------------------ pehash
@@ -782,108 +772,9 @@ TEST(Invariants, SortedValuesAreSortedAndBoundsChecked) {
   EXPECT_THROW((void)table.sorted_values(2), ConfigError);
 }
 
-// ---------------------------------------------------------- signature cache
-
-TEST(SignatureCache, ConfigPinsEveryParameter) {
-  const std::uint64_t base = signature_config(20, 5, 0x6c5b0001);
-  EXPECT_EQ(base, signature_config(20, 5, 0x6c5b0001));
-  EXPECT_NE(base, signature_config(21, 5, 0x6c5b0001));
-  EXPECT_NE(base, signature_config(20, 4, 0x6c5b0001));
-  EXPECT_NE(base, signature_config(20, 5, 1));
-  EXPECT_NE(base, 0u);  // 0 is reserved for "no cache yet"
-}
-
-TEST(SignatureCache, ReusesThePrefixWithoutChangingClusters) {
-  const auto profiles = dense_profiles(20);  // 40 profiles
-  const auto ptrs = pointers(profiles);
-  const std::vector<const sandbox::BehavioralProfile*> prefix(
-      ptrs.begin(), ptrs.begin() + 25);
-
-  SignatureStore cache;
-  BehavioralOptions cached;
-  cached.signature_cache = &cache;
-  const BehavioralOptions plain;
-
-  // First epoch hashes everything.
-  const auto first = cluster_profiles(prefix, cached);
-  EXPECT_EQ(cache.signatures.size(), 25u);
-  EXPECT_EQ(cache.computed, 25u);
-  EXPECT_EQ(cache.reused, 0u);
-  EXPECT_EQ(first.assignment, cluster_profiles(prefix, plain).assignment);
-
-  // Second epoch appends 15 profiles: only those are hashed.
-  const auto second = cluster_profiles(ptrs, cached);
-  EXPECT_EQ(cache.signatures.size(), 40u);
-  EXPECT_EQ(cache.computed, 40u);
-  EXPECT_EQ(cache.reused, 25u);
-  EXPECT_EQ(second.assignment, cluster_profiles(ptrs, plain).assignment);
-}
-
-TEST(SignatureCache, ParameterChangeInvalidatesTheCache) {
-  const auto profiles = dense_profiles(10);
-  const auto ptrs = pointers(profiles);
-  SignatureStore cache;
-  BehavioralOptions options;
-  options.signature_cache = &cache;
-  (void)cluster_profiles(ptrs, options);
-  const auto pinned = cache.signatures;
-  ASSERT_EQ(pinned.size(), ptrs.size());
-  // Same profiles under another seed: stale signatures must not be
-  // reused — the cache is rebuilt under the new configuration.
-  options.seed ^= 0xdead;
-  const auto reclustered = cluster_profiles(ptrs, options);
-  EXPECT_EQ(cache.config, signature_config(options.lsh_bands,
-                                           options.lsh_rows, options.seed));
-  EXPECT_EQ(cache.signatures.size(), ptrs.size());
-  EXPECT_NE(cache.signatures, pinned);
-  EXPECT_EQ(cache.reused, 0u);
-  EXPECT_EQ(cache.computed, 2 * ptrs.size());
-  // The clustering itself is seed-insensitive here: exact equality on
-  // two tight families.
-  EXPECT_EQ(reclustered.assignment,
-            cluster_profiles(ptrs, BehavioralOptions{}).assignment);
-}
-
-TEST(Behavioral, PriorAssignmentSeedingMatchesFromScratch) {
-  // Epoch-style growth: cluster a prefix, then the full list seeded
-  // with the prefix partition. The seeded run must equal the
-  // from-scratch run exactly — old/old edges are summarized by the
-  // prior partition, everything else is re-evaluated.
-  const auto profiles = dense_profiles(20);  // 40 profiles
-  const auto ptrs = pointers(profiles);
-  const std::vector<const sandbox::BehavioralProfile*> prefix(
-      ptrs.begin(), ptrs.begin() + 25);
-  for (const BackendKind backend : {BackendKind::kExact, BackendKind::kLsh}) {
-    BehavioralOptions options;
-    options.threshold = 0.7;
-    options.backend = backend;
-    const auto first = cluster_profiles(prefix, options);
-    BehavioralOptions seeded = options;
-    seeded.prior_assignment = &first.assignment;
-    EXPECT_EQ(cluster_profiles(ptrs, seeded).assignment,
-              cluster_profiles(ptrs, options).assignment)
-        << "backend=" << static_cast<int>(backend);
-  }
-}
-
-TEST(Behavioral, OversizedPriorAssignmentIsIgnored) {
-  const auto profiles = dense_profiles(10);
-  const auto ptrs = pointers(profiles);
-  BehavioralOptions options;
-  const auto full = cluster_profiles(ptrs, options);
-  // A prior longer than the profile list cannot be a prefix partition;
-  // it must be ignored, not trusted.
-  const std::vector<const sandbox::BehavioralProfile*> prefix(
-      ptrs.begin(), ptrs.begin() + 5);
-  BehavioralOptions seeded = options;
-  seeded.prior_assignment = &full.assignment;
-  EXPECT_EQ(cluster_profiles(prefix, seeded).assignment,
-            cluster_profiles(prefix, options).assignment);
-}
-
 TEST(Behavioral, ExactDuplicatesMergeOnlyUnderTheThreshold) {
-  // Many byte-identical profiles: the duplicate pre-unite must merge
-  // them below/at threshold 1.0 and must stay out of the way for a
+  // Many byte-identical profiles: they must merge below/at threshold
+  // 1.0 (LSH keeps them in one duplicate class) and stay apart for a
   // pathological threshold above 1.0, where nothing can merge.
   std::vector<sandbox::BehavioralProfile> profiles;
   for (int i = 0; i < 12; ++i) {
@@ -911,12 +802,12 @@ TEST(Behavioral, ExactDuplicatesMergeOnlyUnderTheThreshold) {
 }
 
 TEST(Behavioral, RepresentativeSweepMatchesTheOracle) {
-  // A duplicate-heavy corpus: one profile copied 150 times fills a
-  // bucket in which only its representative is swept, near duplicates
+  // A duplicate-heavy corpus: one profile copied 150 times is one
+  // duplicate class, hashed and filed once; near duplicates
   // (Jaccard 10/11 and 10/12) join it, unrelated profiles stay apart.
-  // The suffix past `old_n` adds copies of a prefix representative, a
-  // new representative that joins it, a class new to the suffix, and a
-  // profile that bridges two prefix clusters.
+  // The suffix past `old_n` adds copies of a prefix class, a new class
+  // that joins it, a class new to the suffix, and a profile that
+  // bridges two prefix clusters.
   const auto make = [](const std::string& family, int shared,
                        const std::string& extra) {
     sandbox::BehavioralProfile p;
@@ -965,11 +856,13 @@ TEST(Behavioral, RepresentativeSweepMatchesTheOracle) {
     ThreadPool pool{width};
     BehavioralOptions options;
     options.pool = &pool;
-    const BehavioralClusters first = lsh_single_linkage(prefix, options);
+    // Epoch-style growth: the suffix is filed into the prefix's linkage.
+    LshLinkage linkage{options};
+    linkage.extend(prefix);
+    const BehavioralClusters first = linkage.clusters();
     EXPECT_NE(first.assignment[old_n - 2], first.assignment[old_n - 1]);
-    BehavioralOptions seeded = options;
-    seeded.prior_assignment = &first.assignment;
-    EXPECT_EQ(lsh_single_linkage(ptrs, seeded).assignment, oracle.assignment)
+    linkage.extend(ptrs);
+    EXPECT_EQ(linkage.clusters().assignment, oracle.assignment)
         << "width " << width;
     obs::MetricsRegistry metrics;
     BehavioralOptions scratch = options;

@@ -867,33 +867,17 @@ std::vector<std::pair<std::string, std::uint64_t>> kill_invariant_counters(
 TEST(Stream, IncrementalCountersAreKillInvariant) {
   constexpr std::size_t kEpochs = 4;
 
-  // B's item count after each epoch of an uninterrupted run.
   obs::MetricsRegistry clean_metrics;
   ScenarioOptions clean_options = small_options(true);
   clean_options.metrics = &clean_metrics;
   const fs::path clean_root = fresh_dir("counters-clean");
-  StreamOptions clean_stream = stream_under(clean_root, clean_options, kEpochs);
-  std::vector<std::uint64_t> items;
-  clean_stream.on_epoch = [&items](const honeypot::EventDatabase&,
-                                   const snapshot::EpmStage&,
-                                   const analysis::BehavioralView& bview,
-                                   std::size_t) {
-    items.push_back(bview.clusters().assignment.size());
-  };
-  (void)build_streaming_dataset(clean_options, clean_stream);
-  ASSERT_EQ(items.size(), kEpochs);
+  (void)build_streaming_dataset(
+      clean_options, stream_under(clean_root, clean_options, kEpochs));
   const std::uint64_t reclassified = counter_of(
       clean_metrics, "epm.instances_reclassified", obs::Channel::kDeterministic);
-  // Every epoch after the first reuses the previous epoch's signatures.
-  EXPECT_EQ(counter_of(clean_metrics, "cluster.signatures_reused",
-                       obs::Channel::kRuntime),
-            items[0] + items[1] + items[2]);
-  EXPECT_GT(items[0], 0u);
 
   // The same stream killed after epoch 2 and resumed publishes the same
-  // reclassification total, restored from the cut. The signature cache
-  // is process-local: the resumed process hashes the restored prefix in
-  // epoch 3 and reuses only that in epoch 4.
+  // reclassification total, restored from the cut.
   ScenarioOptions options = small_options(true);
   const fs::path root = fresh_dir("counters-kill");
   StreamOptions stream = stream_under(root, options, kEpochs);
@@ -908,9 +892,6 @@ TEST(Stream, IncrementalCountersAreKillInvariant) {
   EXPECT_EQ(counter_of(resumed_metrics, "epm.instances_reclassified",
                        obs::Channel::kDeterministic),
             reclassified);
-  EXPECT_EQ(counter_of(resumed_metrics, "cluster.signatures_reused",
-                       obs::Channel::kRuntime),
-            items[2]);
 }
 
 TEST(Stream, OlderSnapshotVersionIsQuarantinedOnWarmResume) {
