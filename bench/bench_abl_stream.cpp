@@ -19,7 +19,6 @@
 //
 //   REPRO_BENCH_SCALE=0.25 ./bench_abl_stream [--check <EXPERIMENTS.md>]
 //                                             [--out <file.json>]
-#include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "gate_table.hpp"
 #include "io/csv_export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -74,74 +74,6 @@ std::vector<double> span_ms(const repro::obs::TraceRecorder& trace,
     }
   }
   return out;
-}
-
-/// The `| `name` | value |` rows of the ABL-10 section of EXPERIMENTS.md.
-std::map<std::string, std::uint64_t> read_abl10_table(
-    const std::string& path) {
-  std::ifstream in{path};
-  if (!in) {
-    throw repro::IoError("bench_abl_stream: cannot open " + path);
-  }
-  std::map<std::string, std::uint64_t> table;
-  std::string line;
-  bool in_section = false;
-  while (std::getline(in, line)) {
-    if (line.rfind("#", 0) == 0) {
-      in_section = line.find("ABL-10") != std::string::npos;
-      continue;
-    }
-    if (!in_section || line.rfind("|", 0) != 0) continue;
-    const std::size_t tick_open = line.find('`');
-    if (tick_open == std::string::npos) continue;
-    const std::size_t tick_close = line.find('`', tick_open + 1);
-    if (tick_close == std::string::npos) continue;
-    const std::string name =
-        line.substr(tick_open + 1, tick_close - tick_open - 1);
-    const std::size_t bar = line.find('|', tick_close);
-    if (bar == std::string::npos) continue;
-    std::size_t begin = bar + 1;
-    while (begin < line.size() && line[begin] == ' ') ++begin;
-    std::size_t end = begin;
-    while (end < line.size() &&
-           std::isdigit(static_cast<unsigned char>(line[end])) != 0) {
-      ++end;
-    }
-    if (end == begin) continue;
-    table[name] = repro::parse_u64(line.substr(begin, end - begin),
-                                   "ABL-10 counter " + name);
-  }
-  return table;
-}
-
-bool counters_match_table(
-    const std::vector<std::pair<std::string, std::uint64_t>>& counters,
-    const std::map<std::string, std::uint64_t>& table) {
-  bool ok = true;
-  std::map<std::string, std::uint64_t> measured;
-  for (const auto& [name, value] : counters) {
-    if (gated(name)) measured[name] = value;
-  }
-  for (const auto& [name, value] : measured) {
-    const auto it = table.find(name);
-    if (it == table.end()) {
-      std::cerr << "ABL-10 gate: counter '" << name << "' (= " << value
-                << ") is missing from the table\n";
-      ok = false;
-    } else if (it->second != value) {
-      std::cerr << "ABL-10 gate: counter '" << name << "' measured " << value
-                << " but the table says " << it->second << "\n";
-      ok = false;
-    }
-  }
-  for (const auto& [name, value] : table) {
-    if (measured.count(name) == 0) {
-      std::cerr << "ABL-10 gate: table row '" << name
-                << "' was not produced by this run\n";
-      ok = false;
-    }
-  }
-  return ok;
 }
 
 }  // namespace
@@ -380,17 +312,19 @@ int main(int argc, char** argv) {
     fs::remove_all(root);
     if (!identical) return 1;
     if (!check_path.empty()) {
-      if (!counters_match_table(counters, read_abl10_table(check_path))) {
+      std::map<std::string, std::uint64_t> measured;
+      for (const auto& [name, value] : counters) {
+        if (gated(name)) measured[name] = value;
+      }
+      if (!bench::rows_match_table(
+              "ABL-10", measured,
+              bench::read_counter_table(check_path, "ABL-10"))) {
         std::cerr << "bench_abl_stream: streaming work counters drifted — "
                      "update the ABL-10 table in EXPERIMENTS.md alongside "
                      "the change\n";
         return 1;
       }
-      std::size_t gated_count = 0;
-      for (const auto& [name, value] : counters) {
-        if (gated(name)) ++gated_count;
-      }
-      std::cout << "ABL-10 gate: " << gated_count
+      std::cout << "ABL-10 gate: " << measured.size()
                 << " counters match EXPERIMENTS.md\n";
     }
     return 0;

@@ -25,7 +25,6 @@
 //
 //   REPRO_BENCH_SCALE=0.25 ./bench_cluster_backends
 //       [--check <EXPERIMENTS.md>] [--out <file.json>]
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -42,6 +41,7 @@
 #endif
 
 #include "bench_common.hpp"
+#include "gate_table.hpp"
 #include "cluster/backend.hpp"
 #include "cluster/metrics.hpp"
 #include "obs/metrics.hpp"
@@ -251,86 +251,18 @@ BackendResult run_backend(const LandscapeCase& input, BackendKind kind,
 /// Pinned integer rows for the EXPERIMENTS.md gate:
 ///   b.<landscape>.<backend>.{clusters,singletons,consistent_clusters,
 ///                            unfragmented_families,f1_milli}
-std::vector<std::pair<std::string, std::uint64_t>> pinned_rows(
+std::map<std::string, std::uint64_t> pinned_rows(
     const std::vector<BackendResult>& results) {
-  std::vector<std::pair<std::string, std::uint64_t>> rows;
+  std::map<std::string, std::uint64_t> rows;
   for (const BackendResult& r : results) {
     const std::string prefix = "b." + r.landscape + "." + r.backend + ".";
-    rows.emplace_back(prefix + "clusters", r.clusters.cluster_count());
-    rows.emplace_back(prefix + "singletons", r.clusters.singleton_count());
-    rows.emplace_back(prefix + "consistent_clusters", r.consistent);
-    rows.emplace_back(prefix + "unfragmented_families", r.unfragmented);
-    rows.emplace_back(prefix + "f1_milli", f1_milli(r.quality.pairwise_f1));
+    rows[prefix + "clusters"] = r.clusters.cluster_count();
+    rows[prefix + "singletons"] = r.clusters.singleton_count();
+    rows[prefix + "consistent_clusters"] = r.consistent;
+    rows[prefix + "unfragmented_families"] = r.unfragmented;
+    rows[prefix + "f1_milli"] = f1_milli(r.quality.pairwise_f1);
   }
   return rows;
-}
-
-/// The `| `name` | value |` rows of the ABL-12 section of
-/// EXPERIMENTS.md (same format as the ABL-9 counter table).
-std::map<std::string, std::uint64_t> read_abl12_table(
-    const std::string& path) {
-  std::ifstream in{path};
-  if (!in) {
-    throw repro::IoError("bench_cluster_backends: cannot open " + path);
-  }
-  std::map<std::string, std::uint64_t> table;
-  std::string line;
-  bool in_section = false;
-  while (std::getline(in, line)) {
-    if (line.rfind("#", 0) == 0) {
-      in_section = line.find("ABL-12") != std::string::npos;
-      continue;
-    }
-    if (!in_section || line.rfind("|", 0) != 0) continue;
-    const std::size_t tick_open = line.find('`');
-    if (tick_open == std::string::npos) continue;
-    const std::size_t tick_close = line.find('`', tick_open + 1);
-    if (tick_close == std::string::npos) continue;
-    const std::string name =
-        line.substr(tick_open + 1, tick_close - tick_open - 1);
-    const std::size_t bar = line.find('|', tick_close);
-    if (bar == std::string::npos) continue;
-    std::size_t begin = bar + 1;
-    while (begin < line.size() && line[begin] == ' ') ++begin;
-    std::size_t end = begin;
-    while (end < line.size() &&
-           std::isdigit(static_cast<unsigned char>(line[end])) != 0) {
-      ++end;
-    }
-    if (end == begin) continue;
-    table[name] = repro::parse_u64(line.substr(begin, end - begin),
-                                   "ABL-12 row " + name);
-  }
-  return table;
-}
-
-/// Strict two-way comparison; prints every discrepancy.
-bool rows_match_table(
-    const std::vector<std::pair<std::string, std::uint64_t>>& rows,
-    const std::map<std::string, std::uint64_t>& table) {
-  bool ok = true;
-  std::map<std::string, std::uint64_t> measured;
-  for (const auto& [name, value] : rows) measured[name] = value;
-  for (const auto& [name, value] : measured) {
-    const auto it = table.find(name);
-    if (it == table.end()) {
-      std::cerr << "ABL-12 gate: row '" << name << "' (= " << value
-                << ") is missing from the table\n";
-      ok = false;
-    } else if (it->second != value) {
-      std::cerr << "ABL-12 gate: row '" << name << "' measured " << value
-                << " but the table says " << it->second << "\n";
-      ok = false;
-    }
-  }
-  for (const auto& [name, value] : table) {
-    if (measured.count(name) == 0) {
-      std::cerr << "ABL-12 gate: table row '" << name
-                << "' was not produced by this run\n";
-      ok = false;
-    }
-  }
-  return ok;
 }
 
 /// Pairwise F1 of the LSH assignment scored against the exact one —
@@ -474,7 +406,11 @@ int main(int argc, char** argv) {
         }
       }
       const auto rows = pinned_rows(results);
-      if (!rows_match_table(rows, read_abl12_table(check_path))) ok = false;
+      if (!bench::rows_match_table(
+              "ABL-12", rows,
+              bench::read_counter_table(check_path, "ABL-12"))) {
+        ok = false;
+      }
       if (!ok) {
         std::cerr << "bench_cluster_backends: backend behavior drifted — "
                      "update the ABL-12 table in EXPERIMENTS.md alongside "

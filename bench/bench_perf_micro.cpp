@@ -101,6 +101,21 @@ void BM_Lcs(benchmark::State& state) {
 }
 BENCHMARK(BM_Lcs)->Arg(64)->Arg(256);
 
+// message_similarity, the score IncrementalFsm::train computes for every
+// message against every transition's exemplar, at 94 and 124 bytes: the
+// mean and the longest client message of the paper scenario's stream.
+void BM_MessageSimilarity(benchmark::State& state) {
+  Rng rng{4};
+  proto::Bytes a(static_cast<std::size_t>(state.range(0)));
+  proto::Bytes b(static_cast<std::size_t>(state.range(0)));
+  rng.fill(a);
+  rng.fill(b);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(proto::message_similarity(a, b));
+  }
+}
+BENCHMARK(BM_MessageSimilarity)->Arg(94)->Arg(124);
+
 void BM_FsmMatch(benchmark::State& state) {
   Rng rng{3};
   std::vector<proto::Conversation> training;

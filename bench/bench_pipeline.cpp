@@ -14,7 +14,6 @@
 //
 //   REPRO_BENCH_SCALE=0.25 ./bench_pipeline [--check <EXPERIMENTS.md>]
 //                                           [--out <file.json>]
-#include <cctype>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -28,6 +27,7 @@
 #endif
 
 #include "bench_common.hpp"
+#include "gate_table.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
@@ -41,73 +41,6 @@ long peak_rss_kib() {
   if (getrusage(RUSAGE_SELF, &usage) == 0) return usage.ru_maxrss;
 #endif
   return 0;
-}
-
-/// The `| `name` | value |` rows of the ABL-9 section of EXPERIMENTS.md.
-std::map<std::string, std::uint64_t> read_abl9_table(
-    const std::string& path) {
-  std::ifstream in{path};
-  if (!in) {
-    throw repro::IoError("bench_pipeline: cannot open " + path);
-  }
-  std::map<std::string, std::uint64_t> table;
-  std::string line;
-  bool in_section = false;
-  while (std::getline(in, line)) {
-    if (line.rfind("#", 0) == 0) {
-      in_section = line.find("ABL-9") != std::string::npos;
-      continue;
-    }
-    if (!in_section || line.rfind("|", 0) != 0) continue;
-    const std::size_t tick_open = line.find('`');
-    if (tick_open == std::string::npos) continue;
-    const std::size_t tick_close = line.find('`', tick_open + 1);
-    if (tick_close == std::string::npos) continue;
-    const std::string name =
-        line.substr(tick_open + 1, tick_close - tick_open - 1);
-    const std::size_t bar = line.find('|', tick_close);
-    if (bar == std::string::npos) continue;
-    std::size_t begin = bar + 1;
-    while (begin < line.size() && line[begin] == ' ') ++begin;
-    std::size_t end = begin;
-    while (end < line.size() && std::isdigit(
-               static_cast<unsigned char>(line[end])) != 0) {
-      ++end;
-    }
-    if (end == begin) continue;
-    table[name] = repro::parse_u64(line.substr(begin, end - begin),
-                                   "ABL-9 counter " + name);
-  }
-  return table;
-}
-
-/// Strict two-way comparison; prints every discrepancy.
-bool counters_match_table(
-    const std::vector<std::pair<std::string, std::uint64_t>>& counters,
-    const std::map<std::string, std::uint64_t>& table) {
-  bool ok = true;
-  std::map<std::string, std::uint64_t> measured;
-  for (const auto& [name, value] : counters) measured[name] = value;
-  for (const auto& [name, value] : measured) {
-    const auto it = table.find(name);
-    if (it == table.end()) {
-      std::cerr << "ABL-9 gate: counter '" << name << "' (= " << value
-                << ") is missing from the table\n";
-      ok = false;
-    } else if (it->second != value) {
-      std::cerr << "ABL-9 gate: counter '" << name << "' measured " << value
-                << " but the table says " << it->second << "\n";
-      ok = false;
-    }
-  }
-  for (const auto& [name, value] : table) {
-    if (measured.count(name) == 0) {
-      std::cerr << "ABL-9 gate: table row '" << name
-                << "' was not produced by this run\n";
-      ok = false;
-    }
-  }
-  return ok;
 }
 
 }  // namespace
@@ -167,8 +100,11 @@ int main(int argc, char** argv) {
     bench::print_degradation(dataset);
 
     if (!check_path.empty()) {
-      const auto table = read_abl9_table(check_path);
-      if (!counters_match_table(counters, table)) {
+      const std::map<std::string, std::uint64_t> measured(counters.begin(),
+                                                          counters.end());
+      if (!bench::rows_match_table(
+              "ABL-9", measured,
+              bench::read_counter_table(check_path, "ABL-9"))) {
         std::cerr << "bench_pipeline: deterministic work counters drifted — "
                      "update the ABL-9 table in EXPERIMENTS.md alongside the "
                      "change\n";

@@ -37,7 +37,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -52,6 +51,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "gate_table.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/serve.hpp"
 #include "scenario/stream.hpp"
@@ -185,74 +185,6 @@ double percentile_ms(std::vector<double>& sorted_ms, double p) {
 
 /// Only the deterministic serving counters are gated by the table.
 bool gated(const std::string& name) { return name.rfind("serve.", 0) == 0; }
-
-/// The `| `name` | value |` rows of the ABL-11 section of EXPERIMENTS.md.
-std::map<std::string, std::uint64_t> read_abl11_table(
-    const std::string& path) {
-  std::ifstream in{path};
-  if (!in) {
-    throw repro::IoError("bench_serve: cannot open " + path);
-  }
-  std::map<std::string, std::uint64_t> table;
-  std::string line;
-  bool in_section = false;
-  while (std::getline(in, line)) {
-    if (line.rfind("#", 0) == 0) {
-      in_section = line.find("ABL-11") != std::string::npos;
-      continue;
-    }
-    if (!in_section || line.rfind("|", 0) != 0) continue;
-    const std::size_t tick_open = line.find('`');
-    if (tick_open == std::string::npos) continue;
-    const std::size_t tick_close = line.find('`', tick_open + 1);
-    if (tick_close == std::string::npos) continue;
-    const std::string name =
-        line.substr(tick_open + 1, tick_close - tick_open - 1);
-    const std::size_t bar = line.find('|', tick_close);
-    if (bar == std::string::npos) continue;
-    std::size_t begin = bar + 1;
-    while (begin < line.size() && line[begin] == ' ') ++begin;
-    std::size_t end = begin;
-    while (end < line.size() &&
-           std::isdigit(static_cast<unsigned char>(line[end])) != 0) {
-      ++end;
-    }
-    if (end == begin) continue;
-    table[name] = repro::parse_u64(line.substr(begin, end - begin),
-                                   "ABL-11 counter " + name);
-  }
-  return table;
-}
-
-bool counters_match_table(
-    const std::vector<std::pair<std::string, std::uint64_t>>& counters,
-    const std::map<std::string, std::uint64_t>& table) {
-  bool ok = true;
-  std::map<std::string, std::uint64_t> measured;
-  for (const auto& [name, value] : counters) {
-    if (gated(name)) measured[name] = value;
-  }
-  for (const auto& [name, value] : measured) {
-    const auto it = table.find(name);
-    if (it == table.end()) {
-      std::cerr << "ABL-11 gate: counter '" << name << "' (= " << value
-                << ") is missing from the table\n";
-      ok = false;
-    } else if (it->second != value) {
-      std::cerr << "ABL-11 gate: counter '" << name << "' measured " << value
-                << " but the table says " << it->second << "\n";
-      ok = false;
-    }
-  }
-  for (const auto& [name, value] : table) {
-    if (measured.count(name) == 0) {
-      std::cerr << "ABL-11 gate: table row '" << name
-                << "' was not produced by this run\n";
-      ok = false;
-    }
-  }
-  return ok;
-}
 
 }  // namespace
 
@@ -489,7 +421,12 @@ int main(int argc, char** argv) {
     fs::remove_all(root);
     if (byte_mismatches != 0) return 1;
     if (!check_path.empty()) {
-      bool ok = counters_match_table(counters, read_abl11_table(check_path));
+      std::map<std::string, std::uint64_t> measured;
+      for (const auto& [name, value] : counters) {
+        if (gated(name)) measured[name] = value;
+      }
+      bool ok = bench::rows_match_table(
+          "ABL-11", measured, bench::read_counter_table(check_path, "ABL-11"));
       if (serve_report.timeouts == 0) {
         std::cerr << "ABL-11 gate: the overload phase produced no typed "
                      "TIMEOUT\n";

@@ -80,12 +80,11 @@ void IncrementalFsm::train(const Conversation& conversation) {
   }
 }
 
-std::optional<std::string> IncrementalFsm::match(
-    const Conversation& conversation) const {
-  if (conversation.dst_port != port_) return std::nullopt;
-  std::string path = "p" + std::to_string(port_) + "/";
+template <typename Visit>
+bool IncrementalFsm::walk(const Conversation& conversation,
+                          Visit&& visit) const {
+  if (conversation.dst_port != port_) return false;
   int state_index = 0;
-  bool first = true;
   for (const Bytes* message : conversation.client_messages()) {
     const State& state = states_[static_cast<std::size_t>(state_index)];
     int best = -1;
@@ -100,40 +99,38 @@ std::optional<std::string> IncrementalFsm::match(
         best_bytes = fixed_bytes;
       }
     }
-    if (best < 0) return std::nullopt;
-    if (!first) path += ".";
-    path += std::to_string(best);
-    first = false;
-    state_index =
-        state.transitions[static_cast<std::size_t>(best)].target;
+    if (best < 0) return false;
+    const Transition& taken =
+        state.transitions[static_cast<std::size_t>(best)];
+    visit(best, taken);
+    state_index = taken.target;
   }
+  return true;
+}
+
+std::optional<std::string> IncrementalFsm::match(
+    const Conversation& conversation) const {
+  std::string path = "p" + std::to_string(port_) + "/";
+  bool first = true;
+  const auto append = [&](int index, const Transition& /*taken*/) {
+    if (!first) path += ".";
+    path += std::to_string(index);
+    first = false;
+  };
+  if (!walk(conversation, append)) return std::nullopt;
   return path;
 }
 
 std::optional<Bytes> IncrementalFsm::respond(
     const Conversation& dialog_so_far) const {
-  if (dialog_so_far.dst_port != port_) return std::nullopt;
-  int state_index = 0;
   const Transition* last = nullptr;
-  for (const Bytes* message : dialog_so_far.client_messages()) {
-    const State& state = states_[static_cast<std::size_t>(state_index)];
-    int best = -1;
-    std::size_t best_bytes = 0;
-    for (std::size_t t = 0; t < state.transitions.size(); ++t) {
-      const Transition& transition = state.transitions[t];
-      if (transition.sample_count < options_.maturity) continue;
-      if (!regions_match(transition.regions, *message)) continue;
-      const std::size_t fixed_bytes = total_region_bytes(transition.regions);
-      if (best < 0 || fixed_bytes > best_bytes) {
-        best = static_cast<int>(t);
-        best_bytes = fixed_bytes;
-      }
-    }
-    if (best < 0) return std::nullopt;
-    last = &state.transitions[static_cast<std::size_t>(best)];
-    state_index = last->target;
+  const auto remember = [&](int /*index*/, const Transition& taken) {
+    last = &taken;
+  };
+  if (!walk(dialog_so_far, remember) || last == nullptr ||
+      last->replies.empty()) {
+    return std::nullopt;
   }
-  if (last == nullptr || last->replies.empty()) return std::nullopt;
   // Most common observed reply, ties broken by byte order.
   const auto mode = std::max_element(
       last->replies.begin(), last->replies.end(),

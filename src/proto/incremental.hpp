@@ -86,6 +86,14 @@ class IncrementalFsm {
   [[nodiscard]] int find_cluster(const State& state,
                                  const Bytes& message) const;
 
+  /// Follows the client messages of `conversation` along mature
+  /// transitions, at each state taking the matching transition with the
+  /// most fixed bytes (the first on a tie), and calls
+  /// `visit(index, transition)` for every step. False on a port
+  /// mismatch or when a message reaches no mature transition.
+  template <typename Visit>
+  bool walk(const Conversation& conversation, Visit&& visit) const;
+
   std::uint16_t port_;
   Options options_;
   std::vector<State> states_;

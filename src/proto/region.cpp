@@ -1,27 +1,80 @@
 #include "proto/region.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace repro::proto {
+
+namespace {
+
+/// Bit-parallel LCS rows (Allison & Dix 1986; Hyyrö 2004). Row i is a
+/// bit vector over `b`, one bit per byte, packed into ceil(|b| / 64)
+/// 64-bit words: bit j-1 is 0 exactly when L(i, j) = L(i, j-1) + 1, where
+/// L(i, j) is the LCS length of a[0, i) and b[0, j). So L(i, j) is the
+/// number of zero bits among row i's low j bits. Row 0 is all ones, and
+/// each byte of `a` moves to the next row as V' = (V + (V & M)) | (V & ~M)
+/// with M that byte's match mask over `b`, the carry passing between
+/// words. Bits past |b| stay 1.
+class LcsRows {
+ public:
+  /// Keeps rows 0..|a| when `keep_rows`, else only the last one. `b`
+  /// must not be empty.
+  LcsRows(const Bytes& a, const Bytes& b, bool keep_rows)
+      : words_((b.size() + 63) / 64),
+        keep_rows_(keep_rows),
+        rows_((keep_rows ? a.size() + 1 : 1) * words_, ~std::uint64_t{0}) {
+    std::vector<std::uint64_t> masks(256 * words_, 0);
+    for (std::size_t j = 0; j < b.size(); ++j) {
+      masks[b[j] * words_ + j / 64] |= std::uint64_t{1} << (j % 64);
+    }
+    std::uint64_t* row = rows_.data();
+    for (const std::uint8_t byte : a) {
+      const std::uint64_t* match = &masks[byte * words_];
+      std::uint64_t* next = keep_rows ? row + words_ : row;
+      std::uint64_t carry = 0;
+      for (std::size_t k = 0; k < words_; ++k) {
+        const std::uint64_t v = row[k];
+        const std::uint64_t sum = v + (v & match[k]);
+        const std::uint64_t total = sum + carry;
+        carry = static_cast<std::uint64_t>(sum < v) |
+                static_cast<std::uint64_t>(total < sum);
+        next[k] = total | (v & ~match[k]);
+      }
+      row = next;
+    }
+  }
+
+  /// L(i, j); `i` must be |a| unless the rows were kept.
+  [[nodiscard]] std::size_t length(std::size_t i, std::size_t j) const {
+    const std::uint64_t* row = rows_.data() + (keep_rows_ ? i * words_ : 0);
+    std::size_t ones = 0;
+    for (std::size_t k = 0; k < j / 64; ++k) {
+      ones += static_cast<std::size_t>(std::popcount(row[k]));
+    }
+    if (j % 64 != 0) {
+      const std::uint64_t low = (std::uint64_t{1} << (j % 64)) - 1;
+      ones += static_cast<std::size_t>(std::popcount(row[j / 64] & low));
+    }
+    return j - ones;
+  }
+
+ private:
+  std::size_t words_;
+  bool keep_rows_;
+  std::vector<std::uint64_t> rows_;
+};
+
+}  // namespace
 
 Bytes longest_common_subsequence(const Bytes& a, const Bytes& b) {
   const std::size_t n = a.size();
   const std::size_t m = b.size();
   if (n == 0 || m == 0) return {};
-  // Full DP table (messages are bounded by MTU-scale sizes; learning
-  // runs on small per-transition sample sets).
-  std::vector<std::uint32_t> table((n + 1) * (m + 1), 0);
-  const auto at = [&](std::size_t i, std::size_t j) -> std::uint32_t& {
-    return table[i * (m + 1) + j];
-  };
-  for (std::size_t i = 1; i <= n; ++i) {
-    for (std::size_t j = 1; j <= m; ++j) {
-      at(i, j) = a[i - 1] == b[j - 1]
-                     ? at(i - 1, j - 1) + 1
-                     : std::max(at(i - 1, j), at(i, j - 1));
-    }
-  }
-  Bytes out(at(n, m));
+  const LcsRows rows{a, b, /*keep_rows=*/true};
+  // Walk back as over the full DP table: diagonal on a byte match,
+  // otherwise up when L(i-1, j) >= L(i, j-1). The bytes, not only the
+  // length, are those the table yields.
+  Bytes out(rows.length(n, m));
   std::size_t i = n;
   std::size_t j = m;
   std::size_t k = out.size();
@@ -30,7 +83,7 @@ Bytes longest_common_subsequence(const Bytes& a, const Bytes& b) {
       out[--k] = a[i - 1];
       --i;
       --j;
-    } else if (at(i - 1, j) >= at(i, j - 1)) {
+    } else if (rows.length(i - 1, j) >= rows.length(i, j - 1)) {
       --i;
     } else {
       --j;
@@ -41,8 +94,10 @@ Bytes longest_common_subsequence(const Bytes& a, const Bytes& b) {
 
 double message_similarity(const Bytes& a, const Bytes& b) {
   if (a.empty() && b.empty()) return 1.0;
-  const Bytes common = longest_common_subsequence(a, b);
-  return 2.0 * static_cast<double>(common.size()) /
+  if (a.empty() || b.empty()) return 0.0;
+  const std::size_t common =
+      LcsRows{a, b, /*keep_rows=*/false}.length(a.size(), b.size());
+  return 2.0 * static_cast<double>(common) /
          static_cast<double>(a.size() + b.size());
 }
 

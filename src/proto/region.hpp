@@ -21,11 +21,14 @@ struct Region {
   Bytes bytes;
 };
 
-/// Longest common subsequence of two byte strings (classic O(n*m) DP).
+/// Longest common subsequence of two byte strings. Bit-parallel: one
+/// pass over `a` of O(|a| * |b| / 64) word operations. Returns the same
+/// bytes as the classic O(|a| * |b|) table walked back diagonal-first,
+/// then up on ties.
 [[nodiscard]] Bytes longest_common_subsequence(const Bytes& a, const Bytes& b);
 
 /// Similarity in [0, 1]: 2*|LCS| / (|a| + |b|). Two empty messages have
-/// similarity 1.
+/// similarity 1. Computes the LCS length only, in one row of bits.
 [[nodiscard]] double message_similarity(const Bytes& a, const Bytes& b);
 
 /// Extracts the fixed regions common to all messages: the runs of the

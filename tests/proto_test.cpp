@@ -29,6 +29,66 @@ bool is_subsequence(const Bytes& needle, const Bytes& haystack) {
   return true;
 }
 
+/// The classic O(n*m) LCS table, walked back diagonal-first on a byte
+/// match, otherwise up when L(i-1, j) >= L(i, j-1): the oracle whose
+/// bytes the bit-parallel longest_common_subsequence must reproduce.
+Bytes oracle_lcs(const Bytes& a, const Bytes& b) {
+  const std::size_t n = a.size();
+  const std::size_t m = b.size();
+  std::vector<std::uint32_t> table((n + 1) * (m + 1), 0);
+  const auto at = [&](std::size_t i, std::size_t j) -> std::uint32_t& {
+    return table[i * (m + 1) + j];
+  };
+  for (std::size_t i = 1; i <= n; ++i) {
+    for (std::size_t j = 1; j <= m; ++j) {
+      at(i, j) = a[i - 1] == b[j - 1]
+                     ? at(i - 1, j - 1) + 1
+                     : std::max(at(i - 1, j), at(i, j - 1));
+    }
+  }
+  Bytes out(at(n, m));
+  std::size_t i = n;
+  std::size_t j = m;
+  std::size_t k = out.size();
+  while (i > 0 && j > 0) {
+    if (a[i - 1] == b[j - 1]) {
+      out[--k] = a[i - 1];
+      --i;
+      --j;
+    } else if (at(i - 1, j) >= at(i, j - 1)) {
+      --i;
+    } else {
+      --j;
+    }
+  }
+  return out;
+}
+
+/// `length` bytes drawn from {first, ..., first + alphabet - 1}.
+Bytes random_bytes(Rng& rng, std::size_t length, unsigned alphabet,
+                   unsigned first = 0) {
+  Bytes out(length);
+  for (auto& byte : out) {
+    byte = static_cast<std::uint8_t>(first + rng.index(alphabet));
+  }
+  return out;
+}
+
+/// Requires the LCS bytes of the oracle, and the similarity computed
+/// from the oracle's length, equal to the last bit.
+void expect_oracle_agreement(const Bytes& a, const Bytes& b) {
+  SCOPED_TRACE("|a| = " + std::to_string(a.size()) +
+               ", |b| = " + std::to_string(b.size()));
+  const Bytes expected = oracle_lcs(a, b);
+  EXPECT_EQ(longest_common_subsequence(a, b), expected);
+  const double similarity =
+      a.empty() && b.empty()
+          ? 1.0
+          : 2.0 * static_cast<double>(expected.size()) /
+                static_cast<double>(a.size() + b.size());
+  EXPECT_EQ(message_similarity(a, b), similarity);
+}
+
 // ---------------------------------------------------------------- LCS
 
 TEST(Lcs, KnownValue) {
@@ -58,9 +118,56 @@ TEST_P(LcsProperty, ResultIsCommonSubsequence) {
   EXPECT_TRUE(is_subsequence(common, a));
   EXPECT_TRUE(is_subsequence(common, b));
   EXPECT_LE(common.size(), std::min(a.size(), b.size()));
+  EXPECT_EQ(common.size(), oracle_lcs(a, b).size());  // optimal
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, LcsProperty, ::testing::Range(0, 20));
+
+// Lengths around the 64-bit word edges of the bit-parallel rows.
+constexpr std::size_t kEdgeLengths[] = {0,   1,   2,   3,   31,  63,
+                                        64,  65,  100, 127, 128, 129,
+                                        191, 192, 193, 256, 300};
+
+TEST(Lcs, MatchesTableOracleAcrossLengthsAndAlphabets) {
+  Rng rng{29};
+  for (const unsigned alphabet : {1U, 2U, 4U, 256U}) {
+    SCOPED_TRACE("alphabet " + std::to_string(alphabet));
+    for (const std::size_t n : kEdgeLengths) {
+      for (const std::size_t m : kEdgeLengths) {
+        expect_oracle_agreement(random_bytes(rng, n, alphabet),
+                                random_bytes(rng, m, alphabet));
+      }
+    }
+    for (int trial = 0; trial < 100; ++trial) {
+      expect_oracle_agreement(random_bytes(rng, rng.index(301), alphabet),
+                              random_bytes(rng, rng.index(301), alphabet));
+    }
+  }
+}
+
+TEST(Lcs, MatchesTableOracleOnIdenticalDisjointAndPrefixPairs) {
+  Rng rng{64};
+  for (const unsigned alphabet : {1U, 2U, 4U, 256U}) {
+    SCOPED_TRACE("alphabet " + std::to_string(alphabet));
+    for (const std::size_t n : kEdgeLengths) {
+      const Bytes a = random_bytes(rng, n, alphabet);
+      expect_oracle_agreement(a, a);
+      // Disjoint: b draws from the byte values a never uses.
+      if (alphabet < 256) {
+        expect_oracle_agreement(a, random_bytes(rng, n, alphabet, alphabet));
+      }
+      // b is a prefix of a, and a and b share a prefix then diverge.
+      const Bytes prefix(a.begin(),
+                         a.begin() + static_cast<long>(rng.index(n + 1)));
+      expect_oracle_agreement(a, prefix);
+      expect_oracle_agreement(prefix, a);
+      Bytes tail = random_bytes(rng, rng.index(130), alphabet);
+      Bytes shared = prefix;
+      shared.insert(shared.end(), tail.begin(), tail.end());
+      expect_oracle_agreement(a, shared);
+    }
+  }
+}
 
 TEST(Similarity, BoundsAndIdentity) {
   EXPECT_EQ(message_similarity(bytes("abc"), bytes("abc")), 1.0);
